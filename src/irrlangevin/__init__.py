@@ -56,7 +56,6 @@ from .spectral_oracle import (
     TorusGrid,
     VarianceReport,
     asymptotic_variances,
-    build_b_operator,
     discretize_gaussian_linear,
     discretize_torus,
     generator_gaps,
@@ -92,7 +91,6 @@ __all__ = [
     "WorstCaseResult",
     "asymptotic_variances",
     "batch_means",
-    "build_b_operator",
     "chain_time_averages",
     "check_assumptions",
     "discretize_gaussian_linear",

@@ -24,7 +24,6 @@ from .spectral_oracle import (
     KERNEL_FLAG_RTOL,
     DiscretizedSystem,
     SpectralMeasure,
-    _measure_from_eigh,
 )
 
 Array = np.ndarray
@@ -93,12 +92,8 @@ def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
         raise ValueError("k_values must include k = 0 as the first entry")
 
     sys = sys_builder(1.0)
-    f = np.asarray(f, dtype=float)
-    f_centered, _ = sys.center(f)
-    fr = sys.to_mean_zero(f_centered)
-    g = sys.v_matrix @ fr
-    eigvals, eigvecs = sys._b_eigh
-    measure = _measure_from_eigh(eigvals, eigvecs, g)
+    fr, _ = sys.reduce(f)
+    _, measure = sys.spectral_weight(fr)
 
     locs = measure.locations
     wts = measure.weights
@@ -125,12 +120,12 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     The intersection dimension counts principal angles below ``angle_tol``
     between the numerical kernels of (L - lambda) and A.
     """
-    lr, ar = sys.restricted
-    w, vec = sys._l_eigh
+    _, ar = sys.restricted
+    w, vec = sys.l_eigh
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
-    m = scipy.linalg.lu_solve(sys._lc_lu, np.eye(lr.shape[0]))
+    m = sys.solve(np.eye(ar.shape[0]))
     sym = (m + m.T) / 2.0
     sup_irr = float(2.0 * np.linalg.eigvalsh(sym)[-1])
 
@@ -162,13 +157,8 @@ def equality_certificate(sys: DiscretizedSystem, f: Array,
     True when |A h|_pi <= rtol |f|_pi.  Consistent with ``kernel_flag`` and
     ``equality_gap`` of :func:`irrlangevin.spectral_oracle.variance_report`.
     """
-    f = np.asarray(f, dtype=float)
-    f_centered, _ = sys.center(f)
-    fr = sys.to_mean_zero(f_centered)
-    _, ar = sys.restricted
-    h = scipy.linalg.lu_solve(sys._l_lu, fr)
-    fr_norm = float(np.linalg.norm(fr))
-    residual = float(np.linalg.norm(ar @ h)) / max(fr_norm, 1e-300)
+    fr, _ = sys.reduce(f)
+    h, residual = sys.kernel_residual(fr)
     return EqualityCertificate(
         equal=bool(residual <= rtol),
         witness=sys.from_mean_zero(h),

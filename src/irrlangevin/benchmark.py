@@ -28,7 +28,6 @@ from .model import gaussian_potential, make_qgradu_drift, torus_cosine
 from .sde_sim import SimConfig
 from .spectral_oracle import (
     asymptotic_variances,
-    build_b_operator,
     discretize_gaussian_linear,
     discretize_torus,
     generator_gaps,
@@ -166,7 +165,7 @@ def run_c4(tol: Mapping[str, float]) -> list[CriterionRow]:
         pi_a = sys.pi_weights[:, None] * sys.a_matrix
         lr, _ = sys.restricted
         lam_min = float(np.linalg.eigvalsh(lr)[0])
-        b = build_b_operator(sys)
+        b = sys.b_operator
         v = sys.v_matrix
         checks = [
             ("pi-symmetry of L", float(np.max(np.abs(pi_l - pi_l.T)))),

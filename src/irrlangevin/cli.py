@@ -29,6 +29,7 @@ from .model import (
     DriftField,
     Potential,
     SpaceKind,
+    antisymmetric_matrix,
     check_assumptions,
     make_potential,
     make_qgradu_drift,
@@ -87,11 +88,7 @@ def _parse_q(text: str, dim: int) -> np.ndarray:
             f"--q needs {dim * dim} row-major entries for dim {dim}, "
             f"got {len(entries)}"
         )
-    q = np.asarray(entries).reshape(dim, dim)
-    if np.max(np.abs(q + q.T)) != 0.0:
-        # reject rather than symmetrize: silent fixing hides user error
-        raise ValueError("--q is not antisymmetric")
-    return q
+    return antisymmetric_matrix(np.reshape(entries, (dim, dim)), dim)
 
 
 def _add_potential_args(sp):

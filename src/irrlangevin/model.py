@@ -75,7 +75,6 @@ class DriftField:
     divergence: Callable[[Array], Array]
     kind: DriftKind
     q: Array | None = None
-    base: Potential | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -113,6 +112,16 @@ class AssumptionReport:
     probe_points: Array
 
 
+def antisymmetric_matrix(q: Array, dim: int) -> Array:
+    """``q`` as a float (dim, dim) array; a nonzero q + q^T is rejected, not fixed."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (dim, dim):
+        raise ValueError(f"q has shape {q.shape}, expected ({dim}, {dim})")
+    if np.max(np.abs(q + q.T)) != 0.0:
+        raise ValueError("q is not antisymmetric: q + q.T has a nonzero entry")
+    return q
+
+
 def make_qgradu_drift(q: Array, u: Potential) -> DriftField:
     """Build the drift C(x) = Q grad U(x) for an antisymmetric matrix Q.
 
@@ -120,12 +129,7 @@ def make_qgradu_drift(q: Array, u: Potential) -> DriftField:
     so the returned field's ``divergence`` is exactly zero.  Rejects a
     matrix with any nonzero entry in Q + Q^T, and dimension mismatches.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (u.dim, u.dim):
-        raise ValueError(f"q has shape {q.shape}, expected ({u.dim}, {u.dim})")
-    if np.max(np.abs(q + q.T)) != 0.0:
-        raise ValueError("q is not antisymmetric: q + q.T has a nonzero entry")
-    q = q.copy()
+    q = antisymmetric_matrix(q, u.dim).copy()
     q.setflags(write=False)
 
     def _eval(x, _q=q, _grad=u.grad):
@@ -137,7 +141,7 @@ def make_qgradu_drift(q: Array, u: Potential) -> DriftField:
 
     return DriftField(
         dim=u.dim, eval=_eval, divergence=_div, kind=DriftKind.QGRADU,
-        q=q, base=u, name=f"qgradu({u.name})",
+        q=q, name=f"qgradu({u.name})",
     )
 
 

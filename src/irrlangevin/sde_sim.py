@@ -89,6 +89,26 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
+def _em_step(u: Potential, c: DriftField, k: float, dt: float):
+    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, k, dt."""
+    on_torus = u.space_kind is SpaceKind.FLAT_TORUS
+    has_drift = k != 0.0 and c.kind is not DriftKind.ZERO
+    grad = u.grad
+    ceval = c.eval
+    root = np.sqrt(2.0 * dt)
+
+    def advance(state, noise):
+        d = -grad(state)
+        if has_drift:
+            d = d + k * ceval(state)
+        new = state + dt * d + root * noise
+        if on_torus:
+            new = np.mod(new, TWO_PI)
+        return new
+
+    return advance
+
+
 def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
             noise: Array) -> Array:
     """One Euler-Maruyama step from ``x`` with the given standard-normal draw.
@@ -101,12 +121,7 @@ def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = -u.grad(x)
-        if k != 0.0 and c.kind is not DriftKind.ZERO:
-            drift = drift + k * c.eval(x)
-        out = x + dt * drift + np.sqrt(2.0 * dt) * np.asarray(noise, dtype=float)
-        if u.space_kind is SpaceKind.FLAT_TORUS:
-            out = np.mod(out, TWO_PI)
+        out = _em_step(u, c, k, dt)(x, np.asarray(noise, dtype=float))
     if not np.all(np.isfinite(out)):
         raise DivergenceError(step_index=0, seed=None, state=x)
     return out
@@ -139,11 +154,7 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     n_chains = len(seeds)
     x = np.tile(np.asarray(x0, dtype=float), (n_chains, 1))
     dim = x.shape[1]
-    on_torus = u.space_kind is SpaceKind.FLAT_TORUS
-    has_drift = k != 0.0 and c.kind is not DriftKind.ZERO
-    grad = u.grad
-    ceval = c.eval
-    root = np.sqrt(2.0 * dt)
+    advance = _em_step(u, c, k, dt)
 
     fsum = np.zeros(n_chains)
     stored_states, stored_times, stored_running = [], [], []
@@ -156,15 +167,6 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
                 stored_running.append(float(f(state)[0]))
             else:
                 stored_running.append(float(fsum[0]) / (step - burn_in))
-
-    def advance(state, noise):
-        d = -grad(state)
-        if has_drift:
-            d = d + k * ceval(state)
-        new = state + dt * d + root * noise
-        if on_torus:
-            new = np.mod(new, TWO_PI)
-        return new
 
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is detected per block and located by replay, not raised

@@ -27,6 +27,10 @@ The reversible value is sigma2_rev = 2 |g|^2; since every weight is
 nonnegative, the perturbed value never exceeds it.  Route agreement and
 the operator-structure identities are the acceptance gates of the package,
 not trusted by construction alone.
+
+Every analysis goes through one solve path, the methods ``reduce``,
+``solve``, ``kernel_residual`` and ``spectral_weight`` of
+:class:`DiscretizedSystem`; the factorizations behind them stay private.
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationDefectError
-from .model import DriftField, DriftKind, Potential, SpaceKind
+from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
 
 Array = np.ndarray
 
-MAX_TORUS_STATES = 20000
+# The dense build and report hold about ten n x n float64 arrays at once
+# (1.33 GB peak measured at n = 4096); 7000 states keep that under 4 GB.
+MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
 
@@ -135,19 +141,21 @@ class DiscretizedSystem:
         return lr, ar
 
     @cached_property
-    def _l_eigh(self) -> tuple[Array, Array]:
+    def l_eigh(self) -> tuple[Array, Array]:
+        """Eigendecomposition of the restricted L, checked positive definite."""
         lr, _ = self.restricted
-        return np.linalg.eigh(lr)
-
-    @cached_property
-    def v_matrix(self) -> Array:
-        """V = L^{-1/2} on the mean-zero subspace (symmetric eigendecomposition)."""
-        w, vec = self._l_eigh
+        w, vec = np.linalg.eigh(lr)
         if w[0] <= 0.0:
             raise DiscretizationDefectError(
                 "restricted energy operator is not positive definite: "
                 f"smallest eigenvalue {w[0]:.6e}"
             )
+        return w, vec
+
+    @cached_property
+    def v_matrix(self) -> Array:
+        """V = L^{-1/2} on the mean-zero subspace (symmetric eigendecomposition)."""
+        w, vec = self.l_eigh
         v = (vec / np.sqrt(w)) @ vec.T
         return (v + v.T) / 2.0
 
@@ -174,6 +182,40 @@ class DiscretizedSystem:
         lr, _ = self.restricted
         return scipy.linalg.lu_factor(lr)
 
+    # -- the solve path ----------------------------------------------------
+
+    def reduce(self, f: Array) -> tuple[Array, float]:
+        """(mean-zero coordinates of the centered real (n,) ``f``, removed shift)."""
+        if np.iscomplexobj(f):
+            raise ValueError("observable must be real")
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.n,):
+            raise ValueError(f"observable has shape {f.shape}, expected ({self.n},)")
+        f_centered, shift = self.center(f)
+        return self.to_mean_zero(f_centered), shift
+
+    def solve(self, rhs: Array) -> Array:
+        """(L - A)^{-1} rhs in mean-zero coordinates; ``rhs`` a vector or matrix."""
+        out = scipy.linalg.lu_solve(self._lc_lu, rhs)
+        if not np.all(np.isfinite(out)):
+            raise DiscretizationDefectError(
+                "perturbed operator is singular on the mean-zero subspace"
+            )
+        return out
+
+    def kernel_residual(self, fr: Array) -> tuple[Array, float]:
+        """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev."""
+        h = scipy.linalg.lu_solve(self._l_lu, fr)
+        _, ar = self.restricted
+        fr_norm = float(np.linalg.norm(fr))
+        return h, float(np.linalg.norm(ar @ h)) / max(fr_norm, 1e-300)
+
+    def spectral_weight(self, fr: Array) -> tuple[Array, SpectralMeasure]:
+        """(g = V fr, atoms of the spectral weight of g under B)."""
+        g = self.v_matrix @ fr
+        eigvals, eigvecs = self._b_eigh
+        return g, _measure_from_eigh(eigvals, eigvecs, g)
+
     # -- coordinate helpers ----------------------------------------------
 
     def pi_inner(self, f: Array, g: Array) -> float:
@@ -193,6 +235,14 @@ class DiscretizedSystem:
 
 
 # --- torus grid backend -----------------------------------------------------
+
+
+def _check_state_count(n: int, what: str) -> None:
+    """The memory guard; called before a backend allocates or enumerates."""
+    if n > MAX_STATES:
+        raise ValueError(
+            f"{what} with {n} states exceeds the memory guard ({MAX_STATES})"
+        )
 
 
 def _torus_nodes(dim: int, m: int) -> tuple[Array, Array]:
@@ -240,10 +290,7 @@ def discretize_torus(u: Potential, c: DriftField,
     if points_per_axis < 8:
         raise ValueError("points_per_axis must be at least 8")
     n = points_per_axis**u.dim
-    if n > MAX_TORUS_STATES:
-        raise ValueError(
-            f"grid with {n} states exceeds the memory guard ({MAX_TORUS_STATES})"
-        )
+    _check_state_count(n, "grid")
 
     m = points_per_axis
     h = 2.0 * np.pi / m
@@ -316,18 +363,15 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
     (the degree-lowering terms cancel pairwise by antisymmetry of Q), so the
     truncation is exact for observables inside the span.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (dim, dim):
-        raise ValueError(f"q has shape {q.shape}, expected ({dim}, {dim})")
-    if np.max(np.abs(q + q.T)) != 0.0:
-        raise ValueError("q is not antisymmetric: q + q.T has a nonzero entry")
+    q = antisymmetric_matrix(q, dim)
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    n = comb(dim + degree, dim)
+    _check_state_count(n, "Hermite basis")
 
     idxs = hermite_indices(dim, degree)
     pos = {alpha: i for i, alpha in enumerate(idxs)}
-    n = len(idxs)
-    assert n == comb(dim + degree, dim)
+    assert len(idxs) == n
 
     l_matrix = np.diag([float(sum(alpha)) for alpha in idxs])
     a_matrix = np.zeros((n, n))
@@ -400,15 +444,6 @@ def hermite_coefficients(sys: DiscretizedSystem, func: Callable[[Array], Array],
 # --- operations ---------------------------------------------------------------
 
 
-def build_b_operator(sys: DiscretizedSystem) -> Array:
-    """Hermitian matrix B = i V A V on the mean-zero subspace.
-
-    Raises DiscretizationDefectError (with the offending eigenvalue) when
-    the restricted energy operator is not positive definite.
-    """
-    return sys.b_operator
-
-
 def _merge_atoms(eigvals: Array, weights: Array,
                  merge_tol: float) -> tuple[Array, Array]:
     locations, pooled = [], []
@@ -478,42 +513,23 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     the mean-zero subspace by direct dense factorization; the spectral route
     integrates (1 + y^2)^{-1} against the spectral weight of g = V f.
     """
-    if np.iscomplexobj(f):
-        raise ValueError("observable must be real")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (sys.n,):
-        raise ValueError(f"observable has shape {f.shape}, expected ({sys.n},)")
-    f_centered, shift = sys.center(f)
-    fr = sys.to_mean_zero(f_centered)
+    fr, shift = sys.reduce(f)
+    route_resolvent = float(2.0 * fr @ sys.solve(fr))
 
-    h = scipy.linalg.lu_solve(sys._lc_lu, fr)
-    if not np.all(np.isfinite(h)):
-        raise DiscretizationDefectError(
-            "perturbed operator is singular on the mean-zero subspace"
-        )
-    route_resolvent = float(2.0 * fr @ h)
-
-    g = sys.v_matrix @ fr
-    eigvals, eigvecs = sys._b_eigh
-    measure = _measure_from_eigh(eigvals, eigvecs, g)
+    g, measure = sys.spectral_weight(fr)
     route_spectral = float(
         2.0 * np.sum(measure.weights / (1.0 + measure.locations**2))
     )
 
     sigma2_rev = float(2.0 * g @ g)
-    h0 = scipy.linalg.lu_solve(sys._l_lu, fr)
-    _, ar = sys.restricted
-    fr_norm = float(np.linalg.norm(fr))
-    kernel_flag = bool(
-        np.linalg.norm(ar @ h0) <= KERNEL_FLAG_RTOL * max(fr_norm, 1e-300)
-    )
+    _, residual = sys.kernel_residual(fr)
+    kernel_flag = residual <= KERNEL_FLAG_RTOL
 
-    sigma2_irr = route_resolvent
     scale = max(abs(route_resolvent), abs(route_spectral), 1e-300)
     return VarianceReport(
-        sigma2_rev=sigma2_rev, sigma2_irr=sigma2_irr,
+        sigma2_rev=sigma2_rev, sigma2_irr=route_resolvent,
         route_resolvent=route_resolvent, route_spectral=route_spectral,
-        equality_gap=sigma2_rev - sigma2_irr, kernel_flag=kernel_flag,
+        equality_gap=sigma2_rev - route_resolvent, kernel_flag=kernel_flag,
         center_shift=shift,
         route_discrepancy=abs(route_resolvent - route_spectral) / scale,
         measure=measure,
@@ -526,16 +542,9 @@ def asymptotic_variances(sys: DiscretizedSystem, f: Array) -> tuple[float, float
     Same values as :func:`variance_report` without the eigendecomposition of
     B; suitable for grid-refinement studies where only the numbers matter.
     """
-    f = np.asarray(f, dtype=float)
-    f_centered, _ = sys.center(f)
-    fr = sys.to_mean_zero(f_centered)
-    h0 = scipy.linalg.lu_solve(sys._l_lu, fr)
-    h = scipy.linalg.lu_solve(sys._lc_lu, fr)
-    if not np.all(np.isfinite(h)):
-        raise DiscretizationDefectError(
-            "perturbed operator is singular on the mean-zero subspace"
-        )
-    return float(2.0 * fr @ h0), float(2.0 * fr @ h)
+    fr, _ = sys.reduce(f)
+    h0, _ = sys.kernel_residual(fr)
+    return float(2.0 * fr @ h0), float(2.0 * fr @ sys.solve(fr))
 
 
 def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
@@ -544,7 +553,7 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     The perturbed real part can only move up: a perturbed eigenpair
     (mu, v) satisfies Re mu = <v, L v>/|v|^2 >= min eig(L).
     """
-    w, _ = sys._l_eigh
+    w, _ = sys.l_eigh
     lr, ar = sys.restricted
     eigs = np.linalg.eigvals(lr - ar)
     return float(w[0]), float(eigs.real.min())

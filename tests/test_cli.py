@@ -223,6 +223,16 @@ def test_hermite_backend_requires_standard_gaussian(capsys):
     assert "standard gaussian" in capsys.readouterr().err
 
 
+def test_memory_guard_exits_2(capsys):
+    # C(18, 8) = 43758 Hermite states: rejected before anything is built
+    code = run_command([
+        "spectral-report", "--dim", "8", "--drift", "none",
+        "--backend", "hermite", "--degree", "10",
+    ])
+    assert code == 2
+    assert "memory guard" in capsys.readouterr().err
+
+
 def test_fourier_observable_rejected_on_hermite(capsys):
     code = run_command([
         "spectral-report", "--drift", "none", "--backend", "hermite",

@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from irrlangevin.analysis import equality_certificate, sweep_k, worst_case
 from irrlangevin.errors import DiscretizationDefectError
 from irrlangevin.model import (
     DriftField,
@@ -30,7 +31,6 @@ from irrlangevin.spectral_oracle import (
     GaussianLinear,
     TorusGrid,
     asymptotic_variances,
-    build_b_operator,
     discretize_gaussian_linear,
     discretize_torus,
     generator_gaps,
@@ -112,6 +112,8 @@ def test_torus_guards():
         discretize_torus(u, c, 4)
     with pytest.raises(ValueError, match="memory guard"):
         discretize_torus(u, c, 150)  # 22500 nodes
+    with pytest.raises(ValueError, match="memory guard"):
+        discretize_torus(u, c, 141)  # 19881 nodes, about 32 GB dense
     u3 = torus_cosine(3, 1.0)
     q3 = np.zeros((3, 3))
     with pytest.raises(ValueError, match="dim 1 or 2"):
@@ -197,6 +199,8 @@ def test_hermite_rejects_bad_input():
         discretize_gaussian_linear(ROT, dim=2, degree=0)
     with pytest.raises(ValueError, match="shape"):
         discretize_gaussian_linear(ROT, dim=3, degree=2)
+    with pytest.raises(ValueError, match="memory guard"):
+        discretize_gaussian_linear(np.zeros((8, 8)), dim=8, degree=10)
 
 
 def test_hermite_drift_matrix_against_quadrature():
@@ -281,21 +285,21 @@ def test_hermite_coefficients_round_trip(hermite_sys):
 def test_b_operator_zero_drift():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    b = build_b_operator(sys)
+    b = sys.b_operator
     assert np.max(np.abs(b)) == 0.0
 
 
 def test_b_operator_ou_eigenvalues():
     a = 0.7
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    b = build_b_operator(sys)
+    b = sys.b_operator
     np.testing.assert_allclose(np.linalg.eigvalsh(b), [-a, a], atol=1e-12)
 
 
 @pytest.mark.parametrize("sysname", ["torus", "hermite"])
 def test_b_hermitian_and_vlv_identity(sysname, torus_sys, hermite_sys):
     sys = torus_sys if sysname == "torus" else hermite_sys
-    b = build_b_operator(sys)
+    b = sys.b_operator
     assert np.max(np.abs(b - b.conj().T)) <= 1e-10
     lr, _ = sys.restricted
     v = sys.v_matrix
@@ -313,7 +317,9 @@ def test_b_operator_rejects_indefinite_restriction():
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
-        build_b_operator(sys)
+        sys.b_operator
+    with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
+        worst_case(sys)
 
 
 def _basis_for_uniform(n):
@@ -351,7 +357,7 @@ def test_spectral_measure_merges_degenerate_clusters():
 def test_spectral_measure_ou_atoms():
     a = 0.9
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    b = build_b_operator(sys)
+    b = sys.b_operator
     f = np.array([0.0, 1.0, 0.0])  # x1
     g = sys.v_matrix @ sys.to_mean_zero(f)
     m = spectral_measure(b, g)
@@ -366,7 +372,7 @@ def test_spectral_measure_rejects_non_hermitian():
 
 def test_measure_symmetric_for_real_observables(torus_sys):
     rng = np.random.default_rng(23)
-    b = build_b_operator(torus_sys)
+    b = torus_sys.b_operator
     for _ in range(5):
         f = rng.standard_normal(torus_sys.n)
         fc, _ = torus_sys.center(f)
@@ -424,10 +430,19 @@ def test_variance_report_random_observables_inequality(torus_sys):
 
 
 def test_variance_report_input_validation(hermite_sys):
-    with pytest.raises(ValueError, match="real"):
-        variance_report(hermite_sys, np.ones(hermite_sys.n) * 1j)
-    with pytest.raises(ValueError, match="shape"):
-        variance_report(hermite_sys, np.ones(3))
+    entry_points = [
+        variance_report,
+        asymptotic_variances,
+        equality_certificate,
+        lambda sys, f: sweep_k(lambda scale: sys, f, [0.0, 1.0]),
+    ]
+    n = hermite_sys.n
+    for entry in entry_points:
+        with pytest.raises(ValueError, match="real"):
+            entry(hermite_sys, np.ones(n) * 1j)
+        for bad in (np.ones(3), np.ones((n, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                entry(hermite_sys, bad)
 
 
 def test_variance_report_singular_operator_is_a_defect():
