@@ -11,10 +11,12 @@ continuous-time diffusion, and the discretization bias is controlled by
 step halving (see ``mc_variance.replicated_clt(check_bias=True)``).
 
 RNG contract: every chain draws its Gaussian increments from a dedicated
-counter-based Philox stream keyed by its seed, consumed in fixed blocks of
-``NOISE_BLOCK`` steps.  Chains with seeds s, s+1, ... are therefore
+counter-based Philox stream keyed by its seed; a chain's increments are its
+stream's standard normals in step order.  The simulator draws them in blocks
+to bound memory, but neither the block size nor the number of chains run
+together is part of the stream.  Chains with seeds s, s+1, ... are therefore
 statistically independent and each chain is bit-reproducible from its seed
-alone, regardless of how many chains run concurrently.
+alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ Array = np.ndarray
 Observable = Callable[[Array], Array]
 
 RNG_NAME = "philox4x64"
-NOISE_BLOCK = 65536  # steps per noise draw; fixed so chunking never changes a stream
+NOISE_BLOCK_BYTES = 4 * 2**20  # noise held at once; any value, same streams
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,14 +129,30 @@ def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
     return out
 
 
+def _block_steps(n_chains: int, dim: int) -> int:
+    """Steps per noise block, at least 1.
+
+    The block plus one chain's draw, on its way into the block, fit in
+    ``NOISE_BLOCK_BYTES``.
+    """
+    return max(1, NOISE_BLOCK_BYTES // (8 * (n_chains + 1) * dim))
+
+
 def _noise_blocks(n_steps: int, dim: int, seeds: Sequence[int]):
-    """Yield (start, stacked noise of shape (block, n_chains, dim)) blocks."""
+    """Yield (start, noise of shape (block, n_chains, dim)) blocks.
+
+    Every block is drawn into the same preallocated buffer, so a yielded
+    block is valid only until the next one is requested.
+    """
     rngs = [Generator(Philox(key=int(s))) for s in seeds]
+    steps = min(n_steps, _block_steps(len(rngs), dim))
+    buf = np.empty((steps, len(rngs), dim))
     done = 0
     while done < n_steps:
-        b = min(NOISE_BLOCK, n_steps - done)
-        block = np.stack([r.standard_normal((b, dim)) for r in rngs], axis=1)
-        yield done, block
+        b = min(steps, n_steps - done)
+        for i, r in enumerate(rngs):
+            buf[:b, i] = r.standard_normal((b, dim))
+        yield done, buf[:b]
         done += b
 
 
@@ -150,6 +168,11 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     Divergence is detected per block and located exactly by replaying the
     offending block step by step (the replay is deterministic, so the
     reported step index and state are exact).
+
+    Memory does not grow with the horizon: the state and ``fsum`` take
+    O(n_chains * dim), the noise takes at most ``NOISE_BLOCK_BYTES`` (or one
+    step's noise, if that is larger), and the stored path is allocated up
+    front at ``8 * (dim + 2)`` bytes per recorded state.
     """
     n_chains = len(seeds)
     x = np.tile(np.asarray(x0, dtype=float), (n_chains, 1))
@@ -157,16 +180,19 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     advance = _em_step(u, c, k, dt)
 
     fsum = np.zeros(n_chains)
-    stored_states, stored_times, stored_running = [], [], []
+    rows = (n_steps - burn_in) // thin + 1 if store else 0
+    states = np.empty((rows, dim))
+    times, running = np.empty(rows), np.empty(rows)
 
     def record(step, state):
         if store and step >= burn_in and (step - burn_in) % thin == 0:
-            stored_states.append(state[0].copy())
-            stored_times.append(step * dt)
+            j = (step - burn_in) // thin
+            states[j] = state[0]
+            times[j] = step * dt
             if step == burn_in:
-                stored_running.append(float(f(state)[0]))
+                running[j] = f(state)[0]
             else:
-                stored_running.append(float(fsum[0]) / (step - burn_in))
+                running[j] = fsum[0] / (step - burn_in)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is detected per block and located by replay, not raised
@@ -193,8 +219,7 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     averages = fsum / (n_steps - burn_in)
     if not store:
         return averages, None, None, None
-    return (averages, np.asarray(stored_states), np.asarray(stored_times),
-            np.asarray(stored_running))
+    return averages, states, times, running
 
 
 def simulate(u: Potential, c: DriftField, f: Observable,

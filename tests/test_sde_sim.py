@@ -1,9 +1,12 @@
 """Euler-Maruyama stepping, trajectories, and the RNG contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from irrlangevin import sde_sim
 from irrlangevin.errors import DivergenceError
 from irrlangevin.model import (
     gaussian_potential,
@@ -12,7 +15,6 @@ from irrlangevin.model import (
     zero_drift,
 )
 from irrlangevin.sde_sim import (
-    NOISE_BLOCK,
     SimConfig,
     chain_time_averages,
     simulate,
@@ -167,13 +169,101 @@ def test_thinning_subsamples_states():
 
 
 def test_block_boundary_continuity():
-    # a horizon crossing the noise-block size must behave like any other
-    u = gaussian_potential(1)
-    n = NOISE_BLOCK + 17
-    cfg = SimConfig(step_size=0.01, n_steps=n, initial_point=[0.0], seed=3)
-    traj = simulate(u, zero_drift(1), coord1, cfg)
+    # a horizon crossing the noise-block size must behave like any other;
+    # 32 coordinates keep the default block short enough to cross quickly
+    dim = 32
+    block = sde_sim._block_steps(1, dim)
+    n = block + 17
+    u = gaussian_potential(dim)
+    cfg = SimConfig(step_size=0.01, n_steps=n, initial_point=np.zeros(dim),
+                    seed=3)
+    traj = simulate(u, zero_drift(dim), coord1, cfg)
     assert len(traj.states) == n + 1
     assert np.all(np.isfinite(traj.states))
+    # the increments, on both sides of the boundary, are the stream's draws
+    # in step order (grad U(x) = x here)
+    x = traj.states
+    implied = (x[1:] - x[:-1] + 0.01 * x[:-1]) / np.sqrt(0.02)
+    noise = Generator(Philox(key=3)).standard_normal((n, dim))
+    np.testing.assert_allclose(implied, noise, atol=1e-9)
+
+
+def _with_block_steps(monkeypatch, steps, n_chains, dim, run):
+    """``run()`` at the default budget, then at ``steps`` steps per block."""
+    default = run()
+    monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES",
+                        steps * 8 * (n_chains + 1) * dim)
+    assert sde_sim._block_steps(n_chains, dim) == steps
+    return default, run()
+
+
+def test_block_size_never_changes_chain_averages(monkeypatch):
+    u = gaussian_potential(2)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.05, n_steps=400, initial_point=[0.2, 0.1],
+                    burn_in_steps=30, seed=60)
+    default, small = _with_block_steps(
+        monkeypatch, 7, 300, 2,
+        lambda: chain_time_averages(u, c, coord1, cfg, n_chains=300)[0])
+    np.testing.assert_array_equal(small, default)
+
+
+def test_block_size_never_changes_a_trajectory(monkeypatch):
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.05, n_steps=503, initial_point=[0.1, 6.0],
+                    burn_in_steps=11, seed=21, thin=5)
+    default, small = _with_block_steps(monkeypatch, 7, 1, 2,
+                                       lambda: simulate(u, c, coord1, cfg))
+    np.testing.assert_array_equal(small.states, default.states)
+    np.testing.assert_array_equal(small.times, default.times)
+    np.testing.assert_array_equal(small.observable_running_mean,
+                                  default.observable_running_mean)
+
+
+def test_block_size_never_changes_a_divergence(monkeypatch):
+    u = gaussian_potential(2, cov=1e-4)
+    cfg = SimConfig(step_size=0.1, n_steps=500, initial_point=[1.0, 1.0],
+                    seed=44)
+
+    def diverge():
+        with pytest.raises(DivergenceError) as err:
+            chain_time_averages(u, zero_drift(2), coord1, cfg, n_chains=5)
+        return err.value
+
+    default, small = _with_block_steps(monkeypatch, 7, 5, 2, diverge)
+    assert small.step_index == default.step_index
+    assert small.seed == default.seed
+    np.testing.assert_array_equal(small.state, default.state)
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_chain_memory_does_not_grow_with_horizon():
+    # the noise of 512 chains x 6000 steps alone would be 49 MB
+    u = gaussian_potential(2)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.01, n_steps=6_000, initial_point=[0.0, 0.0],
+                    burn_in_steps=100, seed=5)
+    peak = _traced_peak_mb(
+        lambda: chain_time_averages(u, c, coord1, cfg, n_chains=512))
+    assert peak <= 16.0
+
+
+def test_stored_path_memory_is_preallocated():
+    # 43,001 recorded states take 8 * (2 + 2) bytes each: 1.4 MB
+    u = gaussian_potential(2)
+    cfg = SimConfig(step_size=0.01, n_steps=43_000, initial_point=[0.0, 0.0],
+                    seed=5)
+    peak = _traced_peak_mb(lambda: simulate(u, zero_drift(2), coord1, cfg))
+    assert peak <= 5.0
 
 
 def test_long_run_mean_near_zero():
