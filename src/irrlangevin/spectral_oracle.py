@@ -7,18 +7,22 @@ skew drift operator, and pi the stationary weights:
 * a flat-torus grid (dim 1 or 2), where L is a weighted-graph Laplacian
   with geometric-mean edge conductances e^{-(U_i+U_j)/2} -- symmetric in
   the pi-inner product by construction -- and A comes from centered
-  differences of C.grad, explicitly projected to annihilate constants and
+  differences of C.grad, projected to annihilate constants and
   pi-antisymmetrized;
 * a Hermite-polynomial Galerkin basis for the standard Gaussian, where L
   is diagonal (eigenvalue = total polynomial degree) and the drift (Qx).grad
   maps each degree subspace to itself, so the truncation is exact for
   observables inside the span.
 
-On the mean-zero subspace (constants removed via an explicit
-pi-orthonormal basis), the asymptotic variance of a centered observable f
-is computed by two independent routes:
+Both store L and a pi-antisymmetric drift stencil S as ``scipy.sparse``
+arrays in O(n) memory; the drift operator is A = P S P, with P the
+pi-orthogonal projection onto the mean-zero subspace, and the rank-one
+parts that P adds vanish in every quantity taken on that subspace.  On it,
+the asymptotic variance of a centered observable f is computed by two
+independent routes:
 
-* resolvent: solve (L - A) h = f and return 2 <f, h>_pi;
+* resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
+  sparse LU of L - S bordered by the mean-zero constraint (O(n) memory);
 * spectral: with V = L^{-1/2} and the Hermitian B = i V A V, expand
   g = V f in the eigenbasis of B and return 2 sum_j w_j / (1 + y_j^2),
   where the atoms (y_j, w_j) form the spectral weight of g.
@@ -31,6 +35,9 @@ not trusted by construction alone.
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
+Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
+(n - 1) x (n - 1) matrices: the restriction to an explicit Householder
+basis, V, B and their eigendecompositions, built on first request.
 """
 
 from __future__ import annotations
@@ -39,18 +46,24 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iter_product
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DiscretizationDefectError
 from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
 
+# scipy.sparse and scipy.sparse.linalg (about 40 ms of import time) are
+# imported where sparse arrays are built, so simulation-only users of the
+# package never load them.
+if TYPE_CHECKING:
+    import scipy.sparse
+
 Array = np.ndarray
 
-# The dense build and report hold about ten n x n float64 arrays at once
-# (1.33 GB peak measured at n = 4096); 7000 states keep that under 4 GB.
+# The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
+# at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
+# variance_report peaks at 1.82 GB at n = 4096, about 5.3 GB at this cap.
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -105,37 +118,89 @@ class VarianceReport:
 
 @dataclass
 class DiscretizedSystem:
-    """pi-weighted matrix realization of (L, A) with a mean-zero basis.
+    """pi-weighted sparse realization of (L, A) on a finite state space.
 
     ``pi_weights`` are the inner-product weights: <f, g>_pi =
     sum_i pi_i f_i g_i.  ``const_vec`` holds the coordinates of the constant
     function 1 (the all-ones vector on the grid; the first basis vector in
-    the Galerkin backend), normalized so <1, 1>_pi = 1.  The columns of
-    ``mean_zero_basis`` are pi-orthonormal and span the complement of the
-    constants.  Treat instances as immutable; derived factorizations are
-    cached on first use and shared by all operations.
+    the Galerkin backend), normalized so <1, 1>_pi = 1.  ``l_matrix`` is L
+    and ``s_matrix`` a pi-antisymmetric stencil S of the drift, both
+    ``scipy.sparse`` arrays.  The drift operator is A = P S P with
+    P = I - c (pi c)^T, the pi-orthogonal projection onto the mean-zero
+    subspace; the rank-one parts of P S P vanish in every quantity taken on
+    that subspace, so the solves use S itself and A is only densified on
+    request (``a_matrix``).  Treat instances as immutable; derived
+    factorizations are cached on first use and shared by all operations.
     """
 
     n: int
     pi_weights: Array
-    l_matrix: Array
-    a_matrix: Array
-    mean_zero_basis: Array
+    l_matrix: scipy.sparse.sparray
+    s_matrix: scipy.sparse.sparray
     backend: TorusGrid | GaussianLinear
     const_vec: Array
     points: Array | None = None  # torus node coordinates, (n, dim)
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
+    # -- dense views, for structure checks and the spectral route -----------
+
+    @property
+    def a_matrix(self) -> Array:
+        """The drift operator A = P S P as a dense (n, n) array, built per access."""
+        c, w = self.const_vec, self.pi_weights * self.const_vec
+        sc = self.s_matrix @ c
+        a = self.s_matrix.toarray()
+        a -= np.outer(c, self.s_matrix.T @ w)
+        a -= np.outer(sc - (w @ sc) * c, w)
+        return a
+
+    @property
+    def mean_zero_basis(self) -> Array:
+        """Dense (n, n - 1) pi-orthonormal basis of the mean-zero subspace.
+
+        Its columns are those of the Householder map I - beta v v^T from the
+        second on, divided row-wise by sqrt(pi); built per access in one
+        allocation.
+        """
+        root, v, beta = self._householder
+        basis = np.outer(v, v[1:])
+        basis *= -beta
+        cols = np.arange(self.n - 1)
+        basis[cols + 1, cols] += 1.0
+        basis /= root[:, None]
+        return basis
+
     # -- cached restrictions and factorizations --------------------------
+
+    @cached_property
+    def _householder(self) -> tuple[Array, Array, float]:
+        """(sqrt(pi), v, beta) of the reflector sending e_1 to -sqrt(pi) c.
+
+        In the isometric coordinates f -> sqrt(pi) f the mean-zero subspace
+        is the orthogonal complement of the unit vector u = sqrt(pi) c, which
+        the reflector maps onto span(e_2, ..., e_n).  u_1 > 0 on both
+        backends, so v = u + e_1 is cancellation-free.  In the Hermite basis
+        v = 2 e_1, and the map is exactly "drop coordinate 0".
+        """
+        root = np.sqrt(self.pi_weights)
+        v = root * self.const_vec
+        v[0] += 1.0
+        return root, v, 2.0 / (v @ v)
 
     @cached_property
     def restricted(self) -> tuple[Array, Array]:
         """(L, A) compressed to the mean-zero basis; exactly (anti)symmetric."""
         b = self.mean_zero_basis
-        pi = self.pi_weights
-        lr = b.T @ (pi[:, None] * self.l_matrix) @ b
-        ar = b.T @ (pi[:, None] * self.a_matrix) @ b
+        pi = self.pi_weights[:, None]
+
+        def compress(op):
+            ob = op @ b
+            ob *= pi
+            return b.T @ ob
+
+        lr = compress(self.l_matrix)
+        ar = compress(self.s_matrix)
         lr = (lr + lr.T) / 2.0  # remove matmul rounding; restriction is symmetric
         ar = (ar - ar.T) / 2.0
         return lr, ar
@@ -173,42 +238,39 @@ class DiscretizedSystem:
         return np.linalg.eigh(self.b_operator)
 
     @cached_property
-    def _lc_lu(self):
-        lr, ar = self.restricted
-        return scipy.linalg.lu_factor(lr - ar)
+    def _lc_solver(self) -> Callable[[Array], Array]:
+        return _bordered_solver(self.l_matrix - self.s_matrix, self.const_vec,
+                                self.pi_weights, "perturbed operator")
 
     @cached_property
-    def _l_lu(self):
-        lr, _ = self.restricted
-        return scipy.linalg.lu_factor(lr)
+    def _l_solver(self) -> Callable[[Array], Array]:
+        return _bordered_solver(self.l_matrix, self.const_vec, self.pi_weights,
+                                "energy operator")
 
     # -- the solve path ----------------------------------------------------
 
     def reduce(self, f: Array) -> tuple[Array, float]:
-        """(mean-zero coordinates of the centered real (n,) ``f``, removed shift)."""
+        """(mean-zero coordinates of the centered finite real (n,) ``f``, shift)."""
         if np.iscomplexobj(f):
             raise ValueError("observable must be real")
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):
             raise ValueError(f"observable has shape {f.shape}, expected ({self.n},)")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("observable must be finite")
         f_centered, shift = self.center(f)
         return self.to_mean_zero(f_centered), shift
 
     def solve(self, rhs: Array) -> Array:
         """(L - A)^{-1} rhs in mean-zero coordinates; ``rhs`` a vector or matrix."""
-        out = scipy.linalg.lu_solve(self._lc_lu, rhs)
-        if not np.all(np.isfinite(out)):
-            raise DiscretizationDefectError(
-                "perturbed operator is singular on the mean-zero subspace"
-            )
-        return out
+        return self.to_mean_zero(self._lc_solver(self.from_mean_zero(rhs)))
 
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
         """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev."""
-        h = scipy.linalg.lu_solve(self._l_lu, fr)
-        _, ar = self.restricted
+        h = self._l_solver(self.from_mean_zero(fr))
+        a_h = float(np.linalg.norm(self.to_mean_zero(self.s_matrix @ h)))
         fr_norm = float(np.linalg.norm(fr))
-        return h, float(np.linalg.norm(ar @ h)) / max(fr_norm, 1e-300)
+        return self.to_mean_zero(h), a_h / max(fr_norm, 1e-300)
 
     def spectral_weight(self, fr: Array) -> tuple[Array, SpectralMeasure]:
         """(g = V fr, atoms of the spectral weight of g under B)."""
@@ -227,11 +289,57 @@ class DiscretizedSystem:
         return np.asarray(f, dtype=float) - shift * self.const_vec, shift
 
     def to_mean_zero(self, f: Array) -> Array:
-        """Coordinates of a (centered) vector in the mean-zero basis."""
-        return self.mean_zero_basis.T @ (self.pi_weights * np.asarray(f))
+        """Mean-zero coordinates of a centered (n,) or (n, k) ``f``, in O(n k)."""
+        root, v, beta = self._householder
+        x = (root * np.asarray(f).T).T
+        x -= np.multiply.outer(v, beta * (v @ x))
+        return x[1:]
 
     def from_mean_zero(self, coords: Array) -> Array:
-        return self.mean_zero_basis @ np.asarray(coords)
+        """State vector(s) with the given mean-zero coordinates, in O(n k)."""
+        root, v, beta = self._householder
+        coords = np.asarray(coords)
+        x = np.concatenate([np.zeros((1,) + coords.shape[1:]), coords])
+        x -= np.multiply.outer(v, beta * (v @ x))
+        return (x.T / root).T
+
+
+def _bordered_solver(op, const: Array, pi: Array,
+                     what: str) -> Callable[[Array], Array]:
+    """Sparse LU of the bordered system [[op, c], [(pi c)^T, 0]], as a solve.
+
+    The returned function maps a centered f (a vector, or one per column)
+    to the h with (pi c)^T h = 0 and op h - f a multiple of c.  For
+    op = L - S that h is (L - A)^{-1} f on the mean-zero subspace: there
+    P S P and S differ only by a multiple of c, which the border absorbs.
+    An exactly singular factor or a non-finite solution raises
+    :class:`DiscretizationDefectError`.
+    """
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
+
+    n = op.shape[0]
+    coo = op.tocoo()
+    border = np.arange(n)
+    bordered = scipy.sparse.csc_array(
+        (np.concatenate([coo.data, const, pi * const]),
+         (np.concatenate([coo.row, border, np.full(n, n)]),
+          np.concatenate([coo.col, np.full(n, n), border]))),
+        shape=(n + 1, n + 1))
+    message = f"{what} is singular on the mean-zero subspace"
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:  # how SuperLU reports a zero pivot
+        raise DiscretizationDefectError(message) from exc
+
+    def solve(rhs: Array) -> Array:
+        padded = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
+        out = lu.solve(padded)[:n]
+        if not np.all(np.isfinite(out)):
+            raise DiscretizationDefectError(message)
+        return out
+
+    return solve
 
 
 # --- torus grid backend -----------------------------------------------------
@@ -254,32 +362,39 @@ def _torus_nodes(dim: int, m: int) -> tuple[Array, Array]:
     return points, index
 
 
-def _mean_zero_basis_from_weights(pi: Array) -> Array:
-    """pi-orthonormal basis of the mean-zero subspace via one Householder map.
+def _sym_part_ratio(r, adj, pi: Array) -> float:
+    """|sym(P R)|_F / |P R|_F for the centred differences R, in O(nnz).
 
-    In the isometric coordinates f -> sqrt(pi) f the subspace is the
-    orthogonal complement of the unit vector sqrt(pi); the reflector sending
-    e_1 there provides an orthonormal basis of that complement in its
-    remaining columns.
+    P R = R - 1 q^T with q = R^T pi, and its pi-adjoint is
+    D^{-1} R^T D - (q / pi) pi^T, where ``adj`` = D^{-1} R^T D and
+    D = diag(pi).  Both Frobenius norms expand into sparse sums and rank-one
+    corrections, so no dense matrix is formed.
     """
-    u = np.sqrt(pi)
-    v = u.copy()
-    v[0] += 1.0  # u_1 > 0, so this choice is cancellation-free
-    h = np.eye(len(pi)) - (2.0 / (v @ v)) * np.outer(v, v)
-    return h[:, 1:] / u[:, None]
+    n = len(pi)
+    q = r.T @ pi
+    qp = q / pi
+    sym = ((r + adj) / 2.0).tocsr()
+    sym_sq = (np.sum(sym.data**2) - sym.sum(axis=0) @ q - qp @ (sym @ pi)
+              + (n * (q @ q) + 2.0 * np.sum(qp) * (q @ pi)
+                 + (qp @ qp) * (pi @ pi)) / 4.0)
+    r = r.tocsr()
+    proj_sq = np.sum(r.data**2) - 2.0 * (r.sum(axis=0) @ q) + n * (q @ q)
+    return float(np.sqrt(max(sym_sq, 0.0)) / max(np.sqrt(max(proj_sq, 0.0)), 1e-300))
 
 
 def discretize_torus(u: Potential, c: DriftField,
                      points_per_axis: int) -> DiscretizedSystem:
-    """Grid realization of (L, A, pi) on the flat torus, dim 1 or 2.
+    """Sparse grid realization of (L, A, pi) on the flat torus, dim 1 or 2.
 
     The Laplacian part uses edge conductances e^{-(U_i+U_j)/2} between axis
     neighbors scaled by spacing^-2 and divided by the node weight, which
-    makes pi L exactly symmetric as stored.  The drift matrix starts from
-    centered differences of C.grad, is projected so its range is mean-zero,
-    and is then pi-antisymmetrized; the norm of the discarded symmetric
-    part is kept as ``antisym_correction`` (an O(spacing^2) discretization
-    diagnostic for weighted-divergence-free fields).
+    makes pi L exactly symmetric as stored.  The drift stencil is
+    S = (R - D^{-1} R^T D) / 2, with R the centered differences of C.grad
+    and D = diag(pi); A = P S P is the projected, pi-antisymmetrized R.  The
+    relative norm of the symmetric part that the antisymmetrization
+    discards is kept as ``antisym_correction`` (an O(spacing^2)
+    discretization diagnostic for weighted-divergence-free fields).  Memory
+    is O(n): no n x n array is formed.
     """
     if u.space_kind is not SpaceKind.FLAT_TORUS:
         raise ValueError("discretize_torus needs a flat-torus potential")
@@ -291,6 +406,7 @@ def discretize_torus(u: Potential, c: DriftField,
         raise ValueError("points_per_axis must be at least 8")
     n = points_per_axis**u.dim
     _check_state_count(n, "grid")
+    import scipy.sparse
 
     m = points_per_axis
     h = 2.0 * np.pi / m
@@ -299,37 +415,39 @@ def discretize_torus(u: Potential, c: DriftField,
     weight_unnorm = np.exp(-energy)
     pi = weight_unnorm / weight_unnorm.sum()
 
-    w_edges = np.zeros((n, n))
     flat = index.ravel()
-    for ax in range(u.dim):
-        nb = np.roll(index, -1, axis=ax).ravel()
-        cond = np.exp(-(energy[flat] + energy[nb]) / 2.0)
-        w_edges[flat, nb] += cond
-        w_edges[nb, flat] += cond
-    degree = w_edges.sum(axis=1)
-    l_matrix = ((np.diag(degree) - w_edges) / weight_unnorm[:, None]) / h**2
+    fwd = [np.roll(index, -1, axis=ax).ravel() for ax in range(u.dim)]
+    bwd = [np.roll(index, 1, axis=ax).ravel() for ax in range(u.dim)]
+
+    rows, cols, cond = [], [], []
+    for nb in fwd:
+        edge = np.exp(-(energy[flat] + energy[nb]) / 2.0)
+        rows += [flat, nb]
+        cols += [nb, flat]
+        cond += [edge, edge]
+    rows, cols, cond = (np.concatenate(x) for x in (rows, cols, cond))
+    degree = np.bincount(rows, weights=cond, minlength=n)
+    rows = np.concatenate([rows, flat])
+    cols = np.concatenate([cols, flat])
+    vals = np.concatenate([-cond, degree])
+    l_matrix = scipy.sparse.coo_array(
+        ((vals / weight_unnorm[rows]) / h**2, (rows, cols)), shape=(n, n)).tocsr()
 
     cval = c.eval(points)
-    a_raw = np.zeros((n, n))
-    for ax in range(u.dim):
-        fwd = np.roll(index, -1, axis=ax).ravel()
-        bwd = np.roll(index, 1, axis=ax).ravel()
-        a_raw[flat, fwd] += cval[:, ax] / (2.0 * h)
-        a_raw[flat, bwd] -= cval[:, ax] / (2.0 * h)
-    # project the range onto mean-zero (a_raw already kills constants row-wise)
-    a_proj = a_raw - np.outer(np.ones(n), pi @ a_raw)
-    a_adj = (a_proj.T * weight_unnorm[None, :]) / weight_unnorm[:, None]
-    a_matrix = (a_proj - a_adj) / 2.0
-    sym_part = (a_proj + a_adj) / 2.0
-    denom = max(np.linalg.norm(a_proj), 1e-300)
-    correction = float(np.linalg.norm(sym_part) / denom)
+    steps = [cval[:, ax] / (2.0 * h) for ax in range(u.dim)]
+    rows = np.concatenate([flat] * (2 * u.dim))
+    cols = np.concatenate(fwd + bwd)
+    vals = np.concatenate(steps + [-s for s in steps])
+    r_mat = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+    adj = scipy.sparse.coo_array(((vals * pi[rows]) / pi[cols], (cols, rows)),
+                                 shape=(n, n))  # D^{-1} R^T D
+    s_matrix = ((r_mat - adj) / 2.0).tocsr()
 
     return DiscretizedSystem(
-        n=n, pi_weights=pi, l_matrix=l_matrix, a_matrix=a_matrix,
-        mean_zero_basis=_mean_zero_basis_from_weights(pi),
+        n=n, pi_weights=pi, l_matrix=l_matrix, s_matrix=s_matrix,
         backend=TorusGrid(dim=u.dim, points_per_axis=m, spacing=h),
         const_vec=np.ones(n), points=points,
-        antisym_correction=correction,
+        antisym_correction=_sym_part_ratio(r_mat, adj, pi),
     )
 
 
@@ -361,20 +479,22 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
                                  |beta - e_i + e_j>,
 
     (the degree-lowering terms cancel pairwise by antisymmetry of Q), so the
-    truncation is exact for observables inside the span.
+    truncation is exact for observables inside the span.  The shell
+    structure also makes this stencil its own projection: S = A, stored
+    sparse, as is the diagonal L.
     """
     q = antisymmetric_matrix(q, dim)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     n = comb(dim + degree, dim)
     _check_state_count(n, "Hermite basis")
+    import scipy.sparse
 
     idxs = hermite_indices(dim, degree)
     pos = {alpha: i for i, alpha in enumerate(idxs)}
     assert len(idxs) == n
 
-    l_matrix = np.diag([float(sum(alpha)) for alpha in idxs])
-    a_matrix = np.zeros((n, n))
+    rows, cols, vals = [], [], []
     for col, beta in enumerate(idxs):
         for i in range(dim):
             if beta[i] == 0:
@@ -387,13 +507,17 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
                 target[j] += 1
                 row = pos.get(tuple(target))
                 if row is not None:
-                    a_matrix[row, col] += q[i, j] * np.sqrt(beta[i] * (beta[j] + 1))
+                    rows.append(row)
+                    cols.append(col)
+                    vals.append(q[i, j] * np.sqrt(beta[i] * (beta[j] + 1)))
+    s_matrix = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    l_matrix = scipy.sparse.diags_array(
+        np.array([float(sum(alpha)) for alpha in idxs]), format="csr")
 
     const = np.zeros(n)
     const[0] = 1.0
     return DiscretizedSystem(
-        n=n, pi_weights=np.ones(n), l_matrix=l_matrix, a_matrix=a_matrix,
-        mean_zero_basis=np.eye(n)[:, 1:],
+        n=n, pi_weights=np.ones(n), l_matrix=l_matrix, s_matrix=s_matrix,
         backend=GaussianLinear(dim=dim, q_matrix=q.copy()),
         const_vec=const, multi_indices=tuple(idxs),
     )
@@ -510,8 +634,9 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
 
     ``f`` is given in state coordinates and is centered internally (the
     removed shift is recorded).  The resolvent route solves (L - A) h = f on
-    the mean-zero subspace by direct dense factorization; the spectral route
-    integrates (1 + y^2)^{-1} against the spectral weight of g = V f.
+    the mean-zero subspace by a sparse bordered LU in O(n) memory; the
+    spectral route integrates (1 + y^2)^{-1} against the spectral weight of
+    g = V f, which needs the dense eigendecompositions of L and B.
     """
     fr, shift = sys.reduce(f)
     route_resolvent = float(2.0 * fr @ sys.solve(fr))
@@ -537,10 +662,11 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
 
 
 def asymptotic_variances(sys: DiscretizedSystem, f: Array) -> tuple[float, float]:
-    """(sigma2_rev, sigma2_irr) by direct solves only.
+    """(sigma2_rev, sigma2_irr) by the two sparse bordered solves only.
 
-    Same values as :func:`variance_report` without the eigendecomposition of
-    B; suitable for grid-refinement studies where only the numbers matter.
+    Same values as :func:`variance_report` without any dense matrix: O(n)
+    memory, so suitable for grid-refinement studies where only the numbers
+    matter.
     """
     fr, _ = sys.reduce(f)
     h0, _ = sys.kernel_residual(fr)

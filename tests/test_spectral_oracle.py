@@ -12,10 +12,12 @@ Independent oracles used here
   2 / (1 + k^2).
 """
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from irrlangevin.analysis import equality_certificate, sweep_k, worst_case
 from irrlangevin.errors import DiscretizationDefectError
@@ -83,8 +85,8 @@ def test_flat_1d_grid_is_circulant_laplacian():
     row[0] = 2.0 / h**2
     row[1] = row[-1] = -1.0 / h**2
     expected = np.array([np.roll(row, i) for i in range(n)])
-    np.testing.assert_allclose(sys.l_matrix, expected, atol=1e-12)
-    eигs = np.sort(np.linalg.eigvalsh(sys.l_matrix))
+    np.testing.assert_allclose(sys.l_matrix.toarray(), expected, atol=1e-12)
+    eигs = np.sort(np.linalg.eigvalsh(sys.l_matrix.toarray()))
     gap_expected = (2.0 / h**2) * (1.0 - np.cos(2 * np.pi / n))
     assert eигs[1] == pytest.approx(gap_expected, rel=1e-12)
     assert abs(eигs[0]) < 1e-10
@@ -175,7 +177,7 @@ def test_restricted_l_positive_definite(torus_sys, hermite_sys):
 def test_hermite_degree_one_blocks():
     sys = discretize_gaussian_linear(ROT, dim=2, degree=1)
     assert sys.multi_indices == ((0, 0), (1, 0), (0, 1))
-    np.testing.assert_allclose(sys.l_matrix, np.diag([0.0, 1.0, 1.0]))
+    np.testing.assert_allclose(sys.l_matrix.toarray(), np.diag([0.0, 1.0, 1.0]))
     # drift acts on the linear span with coefficient matrix -Q
     np.testing.assert_allclose(sys.a_matrix[1:, 1:], -ROT, atol=1e-15)
 
@@ -189,7 +191,7 @@ def test_hermite_degree_two_shell_is_twice_identity():
     sys = discretize_gaussian_linear(ROT, dim=2, degree=2)
     shell = [i for i, a in enumerate(sys.multi_indices) if sum(a) == 2]
     np.testing.assert_allclose(
-        sys.l_matrix[np.ix_(shell, shell)], 2.0 * np.eye(len(shell)))
+        sys.l_matrix.toarray()[np.ix_(shell, shell)], 2.0 * np.eye(len(shell)))
 
 
 def test_hermite_rejects_bad_input():
@@ -312,19 +314,14 @@ def test_b_operator_rejects_indefinite_restriction():
                             [0.0, 0.0, 0.0]])
     pi = np.full(3, 1.0 / 3.0)
     sys = DiscretizedSystem(
-        n=3, pi_weights=pi, l_matrix=l_bad, a_matrix=np.zeros((3, 3)),
-        mean_zero_basis=_basis_for_uniform(3), backend=TorusGrid(1, 3, 1.0),
+        n=3, pi_weights=pi, l_matrix=csr_array(l_bad),
+        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
         sys.b_operator
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
         worst_case(sys)
-
-
-def _basis_for_uniform(n):
-    from irrlangevin.spectral_oracle import _mean_zero_basis_from_weights
-    return _mean_zero_basis_from_weights(np.full(n, 1.0 / n))
 
 
 def test_spectral_measure_zero_matrix():
@@ -443,19 +440,50 @@ def test_variance_report_input_validation(hermite_sys):
         for bad in (np.ones(3), np.ones((n, 1))):
             with pytest.raises(ValueError, match="shape"):
                 entry(hermite_sys, bad)
+        for value in (np.nan, np.inf):
+            bad = np.ones(n)
+            bad[1] = value
+            with pytest.raises(ValueError, match="finite"):
+                entry(hermite_sys, bad)
+
+
+def _zero_operator_system():
+    # hand-built defective system: L = 0 and S = 0 on three uniform states
+    return DiscretizedSystem(
+        n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array((3, 3)),
+        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        const_vec=np.ones(3),
+    )
 
 
 def test_variance_report_singular_operator_is_a_defect():
     # a skew perturbation of a positive definite operator is never singular,
     # so a singular solve can only mean the invariants were violated
+    sys = _zero_operator_system()
+    with pytest.raises(DiscretizationDefectError, match="singular"):
+        variance_report(sys, np.array([1.0, -2.0, 1.0]))
+
+
+@pytest.mark.parametrize("entry", [equality_certificate, asymptotic_variances])
+def test_singular_energy_operator_is_a_defect(entry):
+    # both solves of the resolvent route refuse a singular L instead of
+    # returning NaN variances, residuals or witnesses
+    with pytest.raises(DiscretizationDefectError, match="singular"):
+        entry(_zero_operator_system(), np.array([1.0, -2.0, 1.0]))
+
+
+def test_non_finite_solution_is_a_defect():
+    # L factors (its pivots are small but normal), yet the solution for an
+    # observable of size 1e300 overflows
+    l_tiny = 1e-10 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                               [0.0, -1.0, 1.0]])
     sys = DiscretizedSystem(
-        n=3, pi_weights=np.full(3, 1.0 / 3.0),
-        l_matrix=np.zeros((3, 3)), a_matrix=np.zeros((3, 3)),
-        mean_zero_basis=_basis_for_uniform(3), backend=TorusGrid(1, 3, 1.0),
+        n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array(l_tiny),
+        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="singular"):
-        variance_report(sys, np.array([1.0, -2.0, 1.0]))
+        asymptotic_variances(sys, np.array([1e300, -2e300, 1e300]))
 
 
 def test_asymptotic_variances_match_report(torus_sys):
@@ -496,3 +524,195 @@ def test_mesh_consistency_1d():
         d1 = values[16][route] - values[32][route]
         d2 = values[32][route] - values[64][route]
         assert 3.0 <= d1 / d2 <= 5.0
+
+
+# --- independent dense reference ---------------------------------------------
+#
+# The dense construction the sparse oracle replaced, kept here (and only here)
+# as an oracle: the full-space drift matrix is built by projecting the raw
+# centred differences and pi-antisymmetrizing them, and the mean-zero subspace
+# is spanned by an explicit Householder basis.
+
+
+def _dense_householder_basis(pi):
+    u = np.sqrt(pi)
+    v = u.copy()
+    v[0] += 1.0
+    h = np.eye(len(pi)) - (2.0 / (v @ v)) * np.outer(v, v)
+    return h[:, 1:] / u[:, None]
+
+
+def _dense_torus(u, c, m):
+    n = m**u.dim
+    h = 2.0 * np.pi / m
+    axes = [np.arange(m) * h] * u.dim
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                      axis=-1)
+    index = np.arange(n).reshape((m,) * u.dim)
+    energy = u.eval(points)
+    weight = np.exp(-energy)
+    pi = weight / weight.sum()
+    flat = index.ravel()
+    w_edges = np.zeros((n, n))
+    for ax in range(u.dim):
+        nb = np.roll(index, -1, axis=ax).ravel()
+        cond = np.exp(-(energy[flat] + energy[nb]) / 2.0)
+        w_edges[flat, nb] += cond
+        w_edges[nb, flat] += cond
+    l_mat = ((np.diag(w_edges.sum(axis=1)) - w_edges) / weight[:, None]) / h**2
+    cval = c.eval(points)
+    a_raw = np.zeros((n, n))
+    for ax in range(u.dim):
+        fwd = np.roll(index, -1, axis=ax).ravel()
+        bwd = np.roll(index, 1, axis=ax).ravel()
+        a_raw[flat, fwd] += cval[:, ax] / (2.0 * h)
+        a_raw[flat, bwd] -= cval[:, ax] / (2.0 * h)
+    a_proj = a_raw - np.outer(np.ones(n), pi @ a_raw)
+    a_adj = (a_proj.T * weight[None, :]) / weight[:, None]
+    a_mat = (a_proj - a_adj) / 2.0
+    correction = np.linalg.norm((a_proj + a_adj) / 2.0) / np.linalg.norm(a_proj)
+    return pi, l_mat, a_mat, _dense_householder_basis(pi), float(correction)
+
+
+def _dense_hermite(q, dim, degree):
+    idxs = hermite_indices(dim, degree)
+    pos = {alpha: i for i, alpha in enumerate(idxs)}
+    n = len(idxs)
+    a_mat = np.zeros((n, n))
+    for col, beta in enumerate(idxs):
+        for i in range(dim):
+            for j in range(dim):
+                if i == j or beta[i] == 0:
+                    continue
+                target = list(beta)
+                target[i] -= 1
+                target[j] += 1
+                a_mat[pos[tuple(target)], col] += q[i, j] * np.sqrt(
+                    beta[i] * (beta[j] + 1))
+    l_mat = np.diag([float(sum(alpha)) for alpha in idxs])
+    return np.ones(n), l_mat, a_mat, np.eye(n)[:, 1:], 0.0
+
+
+def _dense_variances(pi, l_mat, a_mat, basis, f):
+    """(sigma2_rev, sigma2_irr, kernel residual, spectral route) densely."""
+    fr = basis.T @ (pi * f)  # the basis is pi-orthogonal to the constants
+    lr = basis.T @ (pi[:, None] * l_mat) @ basis
+    ar = basis.T @ (pi[:, None] * a_mat) @ basis
+    lr, ar = (lr + lr.T) / 2.0, (ar - ar.T) / 2.0
+    h0 = np.linalg.solve(lr, fr)
+    rev = 2.0 * fr @ h0
+    irr = 2.0 * fr @ np.linalg.solve(lr - ar, fr)
+    residual = np.linalg.norm(ar @ h0) / np.linalg.norm(fr)
+    w, vec = np.linalg.eigh(lr)
+    v = (vec / np.sqrt(w)) @ vec.T
+    y, z = np.linalg.eigh(1j * (v @ ar @ v))
+    g = v @ fr
+    spectral = 2.0 * np.sum(np.abs(z.conj().T @ g) ** 2 / (1.0 + y**2))
+    return rev, irr, residual, spectral
+
+
+def _torus_case(dim, amplitude, m, field=None):
+    def build():
+        u = torus_cosine(dim, amplitude)
+        c = field() if field else make_qgradu_drift(ROT, u)
+        return discretize_torus(u, c, m), _dense_torus(u, c, m)
+    return build
+
+
+def _hermite_case():
+    q = np.array([[0.0, 1.0, 0.4], [-1.0, 0.0, 0.7], [-0.4, -0.7, 0.0]])
+    return discretize_gaussian_linear(q, 3, 4), _dense_hermite(q, 3, 4)
+
+
+DENSE_CASES = {
+    "torus m12 amp 1": _torus_case(2, 1.0, 12),
+    "torus m16 amp 1": _torus_case(2, 1.0, 16),
+    "torus m12 amp (1, 0)": _torus_case(2, (1.0, 0.0), 12),
+    "torus m16 amp (1, 0)": _torus_case(2, (1.0, 0.0), 16),
+    "torus 1-d exp_u m32": _torus_case(1, 1.0, 32, exp_u_field_1d),
+    "hermite dim 3 degree 4": _hermite_case,
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+def test_sparse_oracle_matches_dense_reference(case):
+    sys, (pi, l_mat, a_mat, basis, correction) = DENSE_CASES[case]()
+    for got, ref in ((sys.l_matrix.toarray(), l_mat), (sys.a_matrix, a_mat)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # U = cos x1 makes the grid field exactly divergence-free, so both
+    # corrections are rounding noise there; 1e-15 is that noise floor
+    assert sys.antisym_correction == pytest.approx(correction, rel=1e-12,
+                                                   abs=1e-15)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        f = rng.standard_normal(sys.n)
+        rev, irr, residual, spectral = _dense_variances(pi, l_mat, a_mat,
+                                                        basis, f)
+        rep = variance_report(sys, f)
+        solved = asymptotic_variances(sys, f)
+        cert = equality_certificate(sys, f)
+        for got, ref in ((rep.sigma2_rev, rev), (solved[0], rev),
+                         (rep.sigma2_irr, irr), (solved[1], irr),
+                         (cert.residual, residual),
+                         (rep.route_spectral, spectral)):
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_mean_zero_coordinates_are_the_householder_basis(torus_sys, hermite_sys):
+    # the O(n) reflector maps agree with the dense basis, and in the Hermite
+    # basis they drop or prepend coordinate 0 exactly
+    rng = np.random.default_rng(3)
+    for sys in (torus_sys, hermite_sys):
+        b = sys.mean_zero_basis
+        f, _ = sys.center(rng.standard_normal(sys.n))
+        coords = rng.standard_normal((sys.n - 1, 2))
+        np.testing.assert_allclose(sys.to_mean_zero(f),
+                                   b.T @ (sys.pi_weights * f), atol=1e-12)
+        np.testing.assert_allclose(sys.from_mean_zero(coords), b @ coords,
+                                   atol=1e-12)
+        np.testing.assert_allclose(sys.to_mean_zero(sys.from_mean_zero(coords)),
+                                   coords, atol=1e-12)
+    f = rng.standard_normal(hermite_sys.n)
+    np.testing.assert_array_equal(hermite_sys.to_mean_zero(f), f[1:])
+    np.testing.assert_array_equal(hermite_sys.from_mean_zero(f[1:]),
+                                  np.concatenate([[0.0], f[1:]]))
+    np.testing.assert_array_equal(hermite_sys.mean_zero_basis,
+                                  np.eye(hermite_sys.n)[:, 1:])
+
+
+# --- memory ------------------------------------------------------------------
+#
+# tracemalloc sees every numpy and scipy.sparse array; the LU factors held
+# inside SuperLU are allocated outside its view (a few MB at n = 4096).
+
+
+def _traced_peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_torus_build_allocates_no_n_by_n_array():
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+    n = 40**2
+    peak = _traced_peak_bytes(lambda: discretize_torus(u, c, 40))
+    # one dense float64 (n, n) array is 20.5 MB; the dense construction
+    # peaked at 205 MB, the sparse one at 1.3 MB
+    assert peak < 8 * n * n
+
+
+def test_resolvent_route_memory_at_n_4096():
+    # the dense construction peaked at 1343 MB traced here, the sparse
+    # build and both bordered solves at 3.9 MB
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+
+    def run():
+        sys = discretize_torus(u, c, 64)
+        asymptotic_variances(sys, np.cos(sys.points[:, 0]))
+
+    assert _traced_peak_bytes(run) <= 16e6
