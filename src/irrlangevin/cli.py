@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,14 @@ OUTPUT_DIR_ENV = "IRRLANGEVIN_OUTPUT_DIR"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
+
+# The flags each catalog potential reads.  They give the --potential
+# choices, the factory's keyword arguments and the report's potential_spec.
+POTENTIAL_FLAGS = {
+    "gaussian": ("dim", "cov"),
+    "double_well_2d": ("barrier",),
+    "torus_cosine": ("dim", "amplitude"),
+}
 
 
 @dataclass
@@ -93,7 +102,7 @@ def _parse_q(text: str, dim: int) -> np.ndarray:
 
 def _add_potential_args(sp):
     sp.add_argument("--potential", default="gaussian",
-                    choices=["gaussian", "double_well_2d", "torus_cosine"])
+                    choices=list(POTENTIAL_FLAGS))
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--cov", default=None,
                     help="gaussian covariance: scalar, diagonal, or row-major matrix")
@@ -203,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the full acceptance matrix and write the table")
     sp.add_argument("--only", default=None,
                     help="comma-separated criterion names, e.g. C1,C2")
-    sp.add_argument("--override-tolerance", action="append", default=[],
-                    metavar="NAME=VALUE",
-                    help="testing hook: replace a named tolerance")
     _add_output_arg(sp, "benchmark_summary.csv")
 
     return parser
@@ -221,27 +227,32 @@ def _resolve_output(args) -> str:
     return os.path.join(base, args.default_output)
 
 
-def _potential_from_args(args) -> Potential:
-    name = args.potential
-    if name == "gaussian":
-        cov = None
-        if args.cov is not None:
-            entries = _parse_float_list(args.cov, "--cov")
-            if len(entries) == 1:
-                cov = entries[0]
-            elif len(entries) == args.dim:
-                cov = np.asarray(entries)
-            elif len(entries) == args.dim**2:
-                cov = np.asarray(entries).reshape(args.dim, args.dim)
-            else:
-                raise ValueError(
-                    f"--cov needs 1, {args.dim} or {args.dim ** 2} entries")
-        return make_potential("gaussian", dim=args.dim, cov=cov)
-    if name == "double_well_2d":
-        return make_potential("double_well_2d", barrier=args.barrier)
+def _cov_param(args):
+    if args.cov is None:
+        return None
+    entries = _parse_float_list(args.cov, "--cov")
+    if len(entries) == 1:
+        return entries[0]
+    if len(entries) == args.dim:
+        return np.asarray(entries)
+    if len(entries) == args.dim**2:
+        return np.asarray(entries).reshape(args.dim, args.dim)
+    raise ValueError(f"--cov needs 1, {args.dim} or {args.dim ** 2} entries")
+
+
+def _amplitude_param(args):
     amp = _parse_float_list(args.amplitude, "--amplitude")
-    amplitude = amp[0] if len(amp) == 1 else tuple(amp)
-    return make_potential("torus_cosine", dim=args.dim, amplitude=amplitude)
+    return amp[0] if len(amp) == 1 else tuple(amp)
+
+
+# flags whose text a parser turns into the factory argument; the others pass as is
+_FLAG_PARAMS = {"cov": _cov_param, "amplitude": _amplitude_param}
+
+
+def _potential_from_args(args) -> Potential:
+    params = {flag: _FLAG_PARAMS[flag](args) if flag in _FLAG_PARAMS
+              else getattr(args, flag) for flag in POTENTIAL_FLAGS[args.potential]}
+    return make_potential(args.potential, **params)
 
 
 def _drift_from_args(args, u: Potential, scale: float = 1.0) -> DriftField:
@@ -260,34 +271,24 @@ def _system_from_args(args, u: Potential, scale: float):
     if backend == "torus":
         if u.space_kind is not SpaceKind.FLAT_TORUS:
             raise ValueError("--backend torus requires a torus potential")
-        c = _drift_from_args(args, u, scale=scale)
-        return discretize_torus(u, c, args.points_per_axis), backend
-    if u.name != "gaussian" or u.params.get("cov") != np.eye(u.dim).tolist():
+    elif u.name != "gaussian" or u.params.get("cov") != np.eye(u.dim).tolist():
         raise ValueError(
             "--backend hermite requires the standard gaussian potential "
             "(identity covariance)")
-    if args.drift == "none":
-        q = np.zeros((u.dim, u.dim))
-    else:
-        if args.q is None:
-            raise ValueError("--drift qgradu requires --q")
-        q = scale * _parse_q(args.q, u.dim)
+    c = _drift_from_args(args, u, scale=scale)
+    if backend == "torus":
+        return discretize_torus(u, c, args.points_per_axis), backend
+    q = np.zeros((u.dim, u.dim)) if c.q is None else c.q
     return discretize_gaussian_linear(q, u.dim, args.degree), backend
 
 
 def _config_from_args(args, output: str) -> ExperimentConfig:
-    drift_spec = {"kind": args.drift}
-    if getattr(args, "q", None) is not None:
+    drift_spec = {"kind": args.drift, "k": args.k}
+    if args.q is not None:
         drift_spec["q"] = args.q
-    if hasattr(args, "k"):
-        drift_spec["k"] = args.k
     potential_spec = {"name": args.potential}
-    if args.potential == "gaussian":
-        potential_spec.update(dim=args.dim, cov=args.cov)
-    elif args.potential == "double_well_2d":
-        potential_spec.update(barrier=args.barrier)
-    else:
-        potential_spec.update(dim=args.dim, amplitude=args.amplitude)
+    potential_spec.update((flag, getattr(args, flag))
+                          for flag in POTENTIAL_FLAGS[args.potential])
     backend_spec = {}
     if hasattr(args, "backend"):
         backend_spec = {"backend": args.backend,
@@ -337,16 +338,13 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _emit_json(path, payload: dict) -> None:
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # --- subcommand implementations --------------------------------------------------
+#
+# A command maps (args, potential) to its report: a dict is a JSON payload
+# (run_command embeds the config), a str is written as it stands.
 
 
-def _cmd_check_assumptions(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_check_assumptions(args, u: Potential) -> dict:
     c = _drift_from_args(args, u, scale=args.k)
     rng = np.random.default_rng(args.seed)
     if u.space_kind is SpaceKind.FLAT_TORUS:
@@ -354,9 +352,7 @@ def _cmd_check_assumptions(args) -> int:
     else:
         probes = 2.0 * rng.standard_normal((args.n_probes, u.dim))
     report = check_assumptions(u, c, probes)
-    cfg = _config_from_args(args, output)
-    payload = {
-        "config": cfg.to_dict(),
+    return {
         "seed": args.seed,
         "n_probes": args.n_probes,
         "a3_residual": report.a3_residual,
@@ -365,21 +361,16 @@ def _cmd_check_assumptions(args) -> int:
         "a6_trend": report.a6_trend,
         "verification": "probe-verified",
     }
-    _emit_json(output, payload)
-    return EXIT_OK
 
 
-def _cmd_sample(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_sample(args, u: Potential) -> dict:
     c = _drift_from_args(args, u)
     obs = parse_observable(args.observable, u.dim)
     cfg = _sim_config_from_args(args, u)
     traj = simulate(u, c, obs.fn, cfg)
     if args.dump_trajectory:
         trajectory_to_csv(traj, args.dump_trajectory)
-    payload = {
-        "config": _config_from_args(args, output).to_dict(),
+    return {
         "seed": cfg.seed,
         "rng": RNG_NAME,
         "time_average": float(traj.observable_running_mean[-1]),
@@ -387,13 +378,9 @@ def _cmd_sample(args) -> int:
         "n_recorded": int(len(traj.states)),
         "final_state": traj.states[-1].tolist(),
     }
-    _emit_json(output, payload)
-    return EXIT_OK
 
 
-def _cmd_estimate_variance(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_estimate_variance(args, u: Potential) -> dict:
     c = _drift_from_args(args, u)
     obs = parse_observable(args.observable, u.dim)
     cfg = _sim_config_from_args(args, u)
@@ -405,8 +392,7 @@ def _cmd_estimate_variance(args) -> int:
         estimator = (batch_means if args.method == "batch-means"
                      else overlapping_batch_means)
         estimate = estimator(traj, obs.fn, batch_length=args.batch_length)
-    payload = {
-        "config": _config_from_args(args, output).to_dict(),
+    return {
         "potential": u.name,
         "drift": c.name,
         "k": args.k,
@@ -426,20 +412,20 @@ def _cmd_estimate_variance(args) -> int:
                               else float(val))
                         for key, val in estimate.diagnostics.items()},
     }
-    _emit_json(output, payload)
-    return EXIT_OK
 
 
-def _cmd_spectral_report(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_spectral_report(args, u: Potential) -> dict:
     sys_, backend = _system_from_args(args, u, scale=args.k)
     obs = parse_observable(args.observable, u.dim)
     f = observable_vector(sys_, obs)
     report = variance_report(sys_, f)
     gap_l, min_real = generator_gaps(sys_)
-    payload = {
-        "config": _config_from_args(args, output).to_dict(),
+    if args.dump_measure:
+        lines = ["location,weight"]
+        lines += [f"{float(y)!r},{float(w)!r}" for y, w in
+                  zip(report.measure.locations, report.measure.weights)]
+        write_atomic(args.dump_measure, "\n".join(lines) + "\n")
+    return {
         "backend": backend,
         "n": sys_.n,
         "sigma2_rev": report.sigma2_rev,
@@ -452,43 +438,26 @@ def _cmd_spectral_report(args) -> int:
         "center_shift": report.center_shift,
         "antisym_correction": sys_.antisym_correction,
     }
-    if args.dump_measure:
-        lines = ["location,weight"]
-        lines += [f"{float(y)!r},{float(w)!r}" for y, w in
-                  zip(report.measure.locations, report.measure.weights)]
-        write_atomic(args.dump_measure, "\n".join(lines) + "\n")
-    _emit_json(output, payload)
-    return EXIT_OK
 
 
-def _cmd_sweep_k(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_sweep_k(args, u: Potential) -> str:
     k_values = _parse_float_list(args.k_values, "--k-values")
-
-    def builder(scale):
-        sys_, _ = _system_from_args(args, u, scale=scale)
-        return sys_
-
-    sys1, _ = _system_from_args(args, u, scale=1.0)
-    obs = parse_observable(args.observable, u.dim)
-    f = observable_vector(sys1, obs)
+    # sweep_k builds only the unit scale, which also gives the observable vector
+    builder = lru_cache(maxsize=None)(
+        lambda scale: _system_from_args(args, u, scale=scale)[0])
+    f = observable_vector(builder(1.0), parse_observable(args.observable, u.dim))
     result = sweep_k(builder, f, k_values)
     lines = ["k,sigma2,limit_prediction"]
     limit = float(result.limit_prediction)
     for k, sigma2 in zip(result.k_values, result.sigma2_values):
         lines.append(f"{float(k)!r},{float(sigma2)!r},{limit!r}")
-    write_atomic(output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_worst_case(args) -> int:
-    output = _resolve_output(args)
-    u = _potential_from_args(args)
+def _cmd_worst_case(args, u: Potential) -> dict:
     sys_, backend = _system_from_args(args, u, scale=args.k)
     result = worst_case(sys_)
-    payload = {
-        "config": _config_from_args(args, output).to_dict(),
+    return {
         "backend": backend,
         "n": sys_.n,
         "sup_rev": result.sup_rev,
@@ -500,25 +469,14 @@ def _cmd_worst_case(args) -> int:
         "a_kernel_dim": result.a_kernel_dim,
         "principal_angles": result.principal_angles.tolist(),
     }
-    _emit_json(output, payload)
-    return EXIT_OK
 
 
-def _cmd_reproduce_benchmark(args) -> int:
-    output = _resolve_output(args)
+def _cmd_reproduce_benchmark(args, output: str) -> int:
     only = None
     if args.only:
         only = [tok.strip() for tok in args.only.split(",") if tok.strip()]
-    overrides = {}
-    for item in args.override_tolerance:
-        name, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"--override-tolerance needs NAME=VALUE, got {item!r}")
-        overrides[name.strip()] = float(value)
-    rows, passed = bench.run_benchmark(only=only,
-                                       tolerance_overrides=overrides or None)
-    table = bench.format_table(rows)
-    print(table)
+    rows, passed = bench.run_benchmark(only=only)
+    print(bench.format_table(rows))
     lines = ["criterion,case,expected,observed,tolerance,passed"]
     for r in rows:
         case = r.case.replace('"', "'")
@@ -535,7 +493,6 @@ _COMMANDS = {
     "spectral-report": _cmd_spectral_report,
     "sweep-k": _cmd_sweep_k,
     "worst-case": _cmd_worst_case,
-    "reproduce-benchmark": _cmd_reproduce_benchmark,
 }
 
 
@@ -548,7 +505,16 @@ def run_command(argv: list[str]) -> int:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](args)
+        output = _resolve_output(args)
+        if args.command == "reproduce-benchmark":
+            return _cmd_reproduce_benchmark(args, output)
+        report = _COMMANDS[args.command](args, _potential_from_args(args))
+        if isinstance(report, dict):
+            config = _config_from_args(args, output).to_dict()
+            report = json.dumps({"config": config, **report}, indent=2,
+                                sort_keys=True) + "\n"
+        write_atomic(output, report)
+        return EXIT_OK
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -162,6 +162,8 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
                 store: bool = False):
     """Advance all chains in lock-step; the workhorse behind the public API.
 
+    Rejects a drift or an ``x0`` whose dimension is not the potential's.
+
     Returns ``(averages, states, times, running)`` where ``averages`` holds
     each chain's left-endpoint time average of ``f`` over the post-burn-in
     window; the last three are None unless ``store`` (single-chain use).
@@ -174,8 +176,13 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     step's noise, if that is larger), and the stored path is allocated up
     front at ``8 * (dim + 2)`` bytes per recorded state.
     """
+    if c.dim != u.dim:
+        raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (u.dim,):
+        raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
     n_chains = len(seeds)
-    x = np.tile(np.asarray(x0, dtype=float), (n_chains, 1))
+    x = np.tile(x0, (n_chains, 1))
     dim = x.shape[1]
     advance = _em_step(u, c, k, dt)
 
@@ -229,16 +236,11 @@ def simulate(u: Potential, c: DriftField, f: Observable,
     Deterministic given ``cfg`` (including the seed): identical configs give
     bit-identical trajectories.
     """
-    if c.dim != u.dim:
-        raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
-    x0 = np.asarray(cfg.initial_point, dtype=float)
-    if x0.shape != (u.dim,):
-        raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
     try:
         _, states, times, running = _run_chains(
             u, c, f, dt=cfg.step_size, n_steps=cfg.n_steps,
             burn_in=cfg.burn_in_steps, k=cfg.perturbation_scale,
-            x0=x0, seeds=[cfg.seed], thin=cfg.thin, store=True,
+            x0=cfg.initial_point, seeds=[cfg.seed], thin=cfg.thin, store=True,
         )
     except DivergenceError as err:
         raise DivergenceError(err.step_index, cfg.seed, err.state) from None
@@ -259,12 +261,11 @@ def chain_time_averages(u: Potential, c: DriftField, f: Observable,
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
-    x0 = np.asarray(cfg.initial_point, dtype=float)
     seeds = [cfg.seed + i for i in range(n_chains)]
     averages, _, _, _ = _run_chains(
         u, c, f, dt=cfg.step_size, n_steps=cfg.n_steps,
         burn_in=cfg.burn_in_steps, k=cfg.perturbation_scale,
-        x0=x0, seeds=seeds, thin=1, store=False,
+        x0=cfg.initial_point, seeds=seeds, thin=1, store=False,
     )
     total_time = (cfg.n_steps - cfg.burn_in_steps) * cfg.step_size
     return averages, total_time

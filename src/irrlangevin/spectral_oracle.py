@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _iter_product
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -460,12 +459,22 @@ def hermite_indices(dim: int, degree: int) -> list[tuple[int, ...]]:
     Within a degree shell the first axis carries the highest exponent first,
     so for dim 2 the linear shell reads (1, 0) then (0, 1), i.e. x1, x2.
     """
-    out = []
-    for total in range(degree + 1):
-        shell = [alpha for alpha in _iter_product(range(total + 1), repeat=dim)
-                 if sum(alpha) == total]
-        out.extend(sorted(shell, reverse=True))
-    return out
+    return [alpha for total in range(degree + 1) for alpha in _shell(dim, total)]
+
+
+def _shell(dim: int, total: int):
+    """Exponent tuples of length ``dim`` summing to ``total``, descending.
+
+    The order is lexicographic: the first exponent runs from ``total`` down,
+    and the rest follow the same order.
+    """
+    if dim == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in _shell(dim - 1, total - first):
+            yield (first, *rest)
 
 
 def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSystem:

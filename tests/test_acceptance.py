@@ -23,11 +23,13 @@ C10  torus oracle converges at second order (ratio in [3, 5])
 import numpy as np
 import pytest
 
+from irrlangevin import benchmark as bench
 from irrlangevin.benchmark import (
     TOLERANCES,
     gaussian_benchmark_system,
     gaussian_x1,
     run_benchmark,
+    torus_benchmark_system,
 )
 from irrlangevin.spectral_oracle import variance_report
 
@@ -77,6 +79,19 @@ def test_c05_equality_characterization():
 
 def test_c06_growing_perturbation():
     _run("C6")
+
+
+def test_c06_sweeps_the_cached_systems(monkeypatch):
+    # C6 sweeps the unit-scale systems that C1-C5 and C7 use; it builds none
+    torus_benchmark_system(1.0)
+    gaussian_benchmark_system(1.0)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("C6 built a system")
+
+    monkeypatch.setattr(bench, "discretize_torus", no_build)
+    monkeypatch.setattr(bench, "discretize_gaussian_linear", no_build)
+    assert all(row.passed for row in bench.run_c6(TOLERANCES))
 
 
 def test_c07_worst_case():

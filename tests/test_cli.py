@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from irrlangevin import benchmark as bench
+from irrlangevin import cli
 from irrlangevin.cli import ExperimentConfig, run_command
+from irrlangevin.model import POTENTIAL_CATALOG
+from irrlangevin.spectral_oracle import discretize_gaussian_linear
 
 pytestmark = pytest.mark.usefixtures("tmp_home")
 
@@ -262,11 +266,11 @@ def test_benchmark_subset_passes(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
-def test_benchmark_corrupted_tolerance_fails(tmp_path, capsys):
+def test_benchmark_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(bench.TOLERANCES, "C2_value", -1.0)
     out = tmp_path / "bench.csv"
     code = run_command([
         "reproduce-benchmark", "--only", "C2", "--output", str(out),
-        "--override-tolerance", "C2_value=-1",
     ])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
@@ -275,8 +279,6 @@ def test_benchmark_corrupted_tolerance_fails(tmp_path, capsys):
 
 def test_benchmark_rejects_unknown_names(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C99"]) == 2
-    assert run_command(["reproduce-benchmark", "--only", "C2",
-                        "--override-tolerance", "bogus=1"]) == 2
 
 
 def test_experiment_config_round_trip():
@@ -293,3 +295,123 @@ def test_experiment_config_round_trip():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     # and through JSON, as embedded in the reports
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_benchmark_tolerances_not_settable_from_command_line(capsys):
+    assert run_command(["reproduce-benchmark", "--only", "C2",
+                        "--override-tolerance", "C2_value=1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+ROTATION = ["--drift", "qgradu", "--q", "0,1,-1,0"]
+TORUS = ["--potential", "torus_cosine", "--dim", "2"]
+
+# (command line without --output, extra files it writes) for each
+# deterministic command; the extra files are named relative to tmp_path
+DETERMINISTIC = {
+    "spectral-report": (["spectral-report", *ROTATION, "--backend", "hermite",
+                         "--degree", "3", "--dump-measure", "{tmp}/measure.csv"],
+                        ["measure.csv"]),
+    "sweep-k": (["sweep-k", *TORUS, *ROTATION, "--observable", "cos1",
+                 "--points-per-axis", "8", "--k-values", "0,1,3"], []),
+    "worst-case": (["worst-case", *TORUS, *ROTATION, "--points-per-axis", "8"],
+                   []),
+    "check-assumptions": (["check-assumptions", "--potential", "double_well_2d",
+                           *ROTATION, "--n-probes", "16", "--seed", "4"], []),
+    "sample": (["sample", *TORUS, *ROTATION, "--observable", "cos1",
+                "--dt", "0.05", "--n-steps", "300", "--burn-in", "30",
+                "--thin", "2", "--seed", "8",
+                "--dump-trajectory", "{tmp}/traj.csv"], ["traj.csv"]),
+    "reproduce-benchmark": (["reproduce-benchmark", "--only", "C2"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+def test_deterministic_commands_rerun_byte_identically(command, tmp_path,
+                                                       capsys):
+    argv, extra = DETERMINISTIC[command]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    argv += ["--output", str(tmp_path / "report")]
+    files = ["report", *extra]
+
+    def run():
+        assert run_command(argv) == 0
+        return ([(tmp_path / name).read_bytes() for name in files],
+                capsys.readouterr())
+
+    first = run()
+    assert run() == first
+
+
+def test_sweep_k_builds_one_system(monkeypatch, tmp_path):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return discretize_gaussian_linear(*args)
+
+    monkeypatch.setattr(cli, "discretize_gaussian_linear", counting)
+    assert run_command(["sweep-k", *ROTATION, "--backend", "hermite",
+                        "--degree", "3", "--output",
+                        str(tmp_path / "s.csv")]) == 0
+    assert len(builds) == 1
+
+
+def _config(command, *, potential=None, drift=None, observable="",
+            backend=None, sim=None, output):
+    return {"command": command,
+            "potential_spec": potential or {"name": "gaussian", "dim": 2,
+                                            "cov": None},
+            "drift_spec": drift or {"kind": "qgradu", "q": "0,1,-1,0",
+                                    "k": 1.0},
+            "observable_spec": observable, "backend_spec": backend or {},
+            "sim_spec": sim or {}, "output_path": output}
+
+
+def test_each_report_embeds_its_resolved_config(tmp_path):
+    out = str(tmp_path / "r.json")
+    sim = {"dt": 0.05, "n_steps": 200, "burn_in": 20, "seed": 6,
+           "initial": "0.5,0.5", "thin": 1}
+    sim_args = ["--dt", "0.05", "--n-steps", "200", "--burn-in", "20",
+                "--seed", "6", "--initial", "0.5,0.5"]
+    cases = [
+        (["check-assumptions", "--potential", "double_well_2d",
+          "--barrier", "2", "--drift", "none", "--n-probes", "8"],
+         _config("check-assumptions",
+                 potential={"name": "double_well_2d", "barrier": 2.0},
+                 drift={"kind": "none", "k": 1.0}, output=out)),
+        (["sample", *TORUS, "--amplitude", "1,0.5", *ROTATION,
+          "--observable", "cos1", *sim_args],
+         _config("sample", potential={"name": "torus_cosine", "dim": 2,
+                                      "amplitude": "1,0.5"},
+                 observable="cos1", sim=sim, output=out)),
+        (["estimate-variance", "--cov", "1,2", *ROTATION, "--k", "0.5",
+          *sim_args, "--method", "replicated-clt", "--n-chains", "4"],
+         _config("estimate-variance",
+                 potential={"name": "gaussian", "dim": 2, "cov": "1,2"},
+                 drift={"kind": "qgradu", "q": "0,1,-1,0", "k": 0.5},
+                 observable="x1", sim=sim, output=out)),
+        (["spectral-report", *ROTATION, "--backend", "hermite", "--degree",
+          "2", "--observable", "x2"],
+         _config("spectral-report", observable="x2",
+                 backend={"backend": "hermite", "points_per_axis": 32,
+                          "degree": 2}, output=out)),
+        (["worst-case", *TORUS, "--drift", "none", "--points-per-axis", "8"],
+         _config("worst-case", potential={"name": "torus_cosine", "dim": 2,
+                                          "amplitude": "1.0"},
+                 drift={"kind": "none", "k": 1.0},
+                 backend={"backend": None, "points_per_axis": 8,
+                          "degree": 6}, output=out)),
+    ]
+    for argv, expected in cases:
+        assert run_command([*argv, "--output", out]) == 0, argv[0]
+        assert read_json(tmp_path / "r.json")["config"] == expected, argv[0]
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_CATALOG))
+def test_every_catalog_potential_is_a_cli_choice(name, tmp_path):
+    out = tmp_path / "a.json"
+    assert run_command(["check-assumptions", "--potential", name,
+                        "--drift", "none", "--n-probes", "4",
+                        "--output", str(out)]) == 0
+    assert read_json(out)["config"]["potential_spec"]["name"] == name

@@ -8,6 +8,7 @@ from numpy.random import Generator, Philox
 
 from irrlangevin import sde_sim
 from irrlangevin.errors import DivergenceError
+from irrlangevin.mc_variance import replicated_clt
 from irrlangevin.model import (
     gaussian_potential,
     make_qgradu_drift,
@@ -316,6 +317,35 @@ def test_chain_time_averages_match_single_runs():
         np.testing.assert_allclose(averages[i],
                                    solo.observable_running_mean[-1],
                                    rtol=1e-12)
+
+
+def _single(u, c, f, cfg):
+    return simulate(u, c, f, cfg)
+
+
+def _many(u, c, f, cfg):
+    return chain_time_averages(u, c, f, cfg, n_chains=16)
+
+
+def _replicated(u, c, f, cfg):
+    return replicated_clt(u, c, f, cfg, n_chains=16)
+
+
+@pytest.mark.parametrize("entry", [_single, _many, _replicated],
+                         ids=["simulate", "chain_time_averages",
+                              "replicated_clt"])
+@pytest.mark.parametrize("initial, drift_dim, match", [
+    ([1.0], 2, r"initial_point has shape \(1,\), expected \(2,\)"),
+    ([[1.0, 1.0]], 2, r"initial_point has shape \(1, 2\), expected \(2,\)"),
+    ([1.0, 1.0], 3, "drift dim 3 != potential dim 2"),
+], ids=["short-start", "stacked-start", "drift-dim"])
+def test_every_entry_point_checks_dimensions(entry, initial, drift_dim, match):
+    # on a 2-d torus a 1-d start would broadcast 1-d noise onto both axes
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u) if drift_dim == 2 else zero_drift(drift_dim)
+    cfg = SimConfig(step_size=0.01, n_steps=50, initial_point=initial, seed=3)
+    with pytest.raises(ValueError, match=match):
+        entry(u, c, lambda x: x[..., 0] - x[..., 1], cfg)
 
 
 def test_trajectory_csv_export(tmp_path):

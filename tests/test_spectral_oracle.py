@@ -12,8 +12,12 @@ Independent oracles used here
   2 / (1 + k^2).
 """
 
+import subprocess
+import sys
 import tracemalloc
-from math import factorial
+from itertools import product
+from pathlib import Path
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -243,6 +247,23 @@ def test_hermite_indices_count():
     assert len(hermite_indices(2, 6)) == 28
     assert len(hermite_indices(3, 2)) == 10
     assert hermite_indices(1, 3) == [(0,), (1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_hermite_indices_follow_the_sort_rule(dim):
+    # graded by total degree; inside a shell, lexicographically descending
+    degree = 5
+    shells = [sorted((a for a in product(range(total + 1), repeat=dim)
+                      if sum(a) == total), reverse=True)
+              for total in range(degree + 1)]
+    assert hermite_indices(dim, degree) == [a for shell in shells for a in shell]
+
+
+def test_hermite_indices_scale_with_the_basis_not_the_box():
+    # (2 + 1)^20 = 3.5e9 candidate tuples in the degree-2 shell alone
+    idxs = hermite_indices(20, 2)
+    assert len(idxs) == comb(22, 2) == 231
+    assert len(set(idxs)) == 231
 
 
 def test_hermite_coefficients_coordinate_and_square(hermite_sys):
@@ -716,3 +737,17 @@ def test_resolvent_route_memory_at_n_4096():
         asymptotic_variances(sys, np.cos(sys.points[:, 0]))
 
     assert _traced_peak_bytes(run) <= 16e6
+
+
+def test_package_import_loads_no_sparse_module():
+    # scipy.sparse is imported where sparse arrays are built, keeping it out
+    # of the start-up cost of every command that never builds an operator
+    import irrlangevin
+
+    src = str(Path(irrlangevin.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import irrlangevin; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy.sparse' or m.startswith('scipy.sparse.')))")
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
