@@ -59,10 +59,7 @@ from .spectral_oracle import (
     discretize_gaussian_linear,
     discretize_torus,
     generator_gaps,
-    hermite_coefficients,
     hermite_indices,
-    measure_symmetry_residual,
-    spectral_measure,
     variance_report,
 )
 
@@ -99,17 +96,14 @@ __all__ = [
     "equality_certificate",
     "gaussian_potential",
     "generator_gaps",
-    "hermite_coefficients",
     "hermite_indices",
     "make_potential",
     "make_qgradu_drift",
-    "measure_symmetry_residual",
     "observable_vector",
     "overlapping_batch_means",
     "parse_observable",
     "replicated_clt",
     "simulate",
-    "spectral_measure",
     "stationary_density_unnorm",
     "step_em",
     "sweep_k",

@@ -2,7 +2,8 @@
 
 Everything here is a consequence of the spectral form of the perturbed
 variance: with atoms (y_j, w_j) of the spectral weight of g = L^{-1/2} f
-under B = i V A V,
+under iM, where M = V A V is real antisymmetric and the atoms sit at the
+singular values of M taken with both signs,
 
     sigma2_{k}(f) = 2 sum_j w_j / (1 + k^2 y_j^2),
 
@@ -76,10 +77,10 @@ class EqualityCertificate:
 def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
             k_values: Sequence[float],
             weight_tol: float = 1e-12) -> KSweepResult:
-    """Evaluate sigma2_{k}(f) over drift scales by one eigendecomposition.
+    """Evaluate sigma2_{k}(f) over drift scales by one SVD.
 
     ``sys_builder`` maps a drift scale to the discretized system; only the
-    unit scale is built, because B scales linearly in k so every value
+    unit scale is built, because M scales linearly in k so every value
     follows from the same atoms.  ``k_values`` must be sorted ascending and
     start at 0 (whose entry reproduces the reversible variance).
     """

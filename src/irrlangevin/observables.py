@@ -9,23 +9,20 @@ Three kinds are understood:
 
 Monomials vectorize on both oracle backends; Fourier modes only on the
 torus grid (they are not polynomials, so the Galerkin truncation would not
-represent them exactly).
+represent them exactly).  In the Hermite basis a monomial's coefficients
+are products of one-axis closed forms, so no quadrature grid is needed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .spectral_oracle import (
-    DiscretizedSystem,
-    GaussianLinear,
-    TorusGrid,
-    hermite_coefficients,
-)
+from .spectral_oracle import DiscretizedSystem, GaussianLinear, TorusGrid
 
 Array = np.ndarray
 
@@ -37,8 +34,7 @@ _FOURIER = re.compile(r"^(cos|sin)(\d+)(?::(\d+))?$")
 class Observable:
     name: str
     fn: Callable[[Array], Array]  # (..., dim) -> (...)
-    kind: str  # "monomial" | "fourier"
-    degree: int | None = None  # total degree when polynomial
+    powers: tuple[int, ...] | None = None  # per-axis exponents; None for Fourier
 
 
 def parse_observable(spec: str, dim: int) -> Observable:
@@ -62,7 +58,7 @@ def parse_observable(spec: str, dim: int) -> Observable:
             x = np.asarray(x, dtype=float)
             return _base(_h * x[..., _axis])
 
-        return Observable(name=text, fn=fn, kind="fourier")
+        return Observable(name=text, fn=fn)
 
     powers: dict[int, int] = {}
     for factor in text.split("*"):
@@ -87,8 +83,16 @@ def parse_observable(spec: str, dim: int) -> Observable:
             out = out * x[..., axis] ** power
         return out
 
-    return Observable(name=text, fn=fn, kind="monomial",
-                      degree=sum(powers.values()))
+    return Observable(name=text, fn=fn,
+                      powers=tuple(powers.get(ax, 0) for ax in range(dim)))
+
+
+def _power_coefficient(p: int, a: int) -> float:
+    """Coefficient of He_a / sqrt(a!) in x^p: p! / (j! 2^j sqrt(a!)), p - a = 2j."""
+    j, odd = divmod(p - a, 2)
+    if j < 0 or odd:
+        return 0.0
+    return factorial(p) // (factorial(j) * 2**j) / sqrt(factorial(a))
 
 
 def observable_vector(sys: DiscretizedSystem, obs: Observable) -> Array:
@@ -96,16 +100,21 @@ def observable_vector(sys: DiscretizedSystem, obs: Observable) -> Array:
     if isinstance(sys.backend, TorusGrid):
         return np.asarray(obs.fn(sys.points), dtype=float)
     if isinstance(sys.backend, GaussianLinear):
-        if obs.kind != "monomial":
+        if obs.powers is None:
             raise ValueError(
                 f"observable {obs.name!r} is not polynomial; the Gaussian "
                 "backend represents monomials only"
             )
-        basis_degree = max(sum(a) for a in sys.multi_indices)
-        if obs.degree > basis_degree:
+        alphas = np.array(sys.multi_indices)  # (n, dim)
+        basis_degree = int(alphas.sum(axis=1).max())
+        if sum(obs.powers) > basis_degree:
             raise ValueError(
-                f"observable degree {obs.degree} exceeds the basis degree "
+                f"observable degree {sum(obs.powers)} exceeds the basis degree "
                 f"{basis_degree}; raise --degree"
             )
-        return hermite_coefficients(sys, obs.fn, poly_degree=obs.degree)
+        # the coefficient on prod_i He_{a_i} is the product of one-axis ones
+        table = np.array([[_power_coefficient(p, a)
+                           for a in range(basis_degree + 1)]
+                          for p in obs.powers])
+        return np.prod(table[np.arange(len(obs.powers)), alphas], axis=1)
     raise TypeError(f"unknown backend {type(sys.backend).__name__}")

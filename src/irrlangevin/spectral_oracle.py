@@ -23,9 +23,13 @@ independent routes:
 
 * resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
   sparse LU of L - S bordered by the mean-zero constraint (O(n) memory);
-* spectral: with V = L^{-1/2} and the Hermitian B = i V A V, expand
-  g = V f in the eigenbasis of B and return 2 sum_j w_j / (1 + y_j^2),
-  where the atoms (y_j, w_j) form the spectral weight of g.
+* spectral: with V = L^{-1/2} and the real antisymmetric M = V A V,
+  expand g = V f in the singular vectors of M and return
+  2 sum_j w_j / (1 + y_j^2), where the atoms (y_j, w_j) form the spectral
+  weight of g under iM.  The eigenvalues of iM are the singular values of
+  M with both signs, and a real g puts equal weight on +s and -s, so the
+  measure is built from one real SVD and is symmetric about 0 by
+  construction.
 
 The reversible value is sigma2_rev = 2 |g|^2; since every weight is
 nonnegative, the perturbed value never exceeds it.  Route agreement and
@@ -37,15 +41,16 @@ Every analysis goes through one solve path, the methods ``reduce``,
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
 Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
 (n - 1) x (n - 1) matrices: the restriction to an explicit Householder
-basis, V, B and their eigendecompositions, built on first request.
+basis, the eigendecomposition of L, V and the SVD of M, all float64 and
+built on first request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Sequence
+from math import comb
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -62,7 +67,7 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# variance_report peaks at 1.82 GB at n = 4096, about 5.3 GB at this cap.
+# variance_report grows RSS by 1.58 GB at n = 4096, about 4.6 GB at this cap.
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -85,8 +90,9 @@ class GaussianLinear:
 class SpectralMeasure:
     """Atoms of the spectral weight of a vector: sum_j w_j delta_{y_j}.
 
-    ``total_mass`` equals the squared pi-norm of the vector; for vectors
-    coming from real observables the weights are symmetric about zero.
+    Locations ascend; ``total_mass`` equals the squared norm of the vector.
+    The weights at y and -y are equal, and a kernel component sits in one
+    atom at 0.
     """
 
     locations: Array
@@ -223,18 +229,19 @@ class DiscretizedSystem:
         v = (vec / np.sqrt(w)) @ vec.T
         return (v + v.T) / 2.0
 
-    @cached_property
-    def b_operator(self) -> Array:
-        """Hermitian conjugation i V A V of the skew part."""
+    @property
+    def m_operator(self) -> Array:
+        """The real antisymmetric M = V A V, built per access."""
         _, ar = self.restricted
         v = self.v_matrix
         m = v @ ar @ v
-        m = (m - m.T) / 2.0
-        return 1j * m
+        return (m - m.T) / 2.0
 
     @cached_property
-    def _b_eigh(self) -> tuple[Array, Array]:
-        return np.linalg.eigh(self.b_operator)
+    def _m_svd(self) -> tuple[Array, Array]:
+        """(singular values ascending, right singular vectors as rows) of M."""
+        _, s, vh = np.linalg.svd(self.m_operator)
+        return s[::-1], vh[::-1]
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -272,10 +279,22 @@ class DiscretizedSystem:
         return self.to_mean_zero(h), a_h / max(fr_norm, 1e-300)
 
     def spectral_weight(self, fr: Array) -> tuple[Array, SpectralMeasure]:
-        """(g = V fr, atoms of the spectral weight of g under B)."""
+        """(g = V fr, atoms of the spectral weight of g under iM).
+
+        Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
+        A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
+        singular vectors, split evenly between atoms at -s and +s; the
+        cluster at 0, if any, keeps its mass in one atom at 0.
+        """
         g = self.v_matrix @ fr
-        eigvals, eigvecs = self._b_eigh
-        return g, _measure_from_eigh(eigvals, eigvecs, g)
+        s, vh = self._m_svd
+        locs, mass = _merge_atoms(s, (vh @ g) ** 2)
+        k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
+        pos, half = locs[k:], mass[k:] / 2.0
+        return g, SpectralMeasure(
+            locations=np.concatenate([-pos[::-1], np.zeros(k), pos]),
+            weights=np.concatenate([half[::-1], mass[:k], half]),
+            total_mass=float(np.sum(mass)))
 
     # -- coordinate helpers ----------------------------------------------
 
@@ -532,110 +551,19 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
     )
 
 
-def hermite_coefficients(sys: DiscretizedSystem, func: Callable[[Array], Array],
-                         poly_degree: int | None = None) -> Array:
-    """Expand a polynomial observable in the Galerkin basis by quadrature.
-
-    Exact (to rounding) when ``func`` is a polynomial of total degree at
-    most ``poly_degree``; defaults to the basis degree.
-    """
-    if not isinstance(sys.backend, GaussianLinear):
-        raise ValueError("hermite_coefficients needs the Gaussian backend")
-    idxs = sys.multi_indices
-    basis_degree = max(sum(a) for a in idxs)
-    if poly_degree is None:
-        poly_degree = basis_degree
-    n_nodes = (poly_degree + basis_degree) // 2 + 1
-    nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
-    wts = wts / np.sqrt(2.0 * np.pi)
-
-    dim = sys.backend.dim
-    idx_grids = np.meshgrid(*([np.arange(n_nodes)] * dim), indexing="ij")
-    node_idx = [g.ravel() for g in idx_grids]
-    pts = np.stack([nodes[ni] for ni in node_idx], axis=-1)
-    wgrid = np.ones(pts.shape[0])
-    for ax in range(dim):
-        wgrid *= wts[node_idx[ax]]
-    fvals = np.asarray(func(pts), dtype=float)
-
-    herm_1d = {}
-    for k in range(basis_degree + 1):
-        coeff = np.zeros(k + 1)
-        coeff[k] = 1.0
-        herm_1d[k] = np.polynomial.hermite_e.hermeval(nodes, coeff) / np.sqrt(
-            factorial(k)
-        )
-    out = np.empty(sys.n)
-    for i, alpha in enumerate(idxs):
-        basis_vals = np.ones(pts.shape[0])
-        for ax in range(dim):
-            basis_vals *= herm_1d[alpha[ax]][node_idx[ax]]
-        out[i] = np.sum(wgrid * basis_vals * fvals)
-    return out
-
-
 # --- operations ---------------------------------------------------------------
 
 
-def _merge_atoms(eigvals: Array, weights: Array,
-                 merge_tol: float) -> tuple[Array, Array]:
+def _merge_atoms(values: Array, weights: Array) -> tuple[Array, Array]:
+    """Pool ascending ``values`` whose gaps are at most EIGENVALUE_MERGE_TOL."""
     locations, pooled = [], []
     start = 0
-    for i in range(1, len(eigvals) + 1):
-        if i == len(eigvals) or eigvals[i] - eigvals[i - 1] > merge_tol:
-            locations.append(float(np.mean(eigvals[start:i])))
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > EIGENVALUE_MERGE_TOL:
+            locations.append(float(np.mean(values[start:i])))
             pooled.append(float(np.sum(weights[start:i])))
             start = i
     return np.asarray(locations), np.asarray(pooled)
-
-
-def _measure_from_eigh(eigvals: Array, eigvecs: Array, g: Array,
-                       merge_tol: float = EIGENVALUE_MERGE_TOL) -> SpectralMeasure:
-    weights = np.abs(eigvecs.conj().T @ g) ** 2
-    locations, pooled = _merge_atoms(eigvals, weights, merge_tol)
-    return SpectralMeasure(locations=locations, weights=pooled,
-                           total_mass=float(np.sum(pooled)))
-
-
-def spectral_measure(b: Array, g: Array,
-                     merge_tol: float = EIGENVALUE_MERGE_TOL) -> SpectralMeasure:
-    """Atoms of the spectral weight of ``g`` under the Hermitian matrix ``b``.
-
-    Locations are the eigenvalues of ``b`` sorted ascending, with clusters
-    closer than ``merge_tol`` pooled; each weight is the squared norm of the
-    projection of ``g`` onto the corresponding eigenspace, so the total mass
-    is |g|^2.
-    """
-    b = np.asarray(b)
-    herm_defect = np.max(np.abs(b - b.conj().T)) if b.size else 0.0
-    if herm_defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    eigvals, eigvecs = np.linalg.eigh(b)
-    return _measure_from_eigh(eigvals, eigvecs, np.asarray(g), merge_tol)
-
-
-def measure_symmetry_residual(measure: SpectralMeasure,
-                              match_tol: float = 1e-7) -> float:
-    """Largest mismatch between the masses at y and -y (0 for symmetric).
-
-    Atoms are grouped by |location| at ``match_tol`` before comparing sides:
-    inside an almost-degenerate cluster the individual weights are
-    basis-dependent, but the side totals are not.
-    """
-    locs, wts = measure.locations, measure.weights
-    order = np.argsort(np.abs(locs))
-    abs_sorted = np.abs(locs)[order]
-    residual = 0.0
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or abs_sorted[i] - abs_sorted[i - 1] > match_tol:
-            members = order[start:i]
-            if abs_sorted[start] > match_tol:  # the zero cluster self-mirrors
-                pos = float(np.sum(wts[members[locs[members] > 0]]))
-                neg = float(np.sum(wts[members[locs[members] < 0]]))
-                residual = max(residual, abs(pos - neg))
-            start = i
-    return residual
 
 
 def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
@@ -645,7 +573,7 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     removed shift is recorded).  The resolvent route solves (L - A) h = f on
     the mean-zero subspace by a sparse bordered LU in O(n) memory; the
     spectral route integrates (1 + y^2)^{-1} against the spectral weight of
-    g = V f, which needs the dense eigendecompositions of L and B.
+    g = V f, which needs the eigendecomposition of L and the SVD of M.
     """
     fr, shift = sys.reduce(f)
     route_resolvent = float(2.0 * fr @ sys.solve(fr))

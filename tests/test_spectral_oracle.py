@@ -1,11 +1,14 @@
-"""Discretized operators, the Hermitian conjugation, and both variance routes.
+"""Discretized operators, the antisymmetric M = V A V, and both variance routes.
 
 Independent oracles used here
 -----------------------------
 * flat 1D grid: the circulant Laplacian has eigenvalues (2/h^2)(1 - cos(2 pi j / n)).
 * Gaussian backend: matrix elements of the drift operator recomputed by
   Gauss-Hermite quadrature with exact polynomial derivatives (hermeder),
-  fully independent of the raising/lowering construction.
+  fully independent of the raising/lowering construction; the closed-form
+  Hermite coefficients of monomials checked against the same quadrature.
+* spectral weight: atoms from the SVD of M checked against the complex
+  eigendecomposition of iM, formed only here.
 * Gaussian benchmark: linear observables solve the perturbed Poisson
   equation in closed form, giving sigma2 = 2 v . (I + kQ)^{-1} v
   (docs/ou_variance_derivation.md); for v = e1, Q the rotation, this is
@@ -32,7 +35,9 @@ from irrlangevin.model import (
     torus_cosine,
     zero_drift,
 )
+from irrlangevin.observables import observable_vector, parse_observable
 from irrlangevin.spectral_oracle import (
+    EIGENVALUE_MERGE_TOL,
     DiscretizedSystem,
     GaussianLinear,
     TorusGrid,
@@ -40,10 +45,7 @@ from irrlangevin.spectral_oracle import (
     discretize_gaussian_linear,
     discretize_torus,
     generator_gaps,
-    hermite_coefficients,
     hermite_indices,
-    measure_symmetry_residual,
-    spectral_measure,
     variance_report,
 )
 
@@ -266,70 +268,143 @@ def test_hermite_indices_scale_with_the_basis_not_the_box():
     assert len(set(idxs)) == 231
 
 
+# --- Hermite coefficients of monomials ----------------------------------------
+
+
+def _quadrature_coefficients(sys, func, poly_degree):
+    """Reference expansion of a polynomial in the Galerkin basis.
+
+    Tensor Gauss-Hermite quadrature, exact (to rounding) when ``func`` has
+    total degree at most ``poly_degree``; it needs n_nodes^dim nodes.
+    """
+    idxs = sys.multi_indices
+    basis_degree = max(sum(a) for a in idxs)
+    n_nodes = (poly_degree + basis_degree) // 2 + 1
+    nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
+    wts = wts / np.sqrt(2.0 * np.pi)
+    dim = sys.backend.dim
+    node_idx = [g.ravel() for g in np.meshgrid(*([np.arange(n_nodes)] * dim),
+                                               indexing="ij")]
+    pts = np.stack([nodes[ni] for ni in node_idx], axis=-1)
+    wgrid = np.ones(pts.shape[0])
+    for ax in range(dim):
+        wgrid *= wts[node_idx[ax]]
+    fvals = np.asarray(func(pts), dtype=float)
+    herm_1d = {}
+    for k in range(basis_degree + 1):
+        coeff = np.zeros(k + 1)
+        coeff[k] = 1.0
+        herm_1d[k] = np.polynomial.hermite_e.hermeval(nodes, coeff) / np.sqrt(
+            factorial(k))
+    out = np.empty(sys.n)
+    for i, alpha in enumerate(idxs):
+        basis_vals = np.ones(pts.shape[0])
+        for ax in range(dim):
+            basis_vals *= herm_1d[alpha[ax]][node_idx[ax]]
+        out[i] = np.sum(wgrid * basis_vals * fvals)
+    return out
+
+
+def test_observable_powers():
+    assert parse_observable("x1^2*x3", 3).powers == (2, 0, 1)
+    assert parse_observable("x2*x2", 2).powers == (0, 2)
+    assert parse_observable("cos1", 2).powers is None
+
+
 def test_hermite_coefficients_coordinate_and_square(hermite_sys):
-    coeffs = hermite_coefficients(hermite_sys, lambda p: p[..., 0],
-                                  poly_degree=1)
+    coeffs = observable_vector(hermite_sys, parse_observable("x1", 2))
     expected = np.zeros(hermite_sys.n)
     expected[hermite_sys.multi_indices.index((1, 0))] = 1.0
-    np.testing.assert_allclose(coeffs, expected, atol=1e-12)
+    np.testing.assert_array_equal(coeffs, expected)
     # x1^2 = sqrt(2) h_(2,0) + h_(0,0)
-    coeffs = hermite_coefficients(hermite_sys, lambda p: p[..., 0] ** 2,
-                                  poly_degree=2)
+    coeffs = observable_vector(hermite_sys, parse_observable("x1^2", 2))
     expected = np.zeros(hermite_sys.n)
     expected[hermite_sys.multi_indices.index((0, 0))] = 1.0
     expected[hermite_sys.multi_indices.index((2, 0))] = np.sqrt(2.0)
-    np.testing.assert_allclose(coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(coeffs, expected, atol=1e-15)
 
 
 def test_hermite_coefficients_round_trip(hermite_sys):
-    rng = np.random.default_rng(4)
-    target = rng.standard_normal(hermite_sys.n)
+    # the expansion, summed back at random points, is the monomial itself
+    pts = np.random.default_rng(4).standard_normal((40, 2))
     herme = np.polynomial.hermite_e
-
-    def func(pts):
-        out = np.zeros(pts.shape[:-1])
-        for coeff, alpha in zip(target, hermite_sys.multi_indices):
-            term = np.ones(pts.shape[:-1]) * coeff
-            for ax, k in enumerate(alpha):
-                c1 = np.zeros(k + 1)
-                c1[k] = 1.0
-                term = term * herme.hermeval(pts[..., ax], c1) / np.sqrt(
-                    factorial(k))
-            out += term
-        return out
-
-    recovered = hermite_coefficients(hermite_sys, func)
-    np.testing.assert_allclose(recovered, target, atol=1e-10)
+    basis = np.ones((40, hermite_sys.n))
+    for i, alpha in enumerate(hermite_sys.multi_indices):
+        for ax, k in enumerate(alpha):
+            c1 = np.zeros(k + 1)
+            c1[k] = 1.0
+            basis[:, i] *= herme.hermeval(pts[:, ax], c1) / np.sqrt(factorial(k))
+    for spec in ("x1", "x2^3", "x1^2*x2^2", "x1*x2^4", "x2^5"):
+        obs = parse_observable(spec, 2)
+        np.testing.assert_allclose(basis @ observable_vector(hermite_sys, obs),
+                                   obs.fn(pts), rtol=1e-12, atol=1e-12)
 
 
-# --- B operator and spectral measures ------------------------------------
+@pytest.mark.parametrize("dim,degree,spec", [
+    (2, 6, "x1"), (2, 6, "x1^2*x2"), (3, 5, "x1*x2^2*x3^2"),
+    (5, 8, "x1^3*x3^2"), (4, 6, "x2^4"),
+])
+def test_hermite_closed_form_matches_quadrature(dim, degree, spec):
+    sys = discretize_gaussian_linear(np.zeros((dim, dim)), dim, degree)
+    obs = parse_observable(spec, dim)
+    reference = _quadrature_coefficients(sys, obs.fn, sum(obs.powers))
+    np.testing.assert_allclose(observable_vector(sys, obs), reference,
+                               atol=1e-13)
 
 
-def test_b_operator_zero_drift():
+def test_hermite_observable_vector_needs_no_grid():
+    # the quadrature took 2^18 nodes here: a 113 MB traced peak and 4 s on
+    # a 2-core machine
+    dim = 18
+    sys = discretize_gaussian_linear(np.zeros((dim, dim)), dim, 2)
+    obs = parse_observable("x1", dim)
+    out = []
+    assert _traced_peak_bytes(lambda: out.append(observable_vector(sys, obs))) < 1e6
+    expected = np.zeros(sys.n)
+    expected[sys.multi_indices.index((1,) + (0,) * (dim - 1))] = 1.0
+    np.testing.assert_array_equal(out[0], expected)
+
+
+def test_hermite_observable_rejects_high_degree_and_fourier(hermite_sys):
+    with pytest.raises(ValueError, match="exceeds the basis degree"):
+        observable_vector(hermite_sys, parse_observable("x1^3*x2^3", 2))
+    with pytest.raises(ValueError, match="not polynomial"):
+        observable_vector(hermite_sys, parse_observable("cos1", 2))
+
+
+# --- the antisymmetric M = V A V and its spectral weight ------------------------
+
+
+def _centered_random(sys, seed):
+    f, _ = sys.center(np.random.default_rng(seed).standard_normal(sys.n))
+    return sys.to_mean_zero(f)
+
+
+def test_m_operator_zero_drift():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    b = sys.b_operator
-    assert np.max(np.abs(b)) == 0.0
+    assert np.max(np.abs(sys.m_operator)) == 0.0
 
 
-def test_b_operator_ou_eigenvalues():
+def test_m_operator_ou_singular_values():
     a = 0.7
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    b = sys.b_operator
-    np.testing.assert_allclose(np.linalg.eigvalsh(b), [-a, a], atol=1e-12)
+    np.testing.assert_allclose(np.linalg.svd(sys.m_operator, compute_uv=False),
+                               [a, a], atol=1e-12)
 
 
 @pytest.mark.parametrize("sysname", ["torus", "hermite"])
-def test_b_hermitian_and_vlv_identity(sysname, torus_sys, hermite_sys):
+def test_m_antisymmetric_and_vlv_identity(sysname, torus_sys, hermite_sys):
     sys = torus_sys if sysname == "torus" else hermite_sys
-    b = sys.b_operator
-    assert np.max(np.abs(b - b.conj().T)) <= 1e-10
+    m = sys.m_operator
+    assert m.dtype == np.float64
+    assert np.max(np.abs(m + m.T)) == 0.0
     lr, _ = sys.restricted
     v = sys.v_matrix
     np.testing.assert_allclose(v @ lr @ v, np.eye(sys.n - 1), atol=1e-10)
 
 
-def test_b_operator_rejects_indefinite_restriction():
+def test_m_operator_rejects_indefinite_restriction():
     # hand-built defective system: symmetric, kills constants, but indefinite
     l_bad = 3.0 * np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
                             [0.0, 0.0, 0.0]])
@@ -340,63 +415,80 @@ def test_b_operator_rejects_indefinite_restriction():
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
-        sys.b_operator
+        sys.m_operator
+    with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
+        sys.spectral_weight(np.ones(2))
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
         worst_case(sys)
 
 
 def test_spectral_measure_zero_matrix():
-    g = np.array([1.0, 2.0, -1.0])
-    m = spectral_measure(np.zeros((3, 3)), g)
-    np.testing.assert_allclose(m.locations, [0.0])
+    # zero drift: M = 0, so the whole of g sits in one atom at 0
+    u = torus_cosine(2, 1.0)
+    sys = discretize_torus(u, zero_drift(2), 12)
+    g, m = sys.spectral_weight(_centered_random(sys, 3))
+    np.testing.assert_array_equal(m.locations, [0.0])
     assert m.weights[0] == pytest.approx(float(g @ g), rel=1e-14)
-    assert m.total_mass == pytest.approx(6.0, rel=1e-14)
+    assert m.total_mass == m.weights[0]
 
 
-def test_spectral_measure_parseval():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    b = (a + a.conj().T) / 2.0
-    g = rng.standard_normal(12)
-    m = spectral_measure(b, g)
-    assert m.total_mass == pytest.approx(float(g @ g), rel=1e-12)
-    assert np.all(m.weights >= 0.0)
-    assert np.all(np.diff(m.locations) > 0)
-
-
-def test_spectral_measure_merges_degenerate_clusters():
-    b = np.diag([0.3, 0.3 + 1e-12, -0.5])
-    g = np.array([1.0, 1.0, 2.0])
-    m = spectral_measure(b, g)
-    np.testing.assert_allclose(m.locations, [-0.5, 0.3], atol=1e-9)
-    np.testing.assert_allclose(m.weights, [4.0, 2.0], rtol=1e-12)
+def test_spectral_measure_parseval(torus_sys, hermite_sys):
+    for sys in (torus_sys, hermite_sys):
+        g, m = sys.spectral_weight(_centered_random(sys, 9))
+        assert m.total_mass == pytest.approx(float(g @ g), rel=1e-12)
+        assert np.sum(m.weights) == pytest.approx(m.total_mass, rel=1e-12)
+        assert np.all(m.weights >= 0.0)
+        assert np.all(np.diff(m.locations) > 0)
 
 
 def test_spectral_measure_ou_atoms():
+    # the singular values of M are [a, a]: one cluster, atoms at -a and +a
     a = 0.9
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    b = sys.b_operator
     f = np.array([0.0, 1.0, 0.0])  # x1
-    g = sys.v_matrix @ sys.to_mean_zero(f)
-    m = spectral_measure(b, g)
+    _, m = sys.spectral_weight(sys.to_mean_zero(f))
     np.testing.assert_allclose(m.locations, [-a, a], atol=1e-12)
     np.testing.assert_allclose(m.weights, [0.5, 0.5], atol=1e-12)
 
 
-def test_spectral_measure_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        spectral_measure(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
+def test_spectral_measure_merges_degenerate_clusters():
+    # on shell k, M = A / k and the rotation has frequencies k, k - 2, ...;
+    # the singular value a comes from shells 1, 2 and 3 and pools into one
+    # pair, a / 3 from shell 3, and 0 from shell 2.  x1^3 = sqrt(6) h_3 +
+    # 3 h_1, so g = sqrt(2) h_3 + 3 h_1, and h_3 puts 1/4 of its mass on
+    # frequency 3 and 3/4 on frequency 1.
+    a = 0.6
+    sys = discretize_gaussian_linear(a * ROT, dim=2, degree=3)
+    f = observable_vector(sys, parse_observable("x1^3", 2))
+    _, m = sys.spectral_weight(sys.reduce(f)[0])
+    np.testing.assert_allclose(m.locations, [-a, -a / 3, 0.0, a / 3, a],
+                               atol=1e-12)
+    np.testing.assert_allclose(m.weights, [4.75, 0.75, 0.0, 0.75, 4.75],
+                               atol=1e-12)
 
 
 def test_measure_symmetric_for_real_observables(torus_sys):
-    rng = np.random.default_rng(23)
-    b = torus_sys.b_operator
-    for _ in range(5):
-        f = rng.standard_normal(torus_sys.n)
-        fc, _ = torus_sys.center(f)
-        g = torus_sys.v_matrix @ torus_sys.to_mean_zero(fc)
-        m = spectral_measure(b, g)
-        assert measure_symmetry_residual(m) <= 1e-8 * m.total_mass
+    # the pairing is by construction: equal weights at -y and y, bit for bit
+    for seed in range(5):
+        _, m = torus_sys.spectral_weight(_centered_random(torus_sys, 23 + seed))
+        np.testing.assert_array_equal(m.locations, -m.locations[::-1])
+        np.testing.assert_array_equal(m.weights, m.weights[::-1])
+
+
+@pytest.mark.parametrize("sysname", ["torus", "hermite"])
+def test_spectral_weight_matches_complex_eigh(sysname, torus_sys, hermite_sys):
+    # reference: the eigendecomposition of the Hermitian iM, pooled the same way
+    sys = torus_sys if sysname == "torus" else hermite_sys
+    fr = _centered_random(sys, 31)
+    g, m = sys.spectral_weight(fr)
+    y, z = np.linalg.eigh(1j * sys.m_operator)
+    w = np.abs(z.conj().T @ g) ** 2
+    cuts = np.flatnonzero(np.diff(y) > EIGENVALUE_MERGE_TOL) + 1
+    locations = [float(np.mean(c)) for c in np.split(y, cuts)]
+    weights = [float(np.sum(c)) for c in np.split(w, cuts)]
+    np.testing.assert_allclose(m.locations, locations, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.weights, weights, rtol=0,
+                               atol=1e-12 * m.total_mass)
 
 
 # --- variance reports -----------------------------------------------------
@@ -737,6 +829,20 @@ def test_resolvent_route_memory_at_n_4096():
         asymptotic_variances(sys, np.cos(sys.points[:, 0]))
 
     assert _traced_peak_bytes(run) <= 16e6
+
+
+def test_spectral_route_memory_at_m_32():
+    # at most eight dense (n - 1)^2 float64 arrays at once; the complex route
+    # (B = iM and its eigenvectors) peaked at 86.3 MB traced here
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+    n = 32**2
+
+    def run():
+        sys = discretize_torus(u, c, 32)
+        variance_report(sys, np.cos(sys.points[:, 0]))
+
+    assert _traced_peak_bytes(run) <= 8 * 8 * (n - 1) ** 2
 
 
 def test_package_import_loads_no_sparse_module():
