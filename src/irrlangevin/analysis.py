@@ -9,7 +9,12 @@ singular values of M taken with both signs,
 
 which is non-increasing in the drift scale k, tends to twice the mass at
 y = 0 (the kernel component of g), and equals the reversible value exactly
-when the drift operator annihilates L^{-1} f.
+when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
+of M in L's eigenbasis, cached on the system with L's eigenpairs
+(:mod:`irrlangevin.spectral_oracle`).  ``worst_case`` caches nothing of its
+own: it takes the null space of the restricted A before it allocates
+anything else, and fills the resolvent into one array a block of columns at
+a time.
 """
 
 from __future__ import annotations
@@ -121,18 +126,31 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     The intersection dimension counts principal angles below ``angle_tol``
     between the numerical kernels of (L - lambda) and A.
     """
-    _, ar = sys.restricted
+    # the null space comes first, while this function holds no other dense
+    # array; ar is antisymmetric and null_space(-A) = null_space(A), so its
+    # transpose goes to LAPACK in Fortran order and is overwritten
+    ar = sys.restricted[1]
+    a_kernel = scipy.linalg.null_space(ar.T, rcond=1e-10, overwrite_a=True)
+    del ar
+
     w, vec = sys.l_eigh
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
-    m = sys.solve(np.eye(ar.shape[0]))
-    sym = (m + m.T) / 2.0
-    sup_irr = float(2.0 * np.linalg.eigvalsh(sym)[-1])
+    # the resolvent, a sixteenth of its columns at a time so the solve's
+    # temporaries stay small, symmetrized in place
+    size = len(w)
+    sym = np.empty((size, size))
+    step = max(1, size // 16)
+    for j in range(0, size, step):
+        sym[:, j:j + step] = sys.solve(np.eye(size, min(step, size - j), -j))
+    sym += sym.T
+    sym /= 2.0
+    sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym.T, overwrite_a=True,
+                                                driver="evd")[-1])
 
     eig_mask = np.abs(w - lam) <= 1e-8 * max(lam, 1.0)
     l_space = vec[:, eig_mask]
-    a_kernel = scipy.linalg.null_space(ar, rcond=1e-10)
 
     if a_kernel.shape[1] == 0:
         angles = np.asarray([])

@@ -29,7 +29,9 @@ independent routes:
   weight of g under iM.  The eigenvalues of iM are the singular values of
   M with both signs, and a real g puts equal weight on +s and -s, so the
   measure is built from one real SVD and is symmetric about 0 by
-  construction.
+  construction.  Both g and M are taken in L's eigenbasis: with
+  L = W diag(w) W^T, g~ = w^{-1/2} W^T f and
+  M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W have the same atoms.
 
 The reversible value is sigma2_rev = 2 |g|^2; since every weight is
 nonnegative, the perturbed value never exceeds it.  Route agreement and
@@ -40,9 +42,14 @@ Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
 Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
-(n - 1) x (n - 1) matrices: the restriction to an explicit Householder
-basis, the eigendecomposition of L, V and the SVD of M, all float64 and
-built on first request.
+float64 (n - 1) x (n - 1) matrices.  A system caches two of them, on first
+request: L's eigenvectors W (``l_eigh``) and the right singular vectors of
+M~, so V is never formed.  The restrictions of L and A to an explicit
+Householder basis (``restricted``), V (``v_matrix``) and M
+(``m_operator``) are built per access, for structure checks.  Every dense
+LAPACK call overwrites its input, handed over in Fortran order: the
+symmetric restriction of L and the antisymmetric M~ go in as their own
+transposes.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from math import comb
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DiscretizationDefectError
 from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
@@ -67,7 +75,9 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# variance_report grows RSS by 1.58 GB at n = 4096, about 4.6 GB at this cap.
+# at n = 4096 variance_report (with generator_gaps) grows RSS by 814 MB and
+# worst_case by 683 MB, so about 2.4 GB and 2.0 GB at this cap (extrapolated
+# by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -148,7 +158,7 @@ class DiscretizedSystem:
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
-    # -- dense views, for structure checks and the spectral route -----------
+    # -- dense views, built per access -------------------------------------
 
     @property
     def a_matrix(self) -> Array:
@@ -176,7 +186,43 @@ class DiscretizedSystem:
         basis /= root[:, None]
         return basis
 
-    # -- cached restrictions and factorizations --------------------------
+    def _restrict(self, op, sign: float) -> Array:
+        """``op`` compressed to the mean-zero basis, then made exactly
+        symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) in place."""
+        b = self.mean_zero_basis
+        ob = op @ b
+        ob *= self.pi_weights[:, None]
+        out = b.T @ ob
+        del b, ob
+        out += sign * out.T  # remove matmul rounding
+        out /= 2.0
+        return out
+
+    @property
+    def restricted(self) -> tuple[Array, Array]:
+        """(L, A) compressed to the mean-zero basis; exactly (anti)symmetric.
+
+        Built per access; the dense routes cache only L's eigenpairs and the
+        right singular vectors of M.
+        """
+        return self._restrict(self.l_matrix, 1.0), self._restrict(self.s_matrix, -1.0)
+
+    @property
+    def v_matrix(self) -> Array:
+        """V = L^{-1/2} on the mean-zero subspace, built per access."""
+        w, vec = self.l_eigh
+        v = (vec / np.sqrt(w)) @ vec.T
+        return (v + v.T) / 2.0
+
+    @property
+    def m_operator(self) -> Array:
+        """The real antisymmetric M = V A V, built per access."""
+        ar = self._restrict(self.s_matrix, -1.0)
+        v = self.v_matrix
+        m = v @ ar @ v
+        return (m - m.T) / 2.0
+
+    # -- cached factorizations -------------------------------------------
 
     @cached_property
     def _householder(self) -> tuple[Array, Array, float]:
@@ -194,27 +240,14 @@ class DiscretizedSystem:
         return root, v, 2.0 / (v @ v)
 
     @cached_property
-    def restricted(self) -> tuple[Array, Array]:
-        """(L, A) compressed to the mean-zero basis; exactly (anti)symmetric."""
-        b = self.mean_zero_basis
-        pi = self.pi_weights[:, None]
-
-        def compress(op):
-            ob = op @ b
-            ob *= pi
-            return b.T @ ob
-
-        lr = compress(self.l_matrix)
-        ar = compress(self.s_matrix)
-        lr = (lr + lr.T) / 2.0  # remove matmul rounding; restriction is symmetric
-        ar = (ar - ar.T) / 2.0
-        return lr, ar
-
-    @cached_property
     def l_eigh(self) -> tuple[Array, Array]:
-        """Eigendecomposition of the restricted L, checked positive definite."""
-        lr, _ = self.restricted
-        w, vec = np.linalg.eigh(lr)
+        """(w, W) with restricted L = W diag(w) W^T, checked positive definite.
+
+        The restriction is symmetric, so its transpose goes to LAPACK as a
+        Fortran-ordered array that the eigenvectors overwrite.
+        """
+        lr = self._restrict(self.l_matrix, 1.0)
+        w, vec = scipy.linalg.eigh(lr.T, overwrite_a=True, driver="evd")
         if w[0] <= 0.0:
             raise DiscretizationDefectError(
                 "restricted energy operator is not positive definite: "
@@ -223,25 +256,23 @@ class DiscretizedSystem:
         return w, vec
 
     @cached_property
-    def v_matrix(self) -> Array:
-        """V = L^{-1/2} on the mean-zero subspace (symmetric eigendecomposition)."""
-        w, vec = self.l_eigh
-        v = (vec / np.sqrt(w)) @ vec.T
-        return (v + v.T) / 2.0
-
-    @property
-    def m_operator(self) -> Array:
-        """The real antisymmetric M = V A V, built per access."""
-        _, ar = self.restricted
-        v = self.v_matrix
-        m = v @ ar @ v
-        return (m - m.T) / 2.0
-
-    @cached_property
     def _m_svd(self) -> tuple[Array, Array]:
-        """(singular values ascending, right singular vectors as rows) of M."""
-        _, s, vh = np.linalg.svd(self.m_operator)
-        return s[::-1], vh[::-1]
+        """(singular values descending, right singular vectors as rows) of
+        M in L's eigenbasis, M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W.
+
+        M~ is antisymmetric, so its transpose -M~ (same singular values and
+        right singular vectors) goes to LAPACK as a Fortran-ordered array
+        that the SVD overwrites; the left singular vectors are not kept.
+        """
+        w, vec = self.l_eigh
+        m = vec.T @ (self._restrict(self.s_matrix, -1.0) @ vec)
+        scale = 1.0 / np.sqrt(w)
+        m *= scale
+        m *= scale[:, None]
+        m -= m.T
+        m /= 2.0
+        _, s, vh = scipy.linalg.svd(m.T, full_matrices=False, overwrite_a=True)
+        return s, vh
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -281,17 +312,22 @@ class DiscretizedSystem:
     def spectral_weight(self, fr: Array) -> tuple[Array, SpectralMeasure]:
         """(g = V fr, atoms of the spectral weight of g under iM).
 
+        Both are taken in L's eigenbasis, where g becomes
+        g~ = w^{-1/2} W^T fr and M becomes M~; the masses (v~_i . g~)^2
+        equal (v_i . g)^2, so V itself is never formed.
+
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
-        g = self.v_matrix @ fr
+        w, vec = self.l_eigh
+        g_hat = (vec.T @ fr) / np.sqrt(w)  # V fr in L's eigenbasis
         s, vh = self._m_svd
-        locs, mass = _merge_atoms(s, (vh @ g) ** 2)
+        locs, mass = _merge_atoms(s[::-1], ((vh @ g_hat) ** 2)[::-1])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
-        return g, SpectralMeasure(
+        return vec @ g_hat, SpectralMeasure(
             locations=np.concatenate([-pos[::-1], np.zeros(k), pos]),
             weights=np.concatenate([half[::-1], mass[:k], half]),
             total_mass=float(np.sum(mass)))
@@ -618,5 +654,7 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     """
     w, _ = sys.l_eigh
     lr, ar = sys.restricted
-    eigs = np.linalg.eigvals(lr - ar)
+    lr -= ar
+    del ar
+    eigs = np.linalg.eigvals(lr)
     return float(w[0]), float(eigs.real.min())

@@ -15,6 +15,7 @@ Independent oracles used here
   2 / (1 + k^2).
 """
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -843,6 +844,95 @@ def test_spectral_route_memory_at_m_32():
         variance_report(sys, np.cos(sys.points[:, 0]))
 
     assert _traced_peak_bytes(run) <= 8 * 8 * (n - 1) ** 2
+
+
+def test_worst_case_memory_at_m_32():
+    # the null space of the restricted A is taken while nothing else is
+    # alive, and the resolvent is filled into one preallocated array a block
+    # of columns at a time; with the identity, the resolvent and its
+    # symmetric part alive during the SVD it peaked at 11.2 arrays traced here
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+    n = 32**2
+
+    def run():
+        worst_case(discretize_torus(u, c, 32))
+
+    assert _traced_peak_bytes(run) <= 7 * 8 * (n - 1) ** 2
+
+
+# tracemalloc does not see the workspace that numpy.linalg allocates itself
+# (nor its copies of every input): a report through numpy's full SVD traced
+# 7.1 arrays while its RSS grew by 12.7.  So the dense chain is also bounded
+# by the peak RSS (VmHWM) of a fresh process, measured from after the imports.
+_HWM_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import scipy.sparse
+from irrlangevin.analysis import worst_case
+from irrlangevin.model import make_qgradu_drift, torus_cosine
+from irrlangevin.spectral_oracle import (discretize_torus, generator_gaps,
+                                         variance_report)
+
+def hwm():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return 1024 * int(line.split()[1])
+
+u = torus_cosine(2, 1.0)
+c = make_qgradu_drift(np.array([[0.0, 1.0], [-1.0, 0.0]]), u)
+base = hwm()
+built = discretize_torus(u, c, 32)
+if sys.argv[2] == "report":
+    variance_report(built, np.cos(built.points[:, 0]))
+    generator_gaps(built)
+else:
+    worst_case(built)
+print((hwm() - base) / (8 * (built.n - 1) ** 2))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc/self/status")
+@pytest.mark.parametrize("op", ["report", "worst_case"])
+def test_dense_chain_peak_rss_at_m_32(op):
+    # growth in (n - 1)^2 float64 arrays; caching the restrictions, V and a
+    # full SVD grew it by 13.4 (report and gaps) and 12.1 (worst case), this
+    # chain by 7.7 and 6.5
+    import irrlangevin
+
+    src = str(Path(irrlangevin.__file__).resolve().parents[1])
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576")
+    out = subprocess.run([sys.executable, "-c", _HWM_PROBE, src, op], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert float(out) <= 9.0
+
+
+def _buffer_owner(array):
+    while isinstance(getattr(array, "base", None), np.ndarray):
+        array = array.base
+    return array
+
+
+def test_dense_chain_caches_only_eigenvectors_and_singular_vectors():
+    # after every dense operation the system holds two (n - 1)^2 arrays:
+    # L's eigenvectors W and the right singular vectors of M in that basis
+    u = torus_cosine(2, 1.0)
+    sys = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
+    variance_report(sys, np.cos(sys.points[:, 0]))
+    generator_gaps(sys)
+    worst_case(sys)
+    held = [_buffer_owner(item) for value in sys.__dict__.values()
+            for item in (value if isinstance(value, tuple) else (value,))]
+    held = [a for a in held
+            if isinstance(a, np.ndarray) and a.nbytes >= 8 * (sys.n - 1) ** 2]
+    _, vec = sys.l_eigh
+    _, vh = sys._m_svd
+    assert vec.shape == vh.shape == (sys.n - 1, sys.n - 1)
+    assert len(held) == 2
+    assert held[0] is _buffer_owner(vec) and held[1] is _buffer_owner(vh)
 
 
 def test_package_import_loads_no_sparse_module():
