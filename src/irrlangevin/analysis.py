@@ -12,9 +12,10 @@ y = 0 (the kernel component of g), and equals the reversible value exactly
 when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
 of M in L's eigenbasis, cached on the system with L's eigenpairs
 (:mod:`irrlangevin.spectral_oracle`).  ``worst_case`` caches nothing of its
-own: it takes the null space of the restricted A before it allocates
-anything else, and fills the resolvent into one array a block of columns at
-a time.
+own: before it allocates anything else it takes the kernel of the
+restricted A from the same structured skew SVD (``skew_svd``), and it fills
+the resolvent into one array a block of columns at a time and symmetrizes
+it in place.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .spectral_oracle import (
     KERNEL_FLAG_RTOL,
     DiscretizedSystem,
     SpectralMeasure,
+    _by_column_blocks,
+    _symmetrize,
+    skew_svd,
 )
 
 Array = np.ndarray
@@ -126,27 +130,23 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     The intersection dimension counts principal angles below ``angle_tol``
     between the numerical kernels of (L - lambda) and A.
     """
-    # the null space comes first, while this function holds no other dense
-    # array; ar is antisymmetric and null_space(-A) = null_space(A), so its
-    # transpose goes to LAPACK in Fortran order and is overwritten
-    ar = sys.restricted[1]
-    a_kernel = scipy.linalg.null_space(ar.T, rcond=1e-10, overwrite_a=True)
-    del ar
+    # the kernel of the restricted A comes first, while this function holds
+    # no other dense array: the rows of skew_svd's right singular vectors
+    # with s <= 1e-10 max s (null_space's rcond rule)
+    s, vh = skew_svd(sys._restrict(sys.s_matrix, -1.0))
+    a_kernel = vh[s <= 1e-10 * s.max(initial=0.0)].T
+    del vh
 
     w, vec = sys.l_eigh
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
-    # the resolvent, a sixteenth of its columns at a time so the solve's
+    # the resolvent, at most 16 blocks of columns at a time so the solve's
     # temporaries stay small, symmetrized in place
     size = len(w)
-    sym = np.empty((size, size))
-    step = max(1, size // 16)
-    for j in range(0, size, step):
-        sym[:, j:j + step] = sys.solve(np.eye(size, min(step, size - j), -j))
-    sym += sym.T
-    sym /= 2.0
-    sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym.T, overwrite_a=True,
+    sym = _by_column_blocks(size, lambda j, k: sys.solve(np.eye(size, k - j, -j)))
+    _symmetrize(sym, 1.0)
+    sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym, overwrite_a=True,
                                                 driver="evd")[-1])
 
     eig_mask = np.abs(w - lam) <= 1e-8 * max(lam, 1.0)
@@ -156,7 +156,7 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
         angles = np.asarray([])
         intersection = 0
     else:
-        angles = scipy.linalg.subspace_angles(l_space, a_kernel)
+        angles = _principal_angles(l_space, a_kernel)
         intersection = int(np.sum(np.sin(angles) <= angle_tol))
 
     return WorstCaseResult(
@@ -166,6 +166,25 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
         l_eigenspace_dim=int(l_space.shape[1]),
         a_kernel_dim=int(a_kernel.shape[1]), principal_angles=angles,
     )
+
+
+def _principal_angles(a: Array, b: Array) -> Array:
+    """Principal angles, descending, between the spans of the orthonormal
+    columns of ``a`` and ``b``.
+
+    Angles whose cosine squared is at least 1/2 come from their sines and
+    the others from their cosines (Bjorck & Golub), each matched to its own
+    angle, so an angle of 1e-12 is resolved; ``scipy.linalg.subspace_angles``
+    applies its mask in the opposite order, and where small and large angles
+    mix, takes a small one from its cosine, losing it below about 1.5e-8.
+    """
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    cross = a.T @ b
+    cos = scipy.linalg.svdvals(cross)[::-1]
+    sin = scipy.linalg.svdvals(b - a @ cross)
+    return np.where(cos**2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
+                    np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def equality_certificate(sys: DiscretizedSystem, f: Array,

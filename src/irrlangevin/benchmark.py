@@ -158,25 +158,42 @@ def run_c3(tol: Mapping[str, float]) -> list[CriterionRow]:
     return rows
 
 
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
 def run_c4(tol: Mapping[str, float]) -> list[CriterionRow]:
     rows = []
     t = tol["C4_structure"]
     for name, sys in _backends():
-        pi_l = sys.pi_weights[:, None] * sys.l_matrix
-        pi_a = sys.pi_weights[:, None] * sys.a_matrix
-        lr, _ = sys.restricted
+        # each dense view is built once and dropped after its last check
+        pi, const = sys.pi_weights, sys.const_vec
+        pi_l = pi[:, None] * sys.l_matrix
+        a = sys.a_matrix
+        a_const = _max_abs(a @ const)
+        a *= pi[:, None]  # pi A, whose transpose must be its negative
+        a += a.T
+        a_anti = _max_abs(a)
+        del a
+        lr = sys._restrict(sys.l_matrix, 1.0)
         lam_min = float(np.linalg.eigvalsh(lr)[0])
-        m = sys.m_operator
         v = sys.v_matrix
+        vlv = lr @ v
+        del lr
+        vlv = v @ vlv
+        vlv -= np.eye(sys.n - 1)
+        vlv_residual = _max_abs(vlv)
+        del vlv
+        m = v @ sys._restrict(sys.s_matrix, -1.0) @ v
+        del v
+        m += m.T
         checks = [
-            ("pi-symmetry of L", float(np.max(np.abs(pi_l - pi_l.T)))),
-            ("pi-antisymmetry of A", float(np.max(np.abs(pi_a + pi_a.T)))),
-            ("L annihilates constants",
-             float(np.max(np.abs(sys.l_matrix @ sys.const_vec)))),
-            ("A annihilates constants",
-             float(np.max(np.abs(sys.a_matrix @ sys.const_vec)))),
-            ("V L V = I", float(np.max(np.abs(v @ lr @ v - np.eye(sys.n - 1))))),
-            ("V A V antisymmetric", float(np.max(np.abs(m + m.T)))),
+            ("pi-symmetry of L", _max_abs(pi_l - pi_l.T)),
+            ("pi-antisymmetry of A", a_anti),
+            ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
+            ("A annihilates constants", a_const),
+            ("V L V = I", vlv_residual),
+            ("V A V antisymmetric", _max_abs(m)),
         ]
         for label, observed in checks:
             rows.append(CriterionRow("C4", f"{name}: {label}",

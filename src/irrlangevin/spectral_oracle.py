@@ -44,12 +44,14 @@ Every analysis goes through one solve path, the methods ``reduce``,
 Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
 float64 (n - 1) x (n - 1) matrices.  A system caches two of them, on first
 request: L's eigenvectors W (``l_eigh``) and the right singular vectors of
-M~, so V is never formed.  The restrictions of L and A to an explicit
-Householder basis (``restricted``), V (``v_matrix``) and M
-(``m_operator``) are built per access, for structure checks.  Every dense
-LAPACK call overwrites its input, handed over in Fortran order: the
-symmetric restriction of L and the antisymmetric M~ go in as their own
-transposes.
+M~, so V is never formed.  Those come from :func:`skew_svd`, which reduces
+the antisymmetric M~ to a skew-tridiagonal matrix and takes the SVD of a
+bidiagonal matrix of half the size, forming no left singular vectors.  A
+restriction to the mean-zero subspace is filled into one Fortran-ordered
+array a block of columns at a time, in O(n nnz) and without the dense
+basis; the restrictions of L and A (``restricted``), V (``v_matrix``) and
+M (``m_operator``) are built per access, for structure checks.  Every dense
+LAPACK call is scipy's and overwrites its input, handed over as it is.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# at n = 4096 variance_report (with generator_gaps) grows RSS by 814 MB and
-# worst_case by 683 MB, so about 2.4 GB and 2.0 GB at this cap (extrapolated
+# at n = 4096 variance_report (with generator_gaps) grows RSS by 480 MB and
+# worst_case by 408 MB, so about 1.4 GB and 1.2 GB at this cap (extrapolated
 # by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
@@ -187,15 +189,19 @@ class DiscretizedSystem:
         return basis
 
     def _restrict(self, op, sign: float) -> Array:
-        """``op`` compressed to the mean-zero basis, then made exactly
-        symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) in place."""
-        b = self.mean_zero_basis
-        ob = op @ b
-        ob *= self.pi_weights[:, None]
-        out = b.T @ ob
-        del b, ob
-        out += sign * out.T  # remove matmul rounding
-        out /= 2.0
+        """``op`` compressed to the mean-zero basis, in O(n nnz).
+
+        One Fortran-ordered array is filled a block of columns at a time,
+        column j being the mean-zero coordinates of ``op`` applied to basis
+        vector j, so the dense basis is never formed.  It is then made
+        exactly symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) in
+        place, or left as it is (``sign`` = 0).
+        """
+        size = self.n - 1
+        out = _by_column_blocks(size, lambda j, k: self.to_mean_zero(
+            op @ self.from_mean_zero(np.eye(size, k - j, -j))))
+        if sign:
+            _symmetrize(out, sign)
         return out
 
     @property
@@ -212,7 +218,8 @@ class DiscretizedSystem:
         """V = L^{-1/2} on the mean-zero subspace, built per access."""
         w, vec = self.l_eigh
         v = (vec / np.sqrt(w)) @ vec.T
-        return (v + v.T) / 2.0
+        _symmetrize(v, 1.0)
+        return v
 
     @property
     def m_operator(self) -> Array:
@@ -220,7 +227,8 @@ class DiscretizedSystem:
         ar = self._restrict(self.s_matrix, -1.0)
         v = self.v_matrix
         m = v @ ar @ v
-        return (m - m.T) / 2.0
+        _symmetrize(m, -1.0)
+        return m
 
     # -- cached factorizations -------------------------------------------
 
@@ -243,11 +251,11 @@ class DiscretizedSystem:
     def l_eigh(self) -> tuple[Array, Array]:
         """(w, W) with restricted L = W diag(w) W^T, checked positive definite.
 
-        The restriction is symmetric, so its transpose goes to LAPACK as a
-        Fortran-ordered array that the eigenvectors overwrite.
+        The Fortran-ordered restriction goes to LAPACK as it is, and the
+        eigenvectors overwrite it.
         """
-        lr = self._restrict(self.l_matrix, 1.0)
-        w, vec = scipy.linalg.eigh(lr.T, overwrite_a=True, driver="evd")
+        w, vec = scipy.linalg.eigh(self._restrict(self.l_matrix, 1.0),
+                                   overwrite_a=True, driver="evd")
         if w[0] <= 0.0:
             raise DiscretizationDefectError(
                 "restricted energy operator is not positive definite: "
@@ -257,22 +265,27 @@ class DiscretizedSystem:
 
     @cached_property
     def _m_svd(self) -> tuple[Array, Array]:
-        """(singular values descending, right singular vectors as rows) of
-        M in L's eigenbasis, M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W.
+        """(singular values, right singular vectors as rows) of M in L's
+        eigenbasis, M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W, by
+        :func:`skew_svd`, in its order.
 
-        M~ is antisymmetric, so its transpose -M~ (same singular values and
-        right singular vectors) goes to LAPACK as a Fortran-ordered array
-        that the SVD overwrites; the left singular vectors are not kept.
+        M~ is filled into one array a block of columns at a time, column j
+        being w^{-1/2} W^T (A W e_j) w_j^{-1/2}, and made exactly
+        antisymmetric in place.
         """
         w, vec = self.l_eigh
-        m = vec.T @ (self._restrict(self.s_matrix, -1.0) @ vec)
         scale = 1.0 / np.sqrt(w)
-        m *= scale
-        m *= scale[:, None]
-        m -= m.T
-        m /= 2.0
-        _, s, vh = scipy.linalg.svd(m.T, full_matrices=False, overwrite_a=True)
-        return s, vh
+
+        def columns(j: int, k: int) -> Array:
+            aw = self.to_mean_zero(self.s_matrix @ self.from_mean_zero(
+                vec[:, j:k] * scale[j:k]))
+            out = vec.T @ aw
+            out *= scale[:, None]
+            return out
+
+        m = _by_column_blocks(len(w), columns)
+        _symmetrize(m, -1.0)
+        return skew_svd(m)
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -324,7 +337,8 @@ class DiscretizedSystem:
         w, vec = self.l_eigh
         g_hat = (vec.T @ fr) / np.sqrt(w)  # V fr in L's eigenbasis
         s, vh = self._m_svd
-        locs, mass = _merge_atoms(s[::-1], ((vh @ g_hat) ** 2)[::-1])
+        order = np.argsort(s, kind="stable")
+        locs, mass = _merge_atoms(s[order], ((vh @ g_hat) ** 2)[order])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
         return vec @ g_hat, SpectralMeasure(
@@ -394,6 +408,67 @@ def _bordered_solver(op, const: Array, pi: Array,
         return out
 
     return solve
+
+
+# --- dense helpers -------------------------------------------------------------
+
+
+def _by_column_blocks(size: int, columns: Callable[[int, int], Array]) -> Array:
+    """A Fortran-ordered (size, size) array whose columns j to k - 1 are
+    ``columns(j, k)``, filled in at most 16 blocks."""
+    out = np.empty((size, size), order="F")
+    step = -(-size // 16)
+    for j in range(0, size, step):
+        out[:, j:j + step] = columns(j, min(j + step, size))
+    return out
+
+
+def _symmetrize(a: Array, sign: float) -> None:
+    """a = (a + sign a^T) / 2 in place, in at most 16 strips: rows j to k - 1
+    from column j on, paired with columns j to k - 1 from row j on."""
+    size = len(a)
+    step = -(-size // 16)
+    for j in range(0, size, step):
+        rows, cols = a[j:j + step, j:], a[j:, j:j + step]
+        half = (rows + sign * cols.T) / 2.0
+        rows[...] = half
+        cols[...] = sign * half.T
+
+
+def skew_svd(m: Array) -> tuple[Array, Array]:
+    """(singular values, right singular vectors as rows) of the real
+    antisymmetric (N, N) ``m``, which is overwritten.
+
+    An orthogonal similarity Q^T m Q = T makes m skew-tridiagonal (LAPACK's
+    Hessenberg reduction, done in place); T's subdiagonal is read as
+    e = (diag(H, -1) - diag(H, 1)) / 2.  Permuted to even then odd
+    coordinates, T = [[0, B], [-B^T, 0]] with the ceil(N/2) x floor(N/2)
+    bidiagonal B = T[0::2, 1::2], so with B = U diag(s) Vt (U full) the
+    rows U^T Q[:, 0::2]^T and then Vt Q[:, 1::2]^T are right singular
+    vectors of m, with singular values [s, 0 if N is odd, s].  Row i of the
+    first half and row i of the second span one invariant plane of m.  The
+    values are not sorted.  Ward & Gray, ACM TOMS 4 (1978).
+    """
+    from scipy.linalg import lapack
+
+    size = len(m)
+    if size < 2:
+        return np.zeros(size), np.eye(size)
+    h, tau, _ = lapack.dgehrd(m, lwork=int(lapack.dgehrd_lwork(size)[0]),
+                              overwrite_a=True)
+    e = (np.diagonal(h, -1) - np.diagonal(h, 1)) / 2.0
+    q, _ = lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(size)[0]),
+                         overwrite_a=True)
+    ne = (size + 1) // 2
+    b = np.zeros((ne, size // 2), order="F")
+    np.fill_diagonal(b, -e[0::2])
+    np.fill_diagonal(b[1:], e[1::2])
+    u, s, vt = scipy.linalg.svd(b, overwrite_a=True)
+    del b
+    vh = np.empty((size, size))
+    np.matmul(u.T, q[:, 0::2].T, out=vh[:ne])
+    np.matmul(vt, q[:, 1::2].T, out=vh[ne:])
+    return np.concatenate([s, np.zeros(size % 2), s]), vh
 
 
 # --- torus grid backend -----------------------------------------------------
@@ -591,15 +666,14 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
 
 
 def _merge_atoms(values: Array, weights: Array) -> tuple[Array, Array]:
-    """Pool ascending ``values`` whose gaps are at most EIGENVALUE_MERGE_TOL."""
-    locations, pooled = [], []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > EIGENVALUE_MERGE_TOL:
-            locations.append(float(np.mean(values[start:i])))
-            pooled.append(float(np.sum(weights[start:i])))
-            start = i
-    return np.asarray(locations), np.asarray(pooled)
+    """Pool ascending ``values`` whose gaps are at most EIGENVALUE_MERGE_TOL.
+
+    Returns each cluster's mean location and summed weight, in one pass of
+    ``np.add.reduceat`` over the cluster starts.
+    """
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > EIGENVALUE_MERGE_TOL)
+    counts = np.diff(starts, append=len(values))
+    return np.add.reduceat(values, starts) / counts, np.add.reduceat(weights, starts)
 
 
 def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
@@ -653,8 +727,6 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     (mu, v) satisfies Re mu = <v, L v>/|v|^2 >= min eig(L).
     """
     w, _ = sys.l_eigh
-    lr, ar = sys.restricted
-    lr -= ar
-    del ar
-    eigs = np.linalg.eigvals(lr)
+    eigs = scipy.linalg.eigvals(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0),
+                                overwrite_a=True)
     return float(w[0]), float(eigs.real.min())

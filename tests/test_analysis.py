@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from irrlangevin.analysis import equality_certificate, sweep_k, worst_case
+from irrlangevin.analysis import (
+    _principal_angles,
+    equality_certificate,
+    sweep_k,
+    worst_case,
+)
 from irrlangevin.model import make_qgradu_drift, torus_cosine, zero_drift
 from irrlangevin.spectral_oracle import (
     discretize_gaussian_linear,
@@ -143,6 +148,28 @@ def test_worst_case_ou_rotation():
     assert res.sup_irr == pytest.approx(1.0, abs=1e-9)
     assert res.kernel_intersection_dim == 0
     assert res.strict is True
+
+
+def test_worst_case_finds_exact_intersection_in_odd_dimension():
+    # an antisymmetric Q in dim 3 has a kernel vector omega, so omega . x
+    # lies both in the degree-1 eigenspace of L and in the kernel of A
+    q = np.random.default_rng(1).standard_normal((3, 3))
+    res = worst_case(discretize_gaussian_linear(q - q.T, dim=3, degree=5))
+    assert res.l_eigenspace_dim == 3
+    assert res.kernel_intersection_dim == 1
+    assert np.min(res.principal_angles) <= 1e-12
+    assert np.max(res.principal_angles) == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+def test_principal_angles_resolve_a_small_angle_beside_a_large_one():
+    # angles pi/2 and 1e-10; scipy.linalg.subspace_angles returns the small
+    # one as 0 here
+    e = np.eye(5)
+    t = 1e-10
+    b = np.stack([np.cos(t) * e[:, 0] + np.sin(t) * e[:, 4], e[:, 3]], axis=1)
+    for x, y in ((e[:, :3], b), (b, e[:, :3])):
+        np.testing.assert_allclose(_principal_angles(x, y), [np.pi / 2, t],
+                                   rtol=1e-12)
 
 
 def test_worst_case_supremum_attained(torus_benchmark):

@@ -9,6 +9,8 @@ Independent oracles used here
   Hermite coefficients of monomials checked against the same quadrature.
 * spectral weight: atoms from the SVD of M checked against the complex
   eigendecomposition of iM, formed only here.
+* structured skew SVD: singular values checked against numpy's dense SVD,
+  and the blockwise restriction against the dense mean-zero basis.
 * Gaussian benchmark: linear observables solve the perturbed Poisson
   equation in closed form, giving sigma2 = 2 v . (I + kQ)^{-1} v
   (docs/ou_variance_derivation.md); for v = e1, Q the rotation, this is
@@ -47,8 +49,10 @@ from irrlangevin.spectral_oracle import (
     discretize_torus,
     generator_gaps,
     hermite_indices,
+    skew_svd,
     variance_report,
 )
+from irrlangevin.spectral_oracle import _merge_atoms
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -492,6 +496,87 @@ def test_spectral_weight_matches_complex_eigh(sysname, torus_sys, hermite_sys):
                                atol=1e-12 * m.total_mass)
 
 
+# --- structured skew SVD, blockwise restriction, atom pooling ------------------
+
+
+def _skew_cases():
+    rng = np.random.default_rng(41)
+    for size in (1, 2, 3, 8, 9):
+        g = rng.standard_normal((size, size))
+        yield f"random {size}", g - g.T
+    yield "zero 6", np.zeros((6, 6))
+    # an exact 3-dimensional kernel: a random 7 x 7 skew matrix of rank 4,
+    # rotated by a random orthogonal matrix
+    core = np.zeros((7, 7))
+    g = rng.standard_normal((4, 4))
+    core[:4, :4] = g - g.T
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    yield "kernel 3", q @ core @ q.T
+
+
+@pytest.mark.parametrize("name,m", list(_skew_cases()),
+                         ids=[name for name, _ in _skew_cases()])
+def test_skew_svd_against_dense_svd(name, m):
+    size = len(m)
+    scale = max(np.linalg.norm(m, 2), 1.0)
+    s, vh = skew_svd(np.array(m, order="F"))
+    assert s.shape == (size,) and vh.shape == (size, size)
+    np.testing.assert_allclose(np.sort(s)[::-1],
+                               np.linalg.svd(m, compute_uv=False),
+                               rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(vh @ vh.T, np.eye(size), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.linalg.norm(m @ vh.T, axis=0), s,
+                               rtol=0, atol=1e-13 * scale)
+    if name == "kernel 3":
+        assert np.sum(s <= 1e-10 * s.max()) == 3
+
+
+def test_restriction_matches_dense_basis(torus_sys, hermite_sys):
+    # the blockwise restriction equals b^T (pi o (op b)) with the dense basis
+    for sys in (torus_sys, hermite_sys):
+        b = sys.mean_zero_basis
+        for op, sign in ((sys.l_matrix, 1.0), (sys.s_matrix, -1.0),
+                         (sys.l_matrix - sys.s_matrix, 0.0)):
+            ref = b.T @ (sys.pi_weights[:, None] * (op @ b))
+            if sign:
+                ref = (ref + sign * ref.T) / 2.0
+            got = sys._restrict(op, sign)
+            assert got.flags.f_contiguous
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+
+def _merge_atoms_loop(values, weights):
+    locations, pooled, start = [], [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > EIGENVALUE_MERGE_TOL:
+            locations.append(float(np.mean(values[start:i])))
+            pooled.append(float(np.sum(weights[start:i])))
+            start = i
+    return np.asarray(locations), np.asarray(pooled)
+
+
+def test_merge_atoms_matches_loop():
+    # random clusters of 1 to 4 values within the tolerance, a singleton at
+    # each end
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        centers = np.sort(rng.uniform(0.0, 10.0, 30))
+        values = [[centers[0]]]
+        for c in centers[1:-1]:
+            values.append(c + rng.uniform(0.0, 0.3 * EIGENVALUE_MERGE_TOL,
+                                          rng.integers(1, 5)))
+        values.append([centers[-1] + 1.0])
+        values = np.sort(np.concatenate(values))
+        weights = rng.uniform(0.0, 1.0, len(values))
+        locs, mass = _merge_atoms(values, weights)
+        ref_locs, ref_mass = _merge_atoms_loop(values, weights)
+        assert locs[0] == values[0] and locs[-1] == values[-1]
+        assert mass[0] == weights[0] and mass[-1] == weights[-1]
+        np.testing.assert_allclose(locs, ref_locs, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(mass, ref_mass, rtol=1e-14, atol=0)
+
+
 # --- variance reports -----------------------------------------------------
 
 
@@ -833,8 +918,9 @@ def test_resolvent_route_memory_at_n_4096():
 
 
 def test_spectral_route_memory_at_m_32():
-    # at most eight dense (n - 1)^2 float64 arrays at once; the complex route
-    # (B = iM and its eigenvectors) peaked at 86.3 MB traced here
+    # at most five dense (n - 1)^2 float64 arrays at once; the complex route
+    # (B = iM and its eigenvectors) peaked at 86.3 MB traced here, a full
+    # SVD of M at 7.2 arrays, the structured skew SVD at 3.8
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
     n = 32**2
@@ -843,14 +929,15 @@ def test_spectral_route_memory_at_m_32():
         sys = discretize_torus(u, c, 32)
         variance_report(sys, np.cos(sys.points[:, 0]))
 
-    assert _traced_peak_bytes(run) <= 8 * 8 * (n - 1) ** 2
+    assert _traced_peak_bytes(run) <= 5 * 8 * (n - 1) ** 2
 
 
 def test_worst_case_memory_at_m_32():
     # the null space of the restricted A is taken while nothing else is
     # alive, and the resolvent is filled into one preallocated array a block
     # of columns at a time; with the identity, the resolvent and its
-    # symmetric part alive during the SVD it peaked at 11.2 arrays traced here
+    # symmetric part alive during the SVD it peaked at 11.2 arrays traced
+    # here, with null_space's full SVD first at 6.0, with skew_svd at 3.1
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
     n = 32**2
@@ -858,7 +945,7 @@ def test_worst_case_memory_at_m_32():
     def run():
         worst_case(discretize_torus(u, c, 32))
 
-    assert _traced_peak_bytes(run) <= 7 * 8 * (n - 1) ** 2
+    assert _traced_peak_bytes(run) <= 4 * 8 * (n - 1) ** 2
 
 
 # tracemalloc does not see the workspace that numpy.linalg allocates itself
@@ -899,15 +986,16 @@ print((hwm() - base) / (8 * (built.n - 1) ** 2))
 @pytest.mark.parametrize("op", ["report", "worst_case"])
 def test_dense_chain_peak_rss_at_m_32(op):
     # growth in (n - 1)^2 float64 arrays; caching the restrictions, V and a
-    # full SVD grew it by 13.4 (report and gaps) and 12.1 (worst case), this
-    # chain by 7.7 and 6.5
+    # full SVD grew it by 13.4 (report and gaps) and 12.1 (worst case), a
+    # lean chain through a full SVD and a dense basis by 7.7 and 6.5, the
+    # blockwise restriction and structured skew SVD by 5.1 and 4.0
     import irrlangevin
 
     src = str(Path(irrlangevin.__file__).resolve().parents[1])
     env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576")
     out = subprocess.run([sys.executable, "-c", _HWM_PROBE, src, op], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert float(out) <= 9.0
+    assert float(out) <= {"report": 6.0, "worst_case": 5.0}[op]
 
 
 def _buffer_owner(array):
