@@ -10,12 +10,14 @@ singular values of M taken with both signs,
 which is non-increasing in the drift scale k, tends to twice the mass at
 y = 0 (the kernel component of g), and equals the reversible value exactly
 when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
-of M in L's eigenbasis, cached on the system with L's eigenpairs
-(:mod:`irrlangevin.spectral_oracle`).  ``worst_case`` caches nothing of its
-own: before it allocates anything else it takes the kernel of the
-restricted A from the same structured skew SVD (``skew_svd``), and it fills
+of R^{-T} A R^{-1}, with L = R^T R, whose right singular vectors v_j the
+system caches as Z_j = R^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
+``worst_case`` caches nothing of its own: before it allocates anything
+else it takes the kernel of the restricted A from the columns of the
+structured skew SVD (``skew_svd``), formed over that restriction; it fills
 the resolvent into one array a block of columns at a time and symmetrizes
-it in place.
+it in place, and it takes L's eigenvalues alone, then only the few
+eigenvectors of L's lowest eigenspace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .spectral_oracle import (
     EIGENVALUE_MERGE_TOL,
@@ -103,7 +104,7 @@ def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
 
     sys = sys_builder(1.0)
     fr, _ = sys.reduce(f)
-    _, measure = sys.spectral_weight(fr)
+    measure = sys.spectral_weight(fr)
 
     locs = measure.locations
     wts = measure.weights
@@ -130,14 +131,16 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     The intersection dimension counts principal angles below ``angle_tol``
     between the numerical kernels of (L - lambda) and A.
     """
-    # the kernel of the restricted A comes first, while this function holds
-    # no other dense array: the rows of skew_svd's right singular vectors
-    # with s <= 1e-10 max s (null_space's rcond rule)
-    s, vh = skew_svd(sys._restrict(sys.s_matrix, -1.0))
-    a_kernel = vh[s <= 1e-10 * s.max(initial=0.0)].T
-    del vh
+    import scipy.linalg
 
-    w, vec = sys.l_eigh
+    # the kernel of the restricted A comes first, while this function holds
+    # no other dense array: the columns of skew_svd's right singular vectors
+    # with s <= 1e-10 max s (null_space's rcond rule)
+    s, v = skew_svd(sys._restrict(sys.s_matrix, -1.0))
+    a_kernel = v[:, s <= 1e-10 * s.max(initial=0.0)]
+    del v
+
+    w = sys._l_eigenvalues()
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
@@ -148,9 +151,13 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     _symmetrize(sym, 1.0)
     sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym, overwrite_a=True,
                                                 driver="evd")[-1])
+    del sym
 
-    eig_mask = np.abs(w - lam) <= 1e-8 * max(lam, 1.0)
-    l_space = vec[:, eig_mask]
+    # the lambda-eigenspace of L, from a fresh restriction
+    dim = int(np.sum(np.abs(w - lam) <= 1e-8 * max(lam, 1.0)))
+    _, l_space = scipy.linalg.eigh(sys._restrict(sys.l_matrix, 1.0),
+                                   overwrite_a=True, driver="evr",
+                                   subset_by_index=[0, dim - 1])
 
     if a_kernel.shape[1] == 0:
         angles = np.asarray([])
@@ -180,6 +187,8 @@ def _principal_angles(a: Array, b: Array) -> Array:
     """
     if a.shape[1] < b.shape[1]:
         a, b = b, a
+    import scipy.linalg
+
     cross = a.T @ b
     cos = scipy.linalg.svdvals(cross)[::-1]
     sin = scipy.linalg.svdvals(b - a @ cross)

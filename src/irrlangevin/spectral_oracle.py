@@ -29,12 +29,13 @@ independent routes:
   weight of g under iM.  The eigenvalues of iM are the singular values of
   M with both signs, and a real g puts equal weight on +s and -s, so the
   measure is built from one real SVD and is symmetric about 0 by
-  construction.  Both g and M are taken in L's eigenbasis: with
-  L = W diag(w) W^T, g~ = w^{-1/2} W^T f and
-  M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W have the same atoms.
+  construction.  Any factor L = R^T R serves in place of V: R V is
+  orthogonal, so with O = R V the congruence R^{-T} A R^{-1} = O M O^T and
+  R^{-T} f = O g have the same atoms.  The route therefore needs L's
+  Cholesky factor, not its eigendecomposition.
 
-The reversible value is sigma2_rev = 2 |g|^2; since every weight is
-nonnegative, the perturbed value never exceeds it.  Route agreement and
+The reversible value is sigma2_rev = 2 <f, L^{-1} f>; since every weight
+is nonnegative, the perturbed value never exceeds it.  Route agreement and
 the operator-structure identities are the acceptance gates of the package,
 not trusted by construction alone.
 
@@ -42,16 +43,21 @@ Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
 Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
-float64 (n - 1) x (n - 1) matrices.  A system caches two of them, on first
-request: L's eigenvectors W (``l_eigh``) and the right singular vectors of
-M~, so V is never formed.  Those come from :func:`skew_svd`, which reduces
-the antisymmetric M~ to a skew-tridiagonal matrix and takes the SVD of a
-bidiagonal matrix of half the size, forming no left singular vectors.  A
-restriction to the mean-zero subspace is filled into one Fortran-ordered
-array a block of columns at a time, in O(n nnz) and without the dense
-basis; the restrictions of L and A (``restricted``), V (``v_matrix``) and
-M (``m_operator``) are built per access, for structure checks.  Every dense
-LAPACK call is scipy's and overwrites its input, handed over as it is.
+float64 (n - 1) x (n - 1) matrices, and a system caches one of them, on
+first request: Z = R^{-1} [right singular vectors of R^{-T} A R^{-1}], so
+the masses of the atoms are (Z^T f)^2 and neither V nor L's eigenvectors
+are formed.  The chain holds at most two such arrays at once: the
+restriction of L, factored in place by ``dpotrf``, and the restriction of
+A, turned into R^{-T} A R^{-1} in place by two triangular solves.
+:func:`skew_svd`'s two stages reduce that antisymmetric matrix to a
+skew-tridiagonal one, whose orthogonal factor Q overwrites it and is then
+replaced by R^{-1} Q (which frees R), and take the SVD of a bidiagonal
+matrix of half the size; the singular vectors are formed over the columns
+of Q, a block of rows at a time, and no left singular vectors are formed.
+A restriction to the mean-zero subspace is filled into one Fortran-ordered
+array a block of columns at a time, in O(n nnz) and without a dense basis.
+Every dense LAPACK call is scipy's and overwrites its input, handed over
+as it is; ``scipy.linalg`` is imported where it is used.
 """
 
 from __future__ import annotations
@@ -62,13 +68,13 @@ from math import comb
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DiscretizationDefectError
 from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
 
 # scipy.sparse and scipy.sparse.linalg (about 40 ms of import time) are
-# imported where sparse arrays are built, so simulation-only users of the
+# imported where sparse arrays are built, and scipy.linalg (about 0.2 s)
+# where dense matrices are decomposed, so simulation-only users of the
 # package never load them.
 if TYPE_CHECKING:
     import scipy.sparse
@@ -77,8 +83,8 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# at n = 4096 variance_report (with generator_gaps) grows RSS by 480 MB and
-# worst_case by 408 MB, so about 1.4 GB and 1.2 GB at this cap (extrapolated
+# at n = 4096 variance_report (with generator_gaps) grows RSS by 335 MB and
+# worst_case by 310 MB, so about 1.0 GB and 0.9 GB at this cap (extrapolated
 # by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
@@ -160,7 +166,7 @@ class DiscretizedSystem:
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
-    # -- dense views, built per access -------------------------------------
+    # -- dense matrices, built per call ------------------------------------
 
     @property
     def a_matrix(self) -> Array:
@@ -171,22 +177,6 @@ class DiscretizedSystem:
         a -= np.outer(c, self.s_matrix.T @ w)
         a -= np.outer(sc - (w @ sc) * c, w)
         return a
-
-    @property
-    def mean_zero_basis(self) -> Array:
-        """Dense (n, n - 1) pi-orthonormal basis of the mean-zero subspace.
-
-        Its columns are those of the Householder map I - beta v v^T from the
-        second on, divided row-wise by sqrt(pi); built per access in one
-        allocation.
-        """
-        root, v, beta = self._householder
-        basis = np.outer(v, v[1:])
-        basis *= -beta
-        cols = np.arange(self.n - 1)
-        basis[cols + 1, cols] += 1.0
-        basis /= root[:, None]
-        return basis
 
     def _restrict(self, op, sign: float) -> Array:
         """``op`` compressed to the mean-zero basis, in O(n nnz).
@@ -204,31 +194,36 @@ class DiscretizedSystem:
             _symmetrize(out, sign)
         return out
 
-    @property
-    def restricted(self) -> tuple[Array, Array]:
-        """(L, A) compressed to the mean-zero basis; exactly (anti)symmetric.
+    def _l_eigenvalues(self) -> Array:
+        """Eigenvalues of the restricted L, ascending, checked positive.
 
-        Built per access; the dense routes cache only L's eigenpairs and the
-        right singular vectors of M.
+        Computed per call, without eigenvectors, so LAPACK's workspace is
+        O(n); the restriction is overwritten.
         """
-        return self._restrict(self.l_matrix, 1.0), self._restrict(self.s_matrix, -1.0)
+        import scipy.linalg
 
-    @property
-    def v_matrix(self) -> Array:
-        """V = L^{-1/2} on the mean-zero subspace, built per access."""
-        w, vec = self.l_eigh
-        v = (vec / np.sqrt(w)) @ vec.T
-        _symmetrize(v, 1.0)
-        return v
+        w = scipy.linalg.eigvalsh(self._restrict(self.l_matrix, 1.0),
+                                  overwrite_a=True, driver="evd")
+        if w[0] <= 0.0:
+            raise _not_positive_definite(w[0])
+        return w
 
-    @property
-    def m_operator(self) -> Array:
-        """The real antisymmetric M = V A V, built per access."""
-        ar = self._restrict(self.s_matrix, -1.0)
-        v = self.v_matrix
-        m = v @ ar @ v
-        _symmetrize(m, -1.0)
-        return m
+    def _congruence(self) -> tuple[Array, Array]:
+        """(R, R^{-T} A R^{-1}) on the mean-zero subspace, with L = R^T R
+        factored in place and the product as the two triangular solves
+        leave it, not made antisymmetric.
+
+        R^{-T} A R^{-1} = O M O^T with M = V A V and O = R V orthogonal.  A
+        failed factorization raises :class:`DiscretizationDefectError` with
+        the smallest eigenvalue of the restricted L.
+        """
+        from scipy.linalg import lapack
+
+        r, info = lapack.dpotrf(self._restrict(self.l_matrix, 1.0),
+                                overwrite_a=True)
+        if info:
+            raise _not_positive_definite(self._l_eigenvalues()[0])
+        return r, _congruent(r, self._restrict(self.s_matrix, -1.0))
 
     # -- cached factorizations -------------------------------------------
 
@@ -248,44 +243,24 @@ class DiscretizedSystem:
         return root, v, 2.0 / (v @ v)
 
     @cached_property
-    def l_eigh(self) -> tuple[Array, Array]:
-        """(w, W) with restricted L = W diag(w) W^T, checked positive definite.
+    def _weight_vectors(self) -> tuple[Array, Array]:
+        """(s, Z): the singular values of M and Z = R^{-1} [v_1 ... v_N],
+        with v_j the right singular vectors of R^{-T} A R^{-1}, in
+        :func:`skew_svd`'s order.
 
-        The Fortran-ordered restriction goes to LAPACK as it is, and the
-        eigenvectors overwrite it.
+        The mass of f on v_j is (v_j . R^{-T} f)^2 = (Z_j . f)^2, and A Z_j
+        vanishes where s_j does.  Q ends in the array that held A, and R is
+        freed before the bidiagonal SVD, so Z is the only dense array kept.
         """
-        w, vec = scipy.linalg.eigh(self._restrict(self.l_matrix, 1.0),
-                                   overwrite_a=True, driver="evd")
-        if w[0] <= 0.0:
-            raise DiscretizationDefectError(
-                "restricted energy operator is not positive definite: "
-                f"smallest eigenvalue {w[0]:.6e}"
-            )
-        return w, vec
+        from scipy.linalg import blas
 
-    @cached_property
-    def _m_svd(self) -> tuple[Array, Array]:
-        """(singular values, right singular vectors as rows) of M in L's
-        eigenbasis, M~ = w^{-1/2} W^T A W w^{-1/2} = W^T M W, by
-        :func:`skew_svd`, in its order.
-
-        M~ is filled into one array a block of columns at a time, column j
-        being w^{-1/2} W^T (A W e_j) w_j^{-1/2}, and made exactly
-        antisymmetric in place.
-        """
-        w, vec = self.l_eigh
-        scale = 1.0 / np.sqrt(w)
-
-        def columns(j: int, k: int) -> Array:
-            aw = self.to_mean_zero(self.s_matrix @ self.from_mean_zero(
-                vec[:, j:k] * scale[j:k]))
-            out = vec.T @ aw
-            out *= scale[:, None]
-            return out
-
-        m = _by_column_blocks(len(w), columns)
+        r, m = self._congruence()
         _symmetrize(m, -1.0)
-        return skew_svd(m)
+        q, e = _skew_tridiagonal(m)
+        del m
+        q = blas.dtrsm(1.0, r, q, overwrite_b=True)  # R^{-1} Q, in place
+        del r
+        return _skew_singular_vectors(q, e)
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -322,26 +297,23 @@ class DiscretizedSystem:
         fr_norm = float(np.linalg.norm(fr))
         return self.to_mean_zero(h), a_h / max(fr_norm, 1e-300)
 
-    def spectral_weight(self, fr: Array) -> tuple[Array, SpectralMeasure]:
-        """(g = V fr, atoms of the spectral weight of g under iM).
+    def spectral_weight(self, fr: Array) -> SpectralMeasure:
+        """Atoms of the spectral weight of g = V fr under iM.
 
-        Both are taken in L's eigenbasis, where g becomes
-        g~ = w^{-1/2} W^T fr and M becomes M~; the masses (v~_i . g~)^2
-        equal (v_i . g)^2, so V itself is never formed.
+        The masses are taken as (Z_j . fr)^2 against the cached columns of
+        ``_weight_vectors``, so V itself is never formed.
 
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
-        w, vec = self.l_eigh
-        g_hat = (vec.T @ fr) / np.sqrt(w)  # V fr in L's eigenbasis
-        s, vh = self._m_svd
+        s, z = self._weight_vectors
         order = np.argsort(s, kind="stable")
-        locs, mass = _merge_atoms(s[order], ((vh @ g_hat) ** 2)[order])
+        locs, mass = _merge_atoms(s[order], ((z.T @ fr) ** 2)[order])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
-        return vec @ g_hat, SpectralMeasure(
+        return SpectralMeasure(
             locations=np.concatenate([-pos[::-1], np.zeros(k), pos]),
             weights=np.concatenate([half[::-1], mass[:k], half]),
             total_mass=float(np.sum(mass)))
@@ -435,40 +407,86 @@ def _symmetrize(a: Array, sign: float) -> None:
         cols[...] = sign * half.T
 
 
-def skew_svd(m: Array) -> tuple[Array, Array]:
-    """(singular values, right singular vectors as rows) of the real
-    antisymmetric (N, N) ``m``, which is overwritten.
+def _not_positive_definite(smallest: float) -> DiscretizationDefectError:
+    return DiscretizationDefectError(
+        "restricted energy operator is not positive definite: "
+        f"smallest eigenvalue {smallest:.6e}")
 
-    An orthogonal similarity Q^T m Q = T makes m skew-tridiagonal (LAPACK's
-    Hessenberg reduction, done in place); T's subdiagonal is read as
-    e = (diag(H, -1) - diag(H, 1)) / 2.  Permuted to even then odd
-    coordinates, T = [[0, B], [-B^T, 0]] with the ceil(N/2) x floor(N/2)
-    bidiagonal B = T[0::2, 1::2], so with B = U diag(s) Vt (U full) the
-    rows U^T Q[:, 0::2]^T and then Vt Q[:, 1::2]^T are right singular
-    vectors of m, with singular values [s, 0 if N is odd, s].  Row i of the
-    first half and row i of the second span one invariant plane of m.  The
+
+def _congruent(r: Array, a: Array) -> Array:
+    """R^{-T} a R^{-1} for the upper triangular R, by two triangular solves
+    that overwrite the Fortran-ordered ``a``."""
+    from scipy.linalg import blas
+
+    a = blas.dtrsm(1.0, r, a, trans_a=1, overwrite_b=True)
+    return blas.dtrsm(1.0, r, a, side=1, overwrite_b=True)
+
+
+def skew_svd(m: Array) -> tuple[Array, Array]:
+    """(singular values, right singular vectors as columns) of the real
+    antisymmetric (N, N) ``m``, which is overwritten by the vectors.
+
+    Column 2i and column 2i + 1 span one invariant plane of m and share a
+    singular value; for odd N the last column has singular value 0.  The
     values are not sorted.  Ward & Gray, ACM TOMS 4 (1978).
+    """
+    return _skew_singular_vectors(*_skew_tridiagonal(m))
+
+
+def _skew_tridiagonal(m: Array) -> tuple[Array, Array]:
+    """(Q, e) with Q^T m Q = T skew-tridiagonal, T's subdiagonal e; the
+    antisymmetric ``m`` is overwritten by Q.
+
+    The reduction is LAPACK's Hessenberg one, done in place; T's
+    subdiagonal is read as e = (diag(H, -1) - diag(H, 1)) / 2 before Q is
+    formed over H.
     """
     from scipy.linalg import lapack
 
     size = len(m)
     if size < 2:
-        return np.zeros(size), np.eye(size)
+        m[...] = np.eye(size)
+        return m, np.zeros(0)
     h, tau, _ = lapack.dgehrd(m, lwork=int(lapack.dgehrd_lwork(size)[0]),
                               overwrite_a=True)
     e = (np.diagonal(h, -1) - np.diagonal(h, 1)) / 2.0
     q, _ = lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(size)[0]),
                          overwrite_a=True)
+    return q, e
+
+
+def _skew_singular_vectors(q: Array, e: Array) -> tuple[Array, Array]:
+    """(s, q X): the singular values of the skew-tridiagonal T with
+    subdiagonal ``e``, and ``q`` times T's right singular vectors X, formed
+    over ``q``.
+
+    Permuted to even then odd coordinates, T = [[0, B], [-B^T, 0]] with the
+    ceil(N/2) x floor(N/2) bidiagonal B = T[0::2, 1::2], so with
+    B = U diag(s) Vt (U full), q's even columns become q[:, 0::2] U and its
+    odd columns q[:, 1::2] Vt^T, a block of rows at a time.  The singular
+    values are s at the odd columns and [s, 0 if N is odd] at the even
+    ones.
+    """
+    import scipy.linalg
+
+    size = len(q)
+    if size < 2:
+        return np.zeros(size), q
     ne = (size + 1) // 2
     b = np.zeros((ne, size // 2), order="F")
     np.fill_diagonal(b, -e[0::2])
     np.fill_diagonal(b[1:], e[1::2])
     u, s, vt = scipy.linalg.svd(b, overwrite_a=True)
     del b
-    vh = np.empty((size, size))
-    np.matmul(u.T, q[:, 0::2].T, out=vh[:ne])
-    np.matmul(vt, q[:, 1::2].T, out=vh[ne:])
-    return np.concatenate([s, np.zeros(size % 2), s]), vh
+    even, odd, v = q[:, 0::2], q[:, 1::2], vt.T
+    step = -(-size // 16)
+    for j in range(0, size, step):
+        even[j:j + step] = even[j:j + step] @ u
+        odd[j:j + step] = odd[j:j + step] @ v
+    values = np.empty(size)
+    values[0::2] = np.concatenate([s, np.zeros(size % 2)])
+    values[1::2] = s
+    return values, q
 
 
 # --- torus grid backend -----------------------------------------------------
@@ -683,18 +701,20 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     removed shift is recorded).  The resolvent route solves (L - A) h = f on
     the mean-zero subspace by a sparse bordered LU in O(n) memory; the
     spectral route integrates (1 + y^2)^{-1} against the spectral weight of
-    g = V f, which needs the eigendecomposition of L and the SVD of M.
+    g = V f, which needs L's Cholesky factor and the SVD of M.  sigma2_rev
+    is 2 <f, L^{-1} f> from the sparse solve, as in
+    :func:`asymptotic_variances`.
     """
     fr, shift = sys.reduce(f)
     route_resolvent = float(2.0 * fr @ sys.solve(fr))
 
-    g, measure = sys.spectral_weight(fr)
+    measure = sys.spectral_weight(fr)
     route_spectral = float(
         2.0 * np.sum(measure.weights / (1.0 + measure.locations**2))
     )
 
-    sigma2_rev = float(2.0 * g @ g)
-    _, residual = sys.kernel_residual(fr)
+    h0, residual = sys.kernel_residual(fr)
+    sigma2_rev = float(2.0 * fr @ h0)
     kernel_flag = residual <= KERNEL_FLAG_RTOL
 
     scale = max(abs(route_resolvent), abs(route_spectral), 1e-300)
@@ -726,7 +746,9 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     The perturbed real part can only move up: a perturbed eigenpair
     (mu, v) satisfies Re mu = <v, L v>/|v|^2 >= min eig(L).
     """
-    w, _ = sys.l_eigh
+    import scipy.linalg
+
+    lam = float(sys._l_eigenvalues()[0])
     eigs = scipy.linalg.eigvals(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0),
                                 overwrite_a=True)
-    return float(w[0]), float(eigs.real.min())
+    return lam, float(eigs.real.min())
