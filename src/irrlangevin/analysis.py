@@ -13,10 +13,11 @@ when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
 of R^{-T} A R^{-1}, with L = R^T R, whose right singular vectors v_j the
 system caches as Z_j = R^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
 ``worst_case`` caches nothing of its own: before it allocates anything
-else it takes the kernel of the restricted A from the columns of the
-structured skew SVD (``skew_svd``), formed over that restriction; it fills
-the resolvent into one array a block of columns at a time and symmetrizes
-it in place, and it takes L's eigenvalues alone, then only the few
+else it takes the kernel of the restricted A, and only the kernel, from the
+zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
+and inverse iteration, no SVD); it fills the resolvent into one array a
+block of columns at a time and symmetrizes it in place, and it reads L's
+eigenvalues from the system's cached vector, then takes only the few
 eigenvectors of L's lowest eigenspace.
 """
 
@@ -33,8 +34,8 @@ from .spectral_oracle import (
     DiscretizedSystem,
     SpectralMeasure,
     _by_column_blocks,
+    _skew_kernel,
     _symmetrize,
-    skew_svd,
 )
 
 Array = np.ndarray
@@ -134,13 +135,10 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
     import scipy.linalg
 
     # the kernel of the restricted A comes first, while this function holds
-    # no other dense array: the columns of skew_svd's right singular vectors
-    # with s <= 1e-10 max s (null_space's rcond rule)
-    s, v = skew_svd(sys._restrict(sys.s_matrix, -1.0))
-    a_kernel = v[:, s <= 1e-10 * s.max(initial=0.0)]
-    del v
+    # no other dense array
+    a_kernel = _skew_kernel(sys._restrict(sys.s_matrix, -1.0))
 
-    w = sys._l_eigenvalues()
+    w = sys._l_eigenvalues
     lam = float(w[0])
     sup_rev = 2.0 / lam
 

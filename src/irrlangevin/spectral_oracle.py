@@ -22,7 +22,8 @@ the asymptotic variance of a centered observable f is computed by two
 independent routes:
 
 * resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
-  sparse LU of L - S bordered by the mean-zero constraint (O(n) memory);
+  sparse LU of L - S bordered by the mean-zero constraint (O(n) memory),
+  its columns ordered by minimum degree on the torus grid;
 * spectral: with V = L^{-1/2} and the real antisymmetric M = V A V,
   expand g = V f in the singular vectors of M and return
   2 sum_j w_j / (1 + y_j^2), where the atoms (y_j, w_j) form the spectral
@@ -46,14 +47,19 @@ Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
 float64 (n - 1) x (n - 1) matrices, and a system caches one of them, on
 first request: Z = R^{-1} [right singular vectors of R^{-T} A R^{-1}], so
 the masses of the atoms are (Z^T f)^2 and neither V nor L's eigenvectors
-are formed.  The chain holds at most two such arrays at once: the
+are formed.  Beside it a system caches the O(n) eigenvalues of the
+restricted L, shared by ``worst_case``, ``generator_gaps`` and the
+acceptance matrix.  The chain holds at most two dense arrays at once: the
 restriction of L, factored in place by ``dpotrf``, and the restriction of
 A, turned into R^{-T} A R^{-1} in place by two triangular solves.
-:func:`skew_svd`'s two stages reduce that antisymmetric matrix to a
+``_skew_tridiagonal`` reduces that antisymmetric matrix to a
 skew-tridiagonal one, whose orthogonal factor Q overwrites it and is then
-replaced by R^{-1} Q (which frees R), and take the SVD of a bidiagonal
-matrix of half the size; the singular vectors are formed over the columns
-of Q, a block of rows at a time, and no left singular vectors are formed.
+replaced by R^{-1} Q (which frees R), and ``_skew_singular_vectors`` takes
+the SVD of a bidiagonal matrix of half the size; the singular vectors are
+formed over the columns of Q, a block of rows at a time, and no left
+singular vectors are formed.  ``worst_case`` needs only the kernel of A:
+``_skew_kernel`` reads it from the zero window of the symmetric
+tridiagonal form of the same skew-tridiagonal matrix, with no SVD.
 A restriction to the mean-zero subspace is filled into one Fortran-ordered
 array a block of columns at a time, in O(n nnz) and without a dense basis.
 Every dense LAPACK call is scipy's and overwrites its input, handed over
@@ -83,9 +89,9 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# at n = 4096 variance_report (with generator_gaps) grows RSS by 335 MB and
-# worst_case by 310 MB, so about 1.0 GB and 0.9 GB at this cap (extrapolated
-# by n^2, not run).
+# at n = 4096 variance_report (with generator_gaps) grows RSS by 333 MB and
+# worst_case by 187 MB, so about 1.0 GB and 0.55 GB at this cap
+# (extrapolated by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -194,20 +200,6 @@ class DiscretizedSystem:
             _symmetrize(out, sign)
         return out
 
-    def _l_eigenvalues(self) -> Array:
-        """Eigenvalues of the restricted L, ascending, checked positive.
-
-        Computed per call, without eigenvectors, so LAPACK's workspace is
-        O(n); the restriction is overwritten.
-        """
-        import scipy.linalg
-
-        w = scipy.linalg.eigvalsh(self._restrict(self.l_matrix, 1.0),
-                                  overwrite_a=True, driver="evd")
-        if w[0] <= 0.0:
-            raise _not_positive_definite(w[0])
-        return w
-
     def _congruence(self) -> tuple[Array, Array]:
         """(R, R^{-T} A R^{-1}) on the mean-zero subspace, with L = R^T R
         factored in place and the product as the two triangular solves
@@ -222,10 +214,26 @@ class DiscretizedSystem:
         r, info = lapack.dpotrf(self._restrict(self.l_matrix, 1.0),
                                 overwrite_a=True)
         if info:
-            raise _not_positive_definite(self._l_eigenvalues()[0])
+            raise _not_positive_definite(self._l_eigenvalues[0])
         return r, _congruent(r, self._restrict(self.s_matrix, -1.0))
 
     # -- cached factorizations -------------------------------------------
+
+    @cached_property
+    def _l_eigenvalues(self) -> Array:
+        """Eigenvalues of the restricted L, ascending, checked positive.
+
+        Computed without eigenvectors, so LAPACK's workspace is O(n); the
+        restriction is overwritten and only the O(n) vector is kept.  A
+        failed check raises on every access, since nothing is cached then.
+        """
+        import scipy.linalg
+
+        w = scipy.linalg.eigvalsh(self._restrict(self.l_matrix, 1.0),
+                                  overwrite_a=True, driver="evd")
+        if w[0] <= 0.0:
+            raise _not_positive_definite(w[0])
+        return w
 
     @cached_property
     def _householder(self) -> tuple[Array, Array, float]:
@@ -264,13 +272,12 @@ class DiscretizedSystem:
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
-        return _bordered_solver(self.l_matrix - self.s_matrix, self.const_vec,
-                                self.pi_weights, "perturbed operator")
+        return _bordered_solver(self, self.l_matrix - self.s_matrix,
+                                "perturbed operator")
 
     @cached_property
     def _l_solver(self) -> Callable[[Array], Array]:
-        return _bordered_solver(self.l_matrix, self.const_vec, self.pi_weights,
-                                "energy operator")
+        return _bordered_solver(self, self.l_matrix, "energy operator")
 
     # -- the solve path ----------------------------------------------------
 
@@ -344,7 +351,7 @@ class DiscretizedSystem:
         return (x.T / root).T
 
 
-def _bordered_solver(op, const: Array, pi: Array,
+def _bordered_solver(sys: DiscretizedSystem, op,
                      what: str) -> Callable[[Array], Array]:
     """Sparse LU of the bordered system [[op, c], [(pi c)^T, 0]], as a solve.
 
@@ -354,10 +361,18 @@ def _bordered_solver(op, const: Array, pi: Array,
     P S P and S differ only by a multiple of c, which the border absorbs.
     An exactly singular factor or a non-finite solution raises
     :class:`DiscretizationDefectError`.
+
+    On a torus grid the columns are ordered by SuperLU's minimum degree on
+    the pattern of B^T + B (B the bordered matrix), which cuts the fill of
+    the stencil's factors by 34 to 47 % against COLAMD (m = 16 to 83) in
+    about the same time.  The Hermite basis keeps COLAMD: there minimum
+    degree took 3 to 7 times as long, and with Q coupling every pair of
+    axes it also filled 16 to 38 % more.
     """
     import scipy.sparse
     from scipy.sparse.linalg import splu
 
+    const, pi = sys.const_vec, sys.pi_weights
     n = op.shape[0]
     coo = op.tocoo()
     border = np.arange(n)
@@ -366,9 +381,10 @@ def _bordered_solver(op, const: Array, pi: Array,
          (np.concatenate([coo.row, border, np.full(n, n)]),
           np.concatenate([coo.col, np.full(n, n), border]))),
         shape=(n + 1, n + 1))
+    order = "MMD_AT_PLUS_A" if isinstance(sys.backend, TorusGrid) else "COLAMD"
     message = f"{what} is singular on the mean-zero subspace"
     try:
-        lu = splu(bordered)
+        lu = splu(bordered, permc_spec=order)
     except RuntimeError as exc:  # how SuperLU reports a zero pivot
         raise DiscretizationDefectError(message) from exc
 
@@ -422,24 +438,13 @@ def _congruent(r: Array, a: Array) -> Array:
     return blas.dtrsm(1.0, r, a, side=1, overwrite_b=True)
 
 
-def skew_svd(m: Array) -> tuple[Array, Array]:
-    """(singular values, right singular vectors as columns) of the real
-    antisymmetric (N, N) ``m``, which is overwritten by the vectors.
-
-    Column 2i and column 2i + 1 span one invariant plane of m and share a
-    singular value; for odd N the last column has singular value 0.  The
-    values are not sorted.  Ward & Gray, ACM TOMS 4 (1978).
-    """
-    return _skew_singular_vectors(*_skew_tridiagonal(m))
-
-
 def _skew_tridiagonal(m: Array) -> tuple[Array, Array]:
     """(Q, e) with Q^T m Q = T skew-tridiagonal, T's subdiagonal e; the
     antisymmetric ``m`` is overwritten by Q.
 
     The reduction is LAPACK's Hessenberg one, done in place; T's
     subdiagonal is read as e = (diag(H, -1) - diag(H, 1)) / 2 before Q is
-    formed over H.
+    formed over H.  Ward & Gray, ACM TOMS 4 (1978).
     """
     from scipy.linalg import lapack
 
@@ -487,6 +492,37 @@ def _skew_singular_vectors(q: Array, e: Array) -> tuple[Array, Array]:
     values[0::2] = np.concatenate([s, np.zeros(size % 2)])
     values[1::2] = s
     return values, q
+
+
+def _skew_kernel(m: Array) -> Array:
+    """Orthonormal columns spanning the numerical kernel of the real
+    antisymmetric (N, N) ``m``, which is overwritten by Q.
+
+    With Q^T m Q = T skew-tridiagonal, the symmetric tridiagonal G with
+    zero diagonal and off-diagonal (-e_0, e_1, -e_2, e_3, ...) is D T with
+    D = diag(1, -1, 1, ...): G y = 0 exactly when T y = 0, and the
+    eigenvalues of G are m's singular values with both signs (the
+    Golub-Kahan form of B, interleaved).  The kernel is Q y over the
+    eigenvectors y of G with |lambda| <= 1e-10 lambda_max, the rcond rule
+    of ``scipy.linalg.null_space``, found by bisection and inverse iteration
+    (``dstebz``, ``dstein``); no SVD is taken and no vectors but Q's and
+    the kernel's are formed.  For N < 2 or m = 0 the kernel is the whole
+    space, Q itself.
+    """
+    import scipy.linalg
+
+    q, off = _skew_tridiagonal(m)
+    if not np.any(off):
+        return q
+    off[0::2] *= -1.0  # G = D T
+    zero = np.zeros(len(q))
+    top = scipy.linalg.eigh_tridiagonal(
+        zero, off, eigvals_only=True, select="i",
+        select_range=(len(q) - 1, len(q) - 1))[0]
+    tol = 1e-10 * top
+    _, y = scipy.linalg.eigh_tridiagonal(  # the interval is (lo, hi]
+        zero, off, select="v", select_range=(np.nextafter(-tol, -np.inf), tol))
+    return q @ y
 
 
 # --- torus grid backend -----------------------------------------------------
@@ -748,7 +784,7 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     """
     import scipy.linalg
 
-    lam = float(sys._l_eigenvalues()[0])
+    lam = float(sys._l_eigenvalues[0])
     eigs = scipy.linalg.eigvals(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0),
                                 overwrite_a=True)
     return lam, float(eigs.real.min())
