@@ -15,10 +15,10 @@ system caches as Z_j = R^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
 ``worst_case`` caches nothing of its own: before it allocates anything
 else it takes the kernel of the restricted A, and only the kernel, from the
 zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
-and inverse iteration, no SVD); it fills the resolvent into one array a
-block of columns at a time and symmetrizes it in place, and it reads L's
-eigenvalues from the system's cached vector, then takes only the few
-eigenvectors of L's lowest eigenspace.
+and inverse iteration, no SVD, Q never formed); it fills the resolvent into
+one array a block of columns at a time and symmetrizes it in place, and it
+reads L's eigenvalues from the system's cached vector, then takes only the
+few eigenvectors of L's lowest eigenspace.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .spectral_oracle import (
-    EIGENVALUE_MERGE_TOL,
     KERNEL_FLAG_RTOL,
     DiscretizedSystem,
     SpectralMeasure,
@@ -39,6 +38,9 @@ from .spectral_oracle import (
 )
 
 Array = np.ndarray
+
+WEIGHT_RTOL = 1e-12  # atoms lighter than this share of the mass carry none
+ANGLE_TOL = 1e-8  # principal angles with smaller sines count as intersection
 
 
 @dataclass
@@ -86,8 +88,7 @@ class EqualityCertificate:
 
 
 def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
-            k_values: Sequence[float],
-            weight_tol: float = 1e-12) -> KSweepResult:
+            k_values: Sequence[float]) -> KSweepResult:
     """Evaluate sigma2_{k}(f) over drift scales by one SVD.
 
     ``sys_builder`` maps a drift scale to the discretized system; only the
@@ -107,29 +108,28 @@ def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
     fr, _ = sys.reduce(f)
     measure = sys.spectral_weight(fr)
 
-    locs = measure.locations
-    wts = measure.weights
+    locs, wts = measure.locations, measure.weights
     sigma2 = 2.0 * np.array(
         [np.sum(wts / (1.0 + (k * locs) ** 2)) for k in k_arr]
     )
 
-    at_zero = np.abs(locs) <= EIGENVALUE_MERGE_TOL
+    at_zero = locs == 0.0  # the zero cluster, pooled by spectral_weight
     limit = float(2.0 * np.sum(wts[at_zero]))
 
-    carrying = (~at_zero) & (wts > weight_tol * max(measure.total_mass, 1e-300))
+    carrying = (~at_zero) & (wts > WEIGHT_RTOL * max(measure.total_mass, 1e-300))
     b_gap = float(np.min(np.abs(locs[carrying]))) if np.any(carrying) else None
 
     return KSweepResult(k_values=k_arr, sigma2_values=sigma2,
                         limit_prediction=limit, b_gap=b_gap, measure=measure)
 
 
-def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResult:
+def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     """Compare the worst observables of the two dynamics.
 
     For real f, sigma2_irr(f) = <(M + M*) f, f>_pi with M the inverse of the
     perturbed operator, so the supremum over unit-norm f is the largest
     eigenvalue of the symmetrized M, times 2 -- no optimization loop needed.
-    The intersection dimension counts principal angles below ``angle_tol``
+    The intersection dimension counts principal angles below ``ANGLE_TOL``
     between the numerical kernels of (L - lambda) and A.
     """
     import scipy.linalg
@@ -162,7 +162,7 @@ def worst_case(sys: DiscretizedSystem, angle_tol: float = 1e-8) -> WorstCaseResu
         intersection = 0
     else:
         angles = _principal_angles(l_space, a_kernel)
-        intersection = int(np.sum(np.sin(angles) <= angle_tol))
+        intersection = int(np.sum(np.sin(angles) <= ANGLE_TOL))
 
     return WorstCaseResult(
         sup_rev=sup_rev, sup_irr=sup_irr,
@@ -194,18 +194,17 @@ def _principal_angles(a: Array, b: Array) -> Array:
                     np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-def equality_certificate(sys: DiscretizedSystem, f: Array,
-                         rtol: float = KERNEL_FLAG_RTOL) -> EqualityCertificate:
+def equality_certificate(sys: DiscretizedSystem, f: Array) -> EqualityCertificate:
     """Decide sigma2_irr(f) = sigma2_rev(f) by testing A (L^{-1} f) = 0.
 
     Returns the solve h = L^{-1} f as the witness either way; ``equal`` is
-    True when |A h|_pi <= rtol |f|_pi.  Consistent with ``kernel_flag`` and
-    ``equality_gap`` of :func:`irrlangevin.spectral_oracle.variance_report`.
+    True when |A h|_pi <= KERNEL_FLAG_RTOL |f|_pi, as ``kernel_flag`` of
+    :func:`irrlangevin.spectral_oracle.variance_report`.
     """
     fr, _ = sys.reduce(f)
     h, residual = sys.kernel_residual(fr)
     return EqualityCertificate(
-        equal=bool(residual <= rtol),
+        equal=bool(residual <= KERNEL_FLAG_RTOL),
         witness=sys.from_mean_zero(h),
         residual=residual,
     )

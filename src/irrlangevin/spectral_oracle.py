@@ -43,27 +43,24 @@ not trusted by construction alone.
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
-Only the spectral route, ``worst_case`` and ``generator_gaps`` form dense
-float64 (n - 1) x (n - 1) matrices, and a system caches one of them, on
-first request: Z = R^{-1} [right singular vectors of R^{-T} A R^{-1}], so
-the masses of the atoms are (Z^T f)^2 and neither V nor L's eigenvectors
-are formed.  Beside it a system caches the O(n) eigenvalues of the
-restricted L, shared by ``worst_case``, ``generator_gaps`` and the
-acceptance matrix.  The chain holds at most two dense arrays at once: the
-restriction of L, factored in place by ``dpotrf``, and the restriction of
-A, turned into R^{-T} A R^{-1} in place by two triangular solves.
-``_skew_tridiagonal`` reduces that antisymmetric matrix to a
-skew-tridiagonal one, whose orthogonal factor Q overwrites it and is then
-replaced by R^{-1} Q (which frees R), and ``_skew_singular_vectors`` takes
-the SVD of a bidiagonal matrix of half the size; the singular vectors are
-formed over the columns of Q, a block of rows at a time, and no left
-singular vectors are formed.  ``worst_case`` needs only the kernel of A:
-``_skew_kernel`` reads it from the zero window of the symmetric
-tridiagonal form of the same skew-tridiagonal matrix, with no SVD.
-A restriction to the mean-zero subspace is filled into one Fortran-ordered
-array a block of columns at a time, in O(n nnz) and without a dense basis.
-Every dense LAPACK call is scipy's and overwrites its input, handed over
-as it is; ``scipy.linalg`` is imported where it is used.
+A is never formed densely.  The spectral route, ``worst_case`` and
+``generator_gaps`` fill dense (n - 1) x (n - 1) float64 restrictions, a
+block of columns at a time in O(n nnz) and without a dense basis.  The
+spectral chain factors L = R^T R in place (``dpotrf``), turns the
+restriction of A into R^{-T} A R^{-1} in place by two triangular solves,
+reduces that to a skew-tridiagonal T = Q^T (.) Q (``_skew_tridiagonal``),
+forms R^{-1} Q over it and takes the SVD of a bidiagonal matrix of half the
+size (``_skew_singular_vectors``), so it holds at most two dense arrays at
+once.  A system caches what the chain yields: the singular values, one
+dense array Z = R^{-1} [right singular vectors of R^{-T} A R^{-1}], so the
+masses of the atoms are (Z^T f)^2, and max |m + m^T| of the product m as
+the triangular solves left it, which the acceptance matrix reads as its
+antisymmetry check.  It also caches the O(n) eigenvalues of the restricted
+L.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes it
+from the zero window of the symmetric tridiagonal form of T, with no SVD,
+and applies Q's reflectors to the kernel's few columns alone.  Every dense
+LAPACK call is scipy's and overwrites its input, handed over as it is;
+``scipy.linalg`` is imported where it is used.
 """
 
 from __future__ import annotations
@@ -157,8 +154,8 @@ class DiscretizedSystem:
     ``scipy.sparse`` arrays.  The drift operator is A = P S P with
     P = I - c (pi c)^T, the pi-orthogonal projection onto the mean-zero
     subspace; the rank-one parts of P S P vanish in every quantity taken on
-    that subspace, so the solves use S itself and A is only densified on
-    request (``a_matrix``).  Treat instances as immutable; derived
+    that subspace, so the solves use S itself and A is never densified.
+    Treat instances as immutable; derived
     factorizations are cached on first use and shared by all operations.
     """
 
@@ -173,16 +170,6 @@ class DiscretizedSystem:
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
     # -- dense matrices, built per call ------------------------------------
-
-    @property
-    def a_matrix(self) -> Array:
-        """The drift operator A = P S P as a dense (n, n) array, built per access."""
-        c, w = self.const_vec, self.pi_weights * self.const_vec
-        sc = self.s_matrix @ c
-        a = self.s_matrix.toarray()
-        a -= np.outer(c, self.s_matrix.T @ w)
-        a -= np.outer(sc - (w @ sc) * c, w)
-        return a
 
     def _restrict(self, op, sign: float) -> Array:
         """``op`` compressed to the mean-zero basis, in O(n nnz).
@@ -200,22 +187,17 @@ class DiscretizedSystem:
             _symmetrize(out, sign)
         return out
 
-    def _congruence(self) -> tuple[Array, Array]:
-        """(R, R^{-T} A R^{-1}) on the mean-zero subspace, with L = R^T R
-        factored in place and the product as the two triangular solves
-        leave it, not made antisymmetric.
-
-        R^{-T} A R^{-1} = O M O^T with M = V A V and O = R V orthogonal.  A
-        failed factorization raises :class:`DiscretizationDefectError` with
-        the smallest eigenvalue of the restricted L.
-        """
+    def _cholesky(self) -> Array:
+        """The upper triangular R with L = R^T R on the mean-zero subspace,
+        factored over the restriction of L; a failure raises
+        :class:`DiscretizationDefectError` with L's smallest eigenvalue."""
         from scipy.linalg import lapack
 
         r, info = lapack.dpotrf(self._restrict(self.l_matrix, 1.0),
                                 overwrite_a=True)
         if info:
             raise _not_positive_definite(self._l_eigenvalues[0])
-        return r, _congruent(r, self._restrict(self.s_matrix, -1.0))
+        return r
 
     # -- cached factorizations -------------------------------------------
 
@@ -251,24 +233,26 @@ class DiscretizedSystem:
         return root, v, 2.0 / (v @ v)
 
     @cached_property
-    def _weight_vectors(self) -> tuple[Array, Array]:
-        """(s, Z): the singular values of M and Z = R^{-1} [v_1 ... v_N],
-        with v_j the right singular vectors of R^{-T} A R^{-1}, in
-        :func:`skew_svd`'s order.
+    def _weight_vectors(self) -> tuple[Array, Array, float]:
+        """(s, Z, residual): the singular values of M, Z = R^{-1} [v_1 ... v_N]
+        with v_j the right singular vectors of m = R^{-T} A R^{-1} in
+        :func:`_skew_singular_vectors`' order, and max |m + m^T| before m is
+        made antisymmetric.
 
-        The mass of f on v_j is (v_j . R^{-T} f)^2 = (Z_j . f)^2, and A Z_j
-        vanishes where s_j does.  Q ends in the array that held A, and R is
-        freed before the bidiagonal SVD, so Z is the only dense array kept.
+        m = O M O^T with M = V A V and O = R V orthogonal.  The mass of f on
+        v_j is (v_j . R^{-T} f)^2 = (Z_j . f)^2, and A Z_j vanishes where s_j
+        does.  Q ends in the array that held A, and R is freed before the
+        bidiagonal SVD, so Z is the only dense array kept.
         """
         from scipy.linalg import blas
 
-        r, m = self._congruence()
-        _symmetrize(m, -1.0)
-        q, e = _skew_tridiagonal(m)
-        del m
-        q = blas.dtrsm(1.0, r, q, overwrite_b=True)  # R^{-1} Q, in place
+        r = self._cholesky()
+        m = _congruent(r, self._restrict(self.s_matrix, -1.0))
+        residual = _symmetrize(m, -1.0)
+        h, tau, e = _skew_tridiagonal(m)
+        q = blas.dtrsm(1.0, r, _hessenberg_q(h, tau), overwrite_b=True)  # R^{-1} Q
         del r
-        return _skew_singular_vectors(q, e)
+        return (*_skew_singular_vectors(q, e), residual)
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -315,7 +299,7 @@ class DiscretizedSystem:
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
-        s, z = self._weight_vectors
+        s, z, _ = self._weight_vectors
         order = np.argsort(s, kind="stable")
         locs, mass = _merge_atoms(s[order], ((z.T @ fr) ** 2)[order])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
@@ -411,16 +395,20 @@ def _by_column_blocks(size: int, columns: Callable[[int, int], Array]) -> Array:
     return out
 
 
-def _symmetrize(a: Array, sign: float) -> None:
+def _symmetrize(a: Array, sign: float) -> float:
     """a = (a + sign a^T) / 2 in place, in at most 16 strips: rows j to k - 1
-    from column j on, paired with columns j to k - 1 from row j on."""
+    from column j on, paired with columns j to k - 1 from row j on; returns
+    max |a - sign a^T| of the input."""
     size = len(a)
     step = -(-size // 16)
+    residual = 0.0
     for j in range(0, size, step):
         rows, cols = a[j:j + step, j:], a[j:, j:j + step]
+        residual = max(residual, float(np.max(np.abs(rows - sign * cols.T))))
         half = (rows + sign * cols.T) / 2.0
         rows[...] = half
         cols[...] = sign * half.T
+    return residual
 
 
 def _not_positive_definite(smallest: float) -> DiscretizationDefectError:
@@ -438,26 +426,49 @@ def _congruent(r: Array, a: Array) -> Array:
     return blas.dtrsm(1.0, r, a, side=1, overwrite_b=True)
 
 
-def _skew_tridiagonal(m: Array) -> tuple[Array, Array]:
-    """(Q, e) with Q^T m Q = T skew-tridiagonal, T's subdiagonal e; the
-    antisymmetric ``m`` is overwritten by Q.
+def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:
+    """(h, tau, e) with Q^T m Q = T skew-tridiagonal and T's subdiagonal e.
 
-    The reduction is LAPACK's Hessenberg one, done in place; T's
-    subdiagonal is read as e = (diag(H, -1) - diag(H, 1)) / 2 before Q is
-    formed over H.  Ward & Gray, ACM TOMS 4 (1978).
+    LAPACK's Hessenberg reduction overwrites ``m`` with h, which keeps Q as
+    Householder reflectors below its subdiagonal, scaled by ``tau``; e is
+    read as (diag(H, -1) - diag(H, 1)) / 2.  Ward & Gray, ACM TOMS 4 (1978).
     """
     from scipy.linalg import lapack
 
     size = len(m)
-    if size < 2:
-        m[...] = np.eye(size)
-        return m, np.zeros(0)
+    if size < 2:  # nothing to reduce, Q = I
+        return m, np.zeros(0), np.zeros(0)
     h, tau, _ = lapack.dgehrd(m, lwork=int(lapack.dgehrd_lwork(size)[0]),
                               overwrite_a=True)
-    e = (np.diagonal(h, -1) - np.diagonal(h, 1)) / 2.0
-    q, _ = lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(size)[0]),
-                         overwrite_a=True)
-    return q, e
+    return h, tau, (np.diagonal(h, -1) - np.diagonal(h, 1)) / 2.0
+
+
+def _hessenberg_q(h: Array, tau: Array) -> Array:
+    """Q of :func:`_skew_tridiagonal`, formed over ``h`` by ``dorghr``."""
+    from scipy.linalg import lapack
+
+    if len(h) < 2:
+        h[...] = np.eye(len(h))
+        return h
+    return lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(len(h))[0]),
+                         overwrite_a=True)[0]
+
+
+def _hessenberg_q_times(h: Array, tau: Array, y: Array) -> Array:
+    """Q y for the few columns of ``y``, Q = diag(1, Q') left as the
+    reflectors of :func:`_skew_tridiagonal`: ``dormqr`` reads Q' from h[1:,
+    :N - 2], handed over uncopied as h's Fortran buffer from offset 1."""
+    from scipy.linalg import lapack
+
+    size = len(h)
+    if size < 3:  # no reflectors
+        return y
+    block = h.ravel(order="F")[1:1 + size * (size - 2)].reshape(
+        (size, size - 2), order="F")
+    tail, tau = y[1:], tau[:size - 2]
+    lwork = int(lapack.dormqr("L", "N", block, tau, tail, -1)[1][0])
+    return np.concatenate([y[:1], lapack.dormqr("L", "N", block, tau, tail,
+                                                lwork)[0]])
 
 
 def _skew_singular_vectors(q: Array, e: Array) -> tuple[Array, Array]:
@@ -496,7 +507,7 @@ def _skew_singular_vectors(q: Array, e: Array) -> tuple[Array, Array]:
 
 def _skew_kernel(m: Array) -> Array:
     """Orthonormal columns spanning the numerical kernel of the real
-    antisymmetric (N, N) ``m``, which is overwritten by Q.
+    antisymmetric (N, N) ``m``, which is overwritten.
 
     With Q^T m Q = T skew-tridiagonal, the symmetric tridiagonal G with
     zero diagonal and off-diagonal (-e_0, e_1, -e_2, e_3, ...) is D T with
@@ -505,24 +516,24 @@ def _skew_kernel(m: Array) -> Array:
     Golub-Kahan form of B, interleaved).  The kernel is Q y over the
     eigenvectors y of G with |lambda| <= 1e-10 lambda_max, the rcond rule
     of ``scipy.linalg.null_space``, found by bisection and inverse iteration
-    (``dstebz``, ``dstein``); no SVD is taken and no vectors but Q's and
-    the kernel's are formed.  For N < 2 or m = 0 the kernel is the whole
-    space, Q itself.
+    (``dstebz``, ``dstein``); no SVD is taken and Q is never formed.  For
+    N < 2 or m = 0 the kernel is the whole space.
     """
     import scipy.linalg
 
-    q, off = _skew_tridiagonal(m)
+    h, tau, off = _skew_tridiagonal(m)
+    size = len(h)
     if not np.any(off):
-        return q
+        return np.eye(size)
     off[0::2] *= -1.0  # G = D T
-    zero = np.zeros(len(q))
+    zero = np.zeros(size)
     top = scipy.linalg.eigh_tridiagonal(
         zero, off, eigvals_only=True, select="i",
-        select_range=(len(q) - 1, len(q) - 1))[0]
+        select_range=(size - 1, size - 1))[0]
     tol = 1e-10 * top
     _, y = scipy.linalg.eigh_tridiagonal(  # the interval is (lo, hi]
         zero, off, select="v", select_range=(np.nextafter(-tol, -np.inf), tol))
-    return q @ y
+    return _hessenberg_q_times(h, tau, y)
 
 
 # --- torus grid backend -----------------------------------------------------

@@ -57,6 +57,8 @@ from irrlangevin.spectral_oracle import (
 )
 from irrlangevin.spectral_oracle import (
     _congruent,
+    _hessenberg_q,
+    _hessenberg_q_times,
     _merge_atoms,
     _skew_kernel,
     _skew_singular_vectors,
@@ -97,8 +99,19 @@ def hermite_sys():
 # --- dense reference views ---------------------------------------------------
 #
 # Dense constructions that no route forms, kept here (and only here) as
-# references: the pi-orthonormal mean-zero basis, V = L^{-1/2} from L's
-# eigenpairs and M = V A V.
+# references: the drift operator A = P S P, the pi-orthonormal mean-zero
+# basis, V = L^{-1/2} from L's eigenpairs and M = V A V.
+
+
+def _dense_a(sys):
+    """The drift operator A = P S P as a dense (n, n) array, with
+    P = I - c (pi c)^T."""
+    c, w = sys.const_vec, sys.pi_weights * sys.const_vec
+    sc = sys.s_matrix @ c
+    a = sys.s_matrix.toarray()
+    a -= np.outer(c, sys.s_matrix.T @ w)
+    a -= np.outer(sc - (w @ sc) * c, w)
+    return a
 
 
 def _mean_zero_basis(sys):
@@ -110,6 +123,13 @@ def _mean_zero_basis(sys):
     cols = np.arange(sys.n - 1)
     basis[cols + 1, cols] += 1.0
     return basis / root[:, None]
+
+
+def _raw_congruence(sys):
+    """(R, R^-T A R^-1) with L = R^T R, the product as the two triangular
+    solves leave it, before it is made antisymmetric."""
+    r = sys._cholesky()
+    return r, _congruent(r, sys._restrict(sys.s_matrix, -1.0))
 
 
 def _v_and_m(sys):
@@ -143,7 +163,7 @@ def test_flat_1d_grid_is_circulant_laplacian():
 def test_zero_drift_gives_zero_a_matrix(torus_sys):
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    assert np.all(sys.a_matrix == 0.0)
+    assert np.all(_dense_a(sys) == 0.0)
     assert sys.antisym_correction == 0.0
 
 
@@ -151,7 +171,7 @@ def test_weighted_divergence_free_columns():
     # exact pi-antisymmetrization forces the weighted column sums to vanish
     u = torus_cosine(1, 1.0)
     sys = discretize_torus(u, exp_u_field_1d(), 32)
-    col_sums = (sys.pi_weights[:, None] * sys.a_matrix).sum(axis=0)
+    col_sums = (sys.pi_weights[:, None] * _dense_a(sys)).sum(axis=0)
     assert np.max(np.abs(col_sums)) <= 1e-10
 
 
@@ -184,11 +204,11 @@ def test_antisym_correction_reported(torus_sys):
 def test_pi_structure(sysname, torus_sys, hermite_sys):
     sys = torus_sys if sysname == "torus" else hermite_sys
     pi_l = sys.pi_weights[:, None] * sys.l_matrix
-    pi_a = sys.pi_weights[:, None] * sys.a_matrix
+    pi_a = sys.pi_weights[:, None] * _dense_a(sys)
     assert np.max(np.abs(pi_l - pi_l.T)) <= 1e-10
     assert np.max(np.abs(pi_a + pi_a.T)) <= 1e-10
     assert np.max(np.abs(sys.l_matrix @ sys.const_vec)) <= 1e-10
-    assert np.max(np.abs(sys.a_matrix @ sys.const_vec)) <= 1e-10
+    assert np.max(np.abs(_dense_a(sys) @ sys.const_vec)) <= 1e-10
     # <1, 1>_pi = 1 and the mean-zero basis is pi-orthonormal and mean-free
     assert sys.pi_inner(sys.const_vec, sys.const_vec) == pytest.approx(1.0,
                                                                        abs=1e-14)
@@ -203,12 +223,13 @@ def test_pi_structure(sysname, torus_sys, hermite_sys):
 def test_bilinear_symmetry_random_vectors(sysname, torus_sys, hermite_sys):
     sys = torus_sys if sysname == "torus" else hermite_sys
     rng = np.random.default_rng(17)
+    a = _dense_a(sys)
     for _ in range(20):
         f = rng.standard_normal(sys.n)
         g = rng.standard_normal(sys.n)
         norm = np.sqrt(sys.pi_inner(f, f) * sys.pi_inner(g, g))
         sym = sys.pi_inner(sys.l_matrix @ f, g) - sys.pi_inner(f, sys.l_matrix @ g)
-        asym = sys.pi_inner(sys.a_matrix @ f, g) + sys.pi_inner(f, sys.a_matrix @ g)
+        asym = sys.pi_inner(a @ f, g) + sys.pi_inner(f, a @ g)
         assert abs(sym) <= 1e-10 * max(norm, 1.0)
         assert abs(asym) <= 1e-10 * max(norm, 1.0)
 
@@ -227,12 +248,12 @@ def test_hermite_degree_one_blocks():
     assert sys.multi_indices == ((0, 0), (1, 0), (0, 1))
     np.testing.assert_allclose(sys.l_matrix.toarray(), np.diag([0.0, 1.0, 1.0]))
     # drift acts on the linear span with coefficient matrix -Q
-    np.testing.assert_allclose(sys.a_matrix[1:, 1:], -ROT, atol=1e-15)
+    np.testing.assert_allclose(_dense_a(sys)[1:, 1:], -ROT, atol=1e-15)
 
 
 def test_hermite_zero_q():
     sys = discretize_gaussian_linear(np.zeros((2, 2)), dim=2, degree=3)
-    assert np.all(sys.a_matrix == 0.0)
+    assert np.all(_dense_a(sys) == 0.0)
 
 
 def test_hermite_degree_two_shell_is_twice_identity():
@@ -284,7 +305,7 @@ def test_hermite_drift_matrix_against_quadrature():
         for row, gam in enumerate(idxs):
             basis = np.outer(vals[gam[0]], vals[gam[1]])
             oracle[row, col] = np.sum(w2 * basis * af)
-    np.testing.assert_allclose(sys.a_matrix, oracle, atol=1e-12)
+    np.testing.assert_allclose(_dense_a(sys), oracle, atol=1e-12)
 
 
 def test_hermite_indices_count():
@@ -430,9 +451,10 @@ def _reversible_mass(sys, fr):
 def test_m_operator_zero_drift():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    _, m = sys._congruence()
+    _, m = _raw_congruence(sys)
     assert np.max(np.abs(m)) == 0.0
     assert np.max(sys._weight_vectors[0]) == 0.0
+    assert sys._weight_vectors[2] == 0.0
 
 
 def test_m_operator_ou_singular_values():
@@ -448,7 +470,7 @@ def test_m_antisymmetric_and_vlv_identity(sysname, torus_sys, hermite_sys):
     # R^-T A R^-1 = O M O^T (O orthogonal) is antisymmetric before it is
     # made so, exactly after, with the singular values of M = V A V
     sys = torus_sys if sysname == "torus" else hermite_sys
-    r, m = sys._congruence()
+    r, m = _raw_congruence(sys)
     assert m.dtype == np.float64
     assert np.max(np.abs(m + m.T)) <= 1e-14 * np.max(np.abs(m))
     _symmetrize(m, -1.0)
@@ -459,6 +481,19 @@ def test_m_antisymmetric_and_vlv_identity(sysname, torus_sys, hermite_sys):
     np.testing.assert_allclose(np.linalg.svd(m, compute_uv=False),
                                np.linalg.svd(m_ref, compute_uv=False),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["torus m25", "torus m32", "hermite"])
+def test_chain_records_raw_antisymmetry_residual(case, hermite_sys):
+    # the residual the chain keeps beside Z is max |m + m^T| of the raw
+    # product, bit for bit, which C4 reads instead of forming m again
+    if case == "hermite":
+        sys = hermite_sys
+    else:
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
+    _, m = _raw_congruence(sys)
+    assert sys._weight_vectors[2] == np.max(np.abs(m + m.T))
 
 
 def test_m_operator_rejects_indefinite_restriction():
@@ -611,7 +646,8 @@ def test_skew_svd_against_dense_svd(name, m):
     size = len(m)
     scale = max(np.linalg.norm(m, 2), 1.0)
     work = np.array(m, order="F")
-    s, v = _skew_singular_vectors(*_skew_tridiagonal(work))
+    h, tau, e = _skew_tridiagonal(work)
+    s, v = _skew_singular_vectors(_hessenberg_q(h, tau), e)
     assert v is work  # the vectors are formed over the input
     assert s.shape == (size,) and v.shape == (size, size)
     np.testing.assert_allclose(np.sort(s)[::-1],
@@ -629,6 +665,17 @@ def test_skew_svd_against_dense_svd(name, m):
                                s[0:2 * pairs:2], rtol=0, atol=1e-13 * scale)
     if name == "kernel 3":
         assert np.sum(s <= 1e-10 * s.max()) == 3
+
+
+@pytest.mark.parametrize("name,m", list(_skew_cases()),
+                         ids=[name for name, _ in _skew_cases()])
+def test_reflectors_apply_q_without_forming_it(name, m):
+    size = len(m)
+    h, tau, _ = _skew_tridiagonal(np.array(m, order="F"))
+    y = np.random.default_rng(size).standard_normal((size, 3))
+    got = _hessenberg_q_times(h, tau, y)
+    q = _hessenberg_q(h.copy(order="F"), tau)
+    np.testing.assert_allclose(got, q @ y, rtol=0, atol=1e-14 * size)
 
 
 def _skew_kernel_cases():
@@ -975,7 +1022,7 @@ DENSE_CASES = {
 @pytest.mark.parametrize("case", list(DENSE_CASES))
 def test_sparse_oracle_matches_dense_reference(case):
     sys, (pi, l_mat, a_mat, basis, correction) = DENSE_CASES[case]()
-    for got, ref in ((sys.l_matrix.toarray(), l_mat), (sys.a_matrix, a_mat)):
+    for got, ref in ((sys.l_matrix.toarray(), l_mat), (_dense_a(sys), a_mat)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     # U = cos x1 makes the grid field exactly divergence-free, so both
     # corrections are rounding noise there; 1e-15 is that noise floor
@@ -994,6 +1041,29 @@ def test_sparse_oracle_matches_dense_reference(case):
                          (cert.residual, residual),
                          (rep.route_spectral, spectral)):
             assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_c4_stencil_rows_agree_with_dense_a():
+    # C4 reads A = P S P on its stencil: D A = P^T (D S) P with D = diag(pi),
+    # and A 1 = P S P 1.  A symmetric defect B in D S must fail the
+    # pi-antisymmetry row exactly when it fails on the dense A
+    from dataclasses import replace
+
+    from irrlangevin.benchmark import _structure_residuals
+
+    u = torus_cosine(2, 1.0)
+    sound = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
+    b = csr_array(([1e-6, 1e-6], ([5, 40], [40, 5])), shape=(sound.n, sound.n))
+    broken = replace(sound, s_matrix=sound.s_matrix
+                     + csr_array(b / sound.pi_weights[:, None]))
+    for sys, defect in ((sound, False), (broken, True)):
+        rows = dict(_structure_residuals(sys))
+        a = _dense_a(sys)
+        pi_a = sys.pi_weights[:, None] * a
+        assert (rows["pi-antisymmetry of A"] > 1e-10) == defect
+        assert (np.max(np.abs(pi_a + pi_a.T)) > 1e-10) == defect
+        assert rows["A annihilates constants"] <= 1e-10
+        assert np.max(np.abs(a @ sys.const_vec)) <= 1e-10
 
 
 def test_mean_zero_coordinates_are_the_householder_basis(torus_sys, hermite_sys):
@@ -1185,7 +1255,7 @@ def test_dense_chain_caches_one_dense_array():
             for item in (value if isinstance(value, tuple) else (value,))]
     held = [a for a in held
             if isinstance(a, np.ndarray) and a.nbytes >= 8 * (sys.n - 1) ** 2]
-    _, z = sys._weight_vectors
+    _, z, _ = sys._weight_vectors
     assert z.shape == (sys.n - 1, sys.n - 1)
     assert len(held) == 1
     assert held[0] is _buffer_owner(z)
