@@ -10,8 +10,9 @@ singular values of M taken with both signs,
 which is non-increasing in the drift scale k, tends to twice the mass at
 y = 0 (the kernel component of g), and equals the reversible value exactly
 when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
-of R^{-T} A R^{-1}, with L = R^T R, whose right singular vectors v_j the
-system caches as Z_j = R^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
+of F^{-T} A_E F^{-1}, with F the sparse factor of the grounded energy
+matrix L_E = F^T F and A_E the grounded A, whose right singular vectors v_j
+the system caches as Z_j = F^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
 ``worst_case`` caches nothing of its own: before it allocates anything
 else it takes the kernel of the restricted A, and only the kernel, from the
 zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
@@ -186,10 +187,11 @@ def _principal_angles(a: Array, b: Array) -> Array:
     if a.shape[1] < b.shape[1]:
         a, b = b, a
     import scipy.linalg
+    from scipy.linalg import blas
 
-    cross = a.T @ b
+    cross = blas.dgemm(1.0, a, b, trans_a=True)
     cos = scipy.linalg.svdvals(cross)[::-1]
-    sin = scipy.linalg.svdvals(b - a @ cross)
+    sin = scipy.linalg.svdvals(blas.dgemm(-1.0, a, cross, beta=1.0, c=b))
     return np.where(cos**2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))
 

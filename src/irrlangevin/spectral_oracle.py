@@ -30,10 +30,11 @@ independent routes:
   weight of g under iM.  The eigenvalues of iM are the singular values of
   M with both signs, and a real g puts equal weight on +s and -s, so the
   measure is built from one real SVD and is symmetric about 0 by
-  construction.  Any factor L = R^T R serves in place of V: R V is
-  orthogonal, so with O = R V the congruence R^{-T} A R^{-1} = O M O^T and
-  R^{-T} f = O g have the same atoms.  The route therefore needs L's
-  Cholesky factor, not its eigendecomposition.
+  construction.  Any factor F with F^T F = E^T pi L E, for a basis E of
+  the mean-zero subspace, serves in place of V: the columns of
+  O = V^{-1} E F^{-1} are pi-orthonormal, so F^{-T} (E^T pi A E) F^{-1} =
+  O^T pi M O and F^{-T} E^T pi f = O^T pi g have the same atoms.  The
+  route therefore needs a factor of L, not its eigendecomposition.
 
 The reversible value is sigma2_rev = 2 <f, L^{-1} f>; since every weight
 is nonnegative, the perturbed value never exceeds it.  Route agreement and
@@ -43,24 +44,32 @@ not trusted by construction alone.
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
-A is never formed densely.  The spectral route, ``worst_case`` and
-``generator_gaps`` fill dense (n - 1) x (n - 1) float64 restrictions, a
-block of columns at a time in O(n nnz) and without a dense basis.  The
-spectral chain factors L = R^T R in place (``dpotrf``), turns the
-restriction of A into R^{-T} A R^{-1} in place by two triangular solves,
-reduces that to a skew-tridiagonal T = Q^T (.) Q (``_skew_tridiagonal``),
-forms R^{-1} Q over it and takes the SVD of a bidiagonal matrix of half the
-size (``_skew_singular_vectors``), so it holds at most two dense arrays at
-once.  A system caches what the chain yields: the singular values, one
-dense array Z = R^{-1} [right singular vectors of R^{-T} A R^{-1}], so the
-masses of the atoms are (Z^T f)^2, and max |m + m^T| of the product m as
-the triangular solves left it, which the acceptance matrix reads as its
-antisymmetry check.  It also caches the O(n) eigenvalues of the restricted
-L.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes it
-from the zero window of the symmetric tridiagonal form of T, with no SVD,
-and applies Q's reflectors to the kernel's few columns alone.  Every dense
-LAPACK call is scipy's and overwrites its input, handed over as it is;
-``scipy.linalg`` is imported where it is used.
+A is never formed densely.  The spectral route grounds one state g with
+(pi c)_g != 0: E = P J projects the unit vectors of the other states onto
+the mean-zero subspace, so L_E = E^T pi L E = (pi L)[keep, keep] (L
+annihilates constants) and A_E = E^T pi A E is the same restriction of
+pi S plus two rank-one terms.  SuperLU factors L_E = P^T L D L^T P with
+diagonal pivots (``_energy_factor``), so F = D^{1/2} L^T P is sparse, and
+the diagonal sqrt(degree) on the Hermite basis.  The chain fills
+m = F^{-T} A_E F^{-1} a block of columns at a time by sparse triangular
+solves, reduces it to a skew-tridiagonal T = Q^T m Q
+(``_skew_tridiagonal``), keeps only Q's reflectors, packed into half an
+array, while it takes the SVD of a bidiagonal matrix of half the size
+(``_bidiagonal_svd``), then forms Q in a fresh array, F^{-1} Q over it by
+sparse solves, and the singular vectors (``_rotate_columns``).  A system
+caches what the chain yields: the singular values, one dense array
+Z = F^{-1} [right singular vectors of m], so the masses of the atoms are
+(Z^T b)^2 with b = (pi f)[keep], and max |m + m^T| of m as the solves left
+it, which the acceptance matrix reads as its antisymmetry check.  It also
+caches the sparse factor and the O(n) eigenvalues of the restricted L.
+``worst_case`` and ``generator_gaps`` fill dense (n - 1) x (n - 1)
+restrictions, a block of columns at a time in O(n nnz) and without a dense
+basis.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes
+it from the zero window of the symmetric tridiagonal form of T, with no
+SVD, and applies Q's reflectors to the kernel's few columns alone.  Every
+dense LAPACK call and level-3 product is scipy's, and each LAPACK call
+overwrites its input, handed over as it is; ``scipy.linalg`` is imported
+where it is used.
 """
 
 from __future__ import annotations
@@ -86,8 +95,8 @@ Array = np.ndarray
 
 # The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# at n = 4096 variance_report (with generator_gaps) grows RSS by 333 MB and
-# worst_case by 187 MB, so about 1.0 GB and 0.55 GB at this cap
+# at n = 4096 variance_report (with generator_gaps) grows RSS by 319 MB and
+# worst_case by 184 MB, so about 0.93 GB and 0.54 GB at this cap
 # (extrapolated by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
@@ -142,6 +151,39 @@ class VarianceReport:
     measure: SpectralMeasure
 
 
+@dataclass(frozen=True)
+class _EnergyFactor:
+    """F = D^{1/2} L^T P with P^T L D L^T P = L_E on the grounded states.
+
+    ``lower`` is the unit lower triangular L (sparse, CSC), ``root_d`` the
+    square roots of the pivots D, and P x = x[argsort(perm)].  ``residual``
+    is max |P^T L D L^T P - L_E| / max |L_E|, taken when the factor is made.
+    """
+
+    keep: Array  # every state but the grounded one
+    perm: Array
+    lower: scipy.sparse.csc_array
+    root_d: Array
+    residual: float
+
+    def solve(self, x: Array) -> Array:
+        """F^{-1} x for the columns of the (N, k) ``x``."""
+        from scipy.sparse.linalg import spsolve_triangular
+
+        y = spsolve_triangular(self.lower.T, x / self.root_d[:, None],
+                               lower=False, unit_diagonal=True, overwrite_b=True)
+        return y[self.perm]
+
+    def solve_t(self, x: Array) -> Array:
+        """F^{-T} x for the columns of the (N, k) ``x``."""
+        from scipy.sparse.linalg import spsolve_triangular
+
+        y = np.empty_like(x)
+        y[self.perm] = x
+        return spsolve_triangular(self.lower, y, lower=True, unit_diagonal=True,
+                                  overwrite_b=True) / self.root_d[:, None]
+
+
 @dataclass
 class DiscretizedSystem:
     """pi-weighted sparse realization of (L, A) on a finite state space.
@@ -187,17 +229,35 @@ class DiscretizedSystem:
             _symmetrize(out, sign)
         return out
 
-    def _cholesky(self) -> Array:
-        """The upper triangular R with L = R^T R on the mean-zero subspace,
-        factored over the restriction of L; a failure raises
-        :class:`DiscretizationDefectError` with L's smallest eigenvalue."""
-        from scipy.linalg import lapack
+    def _congruence(self) -> Array:
+        """m = F^{-T} A_E F^{-1} as the sparse solves leave it, filled a block
+        of columns at a time.
 
-        r, info = lapack.dpotrf(self._restrict(self.l_matrix, 1.0),
-                                overwrite_a=True)
-        if info:
-            raise _not_positive_definite(self._l_eigenvalues[0])
-        return r
+        A_E = E^T pi A E = K + w t^T - t w^T, with K the grounded rows and
+        columns of the antisymmetric part X of pi S, t = X c and w = pi c
+        on the kept states; X is exactly antisymmetric, so m is antisymmetric
+        up to the rounding of the solves.
+        """
+        import scipy.sparse
+
+        factor = self._energy_factor
+        keep = factor.keep
+        pi_s = scipy.sparse.diags_array(self.pi_weights) @ self.s_matrix
+        pi_s = ((pi_s - pi_s.T) / 2.0).tocsr()
+        t = (pi_s @ self.const_vec)[keep]
+        w = (self.pi_weights * self.const_vec)[keep]
+        k_mat = pi_s[keep][:, keep]
+        size = self.n - 1
+
+        def columns(j: int, k: int) -> Array:
+            x = factor.solve(np.eye(size, k - j, -j))
+            y = k_mat @ x
+            y += np.outer(w, t @ x)
+            y -= np.outer(t, w @ x)
+            del x
+            return factor.solve_t(y)
+
+        return _by_column_blocks(size, columns)
 
     # -- cached factorizations -------------------------------------------
 
@@ -233,26 +293,66 @@ class DiscretizedSystem:
         return root, v, 2.0 / (v @ v)
 
     @cached_property
-    def _weight_vectors(self) -> tuple[Array, Array, float]:
-        """(s, Z, residual): the singular values of M, Z = R^{-1} [v_1 ... v_N]
-        with v_j the right singular vectors of m = R^{-T} A R^{-1} in
-        :func:`_skew_singular_vectors`' order, and max |m + m^T| before m is
-        made antisymmetric.
+    def _energy_factor(self) -> _EnergyFactor:
+        """Sparse P^T L D L^T P of the grounded energy matrix L_E.
 
-        m = O M O^T with M = V A V and O = R V orthogonal.  The mass of f on
-        v_j is (v_j . R^{-T} f)^2 = (Z_j . f)^2, and A Z_j vanishes where s_j
-        does.  Q ends in the array that held A, and R is freed before the
-        bidiagonal SVD, so Z is the only dense array kept.
+        The grounded state g has the largest pi c^2, which keeps the Gram
+        matrix of E furthest from singular; on the Hermite basis g = 0.
+        SuperLU takes its pivots on the diagonal (``SymmetricMode`` with
+        ``diag_pivot_thresh`` 0), so its row order is its column order and
+        U = D L^T; only L and D are kept.  The torus orders by minimum
+        degree on the pattern, as the bordered LU does; the Hermite L_E is
+        diagonal and keeps its order, so there L = I.  A zero, negative or
+        off-diagonal pivot raises :class:`DiscretizationDefectError` with
+        the smallest eigenvalue of the restricted L.
         """
-        from scipy.linalg import blas
+        import scipy.sparse
+        from scipy.sparse.linalg import splu
 
-        r = self._cholesky()
-        m = _congruent(r, self._restrict(self.s_matrix, -1.0))
+        keep = np.delete(np.arange(self.n),
+                         np.argmax(self.pi_weights * self.const_vec**2))
+        pi_l = scipy.sparse.diags_array(self.pi_weights) @ self.l_matrix
+        energy = pi_l.tocsr()[keep][:, keep].tocsc()
+        order = "MMD_AT_PLUS_A" if isinstance(self.backend, TorusGrid) else "NATURAL"
+        try:
+            lu = splu(energy, permc_spec=order, diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:  # how SuperLU reports a zero pivot
+            raise _not_positive_definite(self._l_eigenvalues[0]) from exc
+        d = lu.U.diagonal()
+        if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
+            raise _not_positive_definite(self._l_eigenvalues[0])
+        inverse = np.argsort(lu.perm_c)
+        rebuilt = lu.L @ scipy.sparse.diags_array(d) @ lu.L.T
+        residual = abs(rebuilt - energy[inverse][:, inverse]).max() / abs(energy).max()
+        return _EnergyFactor(keep=keep, perm=lu.perm_c, lower=lu.L,
+                             root_d=np.sqrt(d), residual=float(residual))
+
+    @cached_property
+    def _weight_vectors(self) -> tuple[Array, Array, float]:
+        """(s, Z, residual): the singular values of M, Z = F^{-1} [v_1 ... v_N]
+        with v_j the right singular vectors of m = F^{-T} A_E F^{-1} in
+        :func:`_bidiagonal_svd`'s order, and max |m + m^T| before m is made
+        antisymmetric.
+
+        m = O^T pi M O with O pi-orthonormal.  The mass of f on v_j is
+        (v_j . F^{-T} b)^2 = (Z_j . b)^2 with b = E^T pi f, and A E Z_j
+        vanishes where s_j does.  Only Q's reflectors, packed into half an
+        array, are alive while B's SVD runs; Q is formed in a fresh array
+        afterwards and Z over it, the only dense array kept.
+        """
+        m = self._congruence()
         residual = _symmetrize(m, -1.0)
         h, tau, e = _skew_tridiagonal(m)
-        q = blas.dtrsm(1.0, r, _hessenberg_q(h, tau), overwrite_b=True)  # R^{-1} Q
-        del r
-        return (*_skew_singular_vectors(q, e), residual)
+        packed = _pack_reflectors(h)
+        del m, h
+        s, u, vt = _bidiagonal_svd(e)
+        z = _unpack_reflectors(packed, len(s))
+        del packed
+        z = _hessenberg_q(z, tau)
+        for j, k in _blocks(len(z)):
+            z[:, j:k] = self._energy_factor.solve(z[:, j:k])
+        return s, _rotate_columns(z, u, vt), residual
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
@@ -291,17 +391,22 @@ class DiscretizedSystem:
     def spectral_weight(self, fr: Array) -> SpectralMeasure:
         """Atoms of the spectral weight of g = V fr under iM.
 
-        The masses are taken as (Z_j . fr)^2 against the cached columns of
-        ``_weight_vectors``, so V itself is never formed.
+        The masses are taken as (Z_j . b)^2 against the cached columns of
+        ``_weight_vectors``, with b = (pi f)[keep] the grounded coordinates
+        of the state vector f of ``fr``, so V itself is never formed.
 
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
+        from scipy.linalg import blas
+
         s, z, _ = self._weight_vectors
+        b = (self.pi_weights * self.from_mean_zero(fr))[self._energy_factor.keep]
         order = np.argsort(s, kind="stable")
-        locs, mass = _merge_atoms(s[order], ((z.T @ fr) ** 2)[order])
+        locs, mass = _merge_atoms(s[order],
+                                  (blas.dgemv(1.0, z, b, trans=1) ** 2)[order])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
         return SpectralMeasure(
@@ -385,13 +490,18 @@ def _bordered_solver(sys: DiscretizedSystem, op,
 # --- dense helpers -------------------------------------------------------------
 
 
+def _blocks(size: int) -> list[tuple[int, int]]:
+    """Bounds (j, k) of at most 16 consecutive blocks covering range(size)."""
+    step = max(-(-size // 16), 1)
+    return [(j, min(j + step, size)) for j in range(0, size, step)]
+
+
 def _by_column_blocks(size: int, columns: Callable[[int, int], Array]) -> Array:
     """A Fortran-ordered (size, size) array whose columns j to k - 1 are
     ``columns(j, k)``, filled in at most 16 blocks."""
     out = np.empty((size, size), order="F")
-    step = -(-size // 16)
-    for j in range(0, size, step):
-        out[:, j:j + step] = columns(j, min(j + step, size))
+    for j, k in _blocks(size):
+        out[:, j:k] = columns(j, k)
     return out
 
 
@@ -399,11 +509,9 @@ def _symmetrize(a: Array, sign: float) -> float:
     """a = (a + sign a^T) / 2 in place, in at most 16 strips: rows j to k - 1
     from column j on, paired with columns j to k - 1 from row j on; returns
     max |a - sign a^T| of the input."""
-    size = len(a)
-    step = -(-size // 16)
     residual = 0.0
-    for j in range(0, size, step):
-        rows, cols = a[j:j + step, j:], a[j:, j:j + step]
+    for j, k in _blocks(len(a)):
+        rows, cols = a[j:k, j:], a[j:, j:k]
         residual = max(residual, float(np.max(np.abs(rows - sign * cols.T))))
         half = (rows + sign * cols.T) / 2.0
         rows[...] = half
@@ -415,15 +523,6 @@ def _not_positive_definite(smallest: float) -> DiscretizationDefectError:
     return DiscretizationDefectError(
         "restricted energy operator is not positive definite: "
         f"smallest eigenvalue {smallest:.6e}")
-
-
-def _congruent(r: Array, a: Array) -> Array:
-    """R^{-T} a R^{-1} for the upper triangular R, by two triangular solves
-    that overwrite the Fortran-ordered ``a``."""
-    from scipy.linalg import blas
-
-    a = blas.dtrsm(1.0, r, a, trans_a=1, overwrite_b=True)
-    return blas.dtrsm(1.0, r, a, side=1, overwrite_b=True)
 
 
 def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:
@@ -471,38 +570,62 @@ def _hessenberg_q_times(h: Array, tau: Array, y: Array) -> Array:
                                                 lwork)[0]])
 
 
-def _skew_singular_vectors(q: Array, e: Array) -> tuple[Array, Array]:
-    """(s, q X): the singular values of the skew-tridiagonal T with
-    subdiagonal ``e``, and ``q`` times T's right singular vectors X, formed
-    over ``q``.
+def _pack_reflectors(h: Array) -> Array:
+    """The Householder vectors that :func:`_skew_tridiagonal` left below
+    h's subdiagonal, column after column in one buffer of
+    (N - 1)(N - 2) / 2 entries."""
+    return np.concatenate([np.zeros(0)] + [h[i + 2:, i] for i in range(len(h) - 2)])
+
+
+def _unpack_reflectors(packed: Array, size: int) -> Array:
+    """A Fortran-ordered (size, size) array holding ``packed`` below its
+    subdiagonal, where :func:`_hessenberg_q` reads the reflectors."""
+    h = np.zeros((size, size), order="F")
+    start = 0
+    for i in range(size - 2):
+        h[i + 2:, i] = packed[start:start + size - 2 - i]
+        start += size - 2 - i
+    return h
+
+
+def _bidiagonal_svd(e: Array) -> tuple[Array, Array, Array]:
+    """(s, U, Vt): the singular values of the (N, N) skew-tridiagonal T with
+    subdiagonal ``e``, and the factors of B = U diag(s) Vt (U full).
 
     Permuted to even then odd coordinates, T = [[0, B], [-B^T, 0]] with the
-    ceil(N/2) x floor(N/2) bidiagonal B = T[0::2, 1::2], so with
-    B = U diag(s) Vt (U full), q's even columns become q[:, 0::2] U and its
-    odd columns q[:, 1::2] Vt^T, a block of rows at a time.  The singular
-    values are s at the odd columns and [s, 0 if N is odd] at the even
-    ones.
+    ceil(N/2) x floor(N/2) bidiagonal B = T[0::2, 1::2], so T's right
+    singular vectors hold U in their even rows and columns and Vt^T in
+    their odd ones (:func:`_rotate_columns`).  The singular values are s at
+    the odd columns and [s, 0 if N is odd] at the even ones.
     """
     import scipy.linalg
 
-    size = len(q)
+    size = len(e) + 1
     if size < 2:
-        return np.zeros(size), q
-    ne = (size + 1) // 2
-    b = np.zeros((ne, size // 2), order="F")
+        return np.zeros(size), np.eye(size), np.eye(0)
+    b = np.zeros(((size + 1) // 2, size // 2), order="F")
     np.fill_diagonal(b, -e[0::2])
     np.fill_diagonal(b[1:], e[1::2])
     u, s, vt = scipy.linalg.svd(b, overwrite_a=True)
-    del b
-    even, odd, v = q[:, 0::2], q[:, 1::2], vt.T
-    step = -(-size // 16)
-    for j in range(0, size, step):
-        even[j:j + step] = even[j:j + step] @ u
-        odd[j:j + step] = odd[j:j + step] @ v
     values = np.empty(size)
     values[0::2] = np.concatenate([s, np.zeros(size % 2)])
     values[1::2] = s
-    return values, q
+    return values, u, vt
+
+
+def _rotate_columns(q: Array, u: Array, vt: Array) -> Array:
+    """``q`` with its even columns times U and its odd columns times Vt^T,
+    in place, a block of rows at a time by ``dgemm``: for q = Q of
+    :func:`_skew_tridiagonal` these are the right singular vectors of m."""
+    from scipy.linalg import blas
+
+    if len(q) < 2:
+        return q
+    even, odd = q[:, 0::2], q[:, 1::2]
+    for j, k in _blocks(len(q)):
+        even[j:k] = blas.dgemm(1.0, even[j:k], u)
+        odd[j:k] = blas.dgemm(1.0, odd[j:k], vt, trans_b=True)
+    return q
 
 
 def _skew_kernel(m: Array) -> Array:
@@ -748,7 +871,7 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     removed shift is recorded).  The resolvent route solves (L - A) h = f on
     the mean-zero subspace by a sparse bordered LU in O(n) memory; the
     spectral route integrates (1 + y^2)^{-1} against the spectral weight of
-    g = V f, which needs L's Cholesky factor and the SVD of M.  sigma2_rev
+    g = V f, which needs a sparse factor of L and the SVD of M.  sigma2_rev
     is 2 <f, L^{-1} f> from the sparse solve, as in
     :func:`asymptotic_variances`.
     """

@@ -11,8 +11,8 @@ Criteria
 C1   variance never increases: 200 random observables per backend, 1e-10
 C2   gaussian rotation closed form: sigma2 = 2/(1+k^2) at k = 0,1,2,4, 1e-9
 C3   resolvent and spectral routes agree to 1e-8 relative on the C1 set
-C4   operator structure (symmetries, kernels, R^-T L R^-1 = I with L = R^T R,
-     antisymmetric R^-T A R^-1), 1e-10
+C4   operator structure (symmetries, kernels, the sparse factor F of the
+     grounded L, antisymmetric F^-T A F^-1), 1e-10
 C5   equality exactly on drift-invariant observables; strict gap for x1
 C6   growing drift: monotone decay to twice the kernel mass
 C7   worst-case suprema: strict gain when the kernels are disjoint

@@ -7,9 +7,11 @@ Independent oracles used here
   Gauss-Hermite quadrature with exact polynomial derivatives (hermeder),
   fully independent of the raising/lowering construction; the closed-form
   Hermite coefficients of monomials checked against the same quadrature.
-* spectral weight: atoms from the Cholesky-congruence route checked against
-  the complex eigendecomposition of iM, with M = V A V and V = L^{-1/2}
-  built from L's eigenpairs, formed only here.
+* spectral weight: atoms from the route through the sparse factor of the
+  grounded L checked against the complex eigendecomposition of iM, with
+  M = V A V and V = L^{-1/2} built from L's eigenpairs, and against a dense
+  Cholesky congruence on the orthonormal mean-zero basis, both formed only
+  here.
 * structured skew SVD: singular values checked against numpy's dense SVD,
   the kernel from the tridiagonal form against scipy's ``null_space``, and
   the blockwise restriction against the dense mean-zero basis, also built
@@ -56,14 +58,16 @@ from irrlangevin.spectral_oracle import (
     variance_report,
 )
 from irrlangevin.spectral_oracle import (
-    _congruent,
+    _bidiagonal_svd,
     _hessenberg_q,
     _hessenberg_q_times,
     _merge_atoms,
+    _pack_reflectors,
+    _rotate_columns,
     _skew_kernel,
-    _skew_singular_vectors,
     _skew_tridiagonal,
     _symmetrize,
+    _unpack_reflectors,
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -100,7 +104,7 @@ def hermite_sys():
 #
 # Dense constructions that no route forms, kept here (and only here) as
 # references: the drift operator A = P S P, the pi-orthonormal mean-zero
-# basis, V = L^{-1/2} from L's eigenpairs and M = V A V.
+# basis, the grounded L, V = L^{-1/2} from L's eigenpairs and M = V A V.
 
 
 def _dense_a(sys):
@@ -125,11 +129,21 @@ def _mean_zero_basis(sys):
     return basis / root[:, None]
 
 
+def _grounded_energy(sys, keep):
+    """The grounded energy matrix L_E = (pi L)[keep, keep], dense."""
+    return (sys.pi_weights[:, None] * sys.l_matrix.toarray())[np.ix_(keep, keep)]
+
+
+def _dense_factor(sys):
+    """The factor F = D^{1/2} L^T P of the grounded L_E = F^T F, dense."""
+    factor = sys._energy_factor
+    return (factor.root_d[:, None] * factor.lower.toarray().T)[:, factor.perm]
+
+
 def _raw_congruence(sys):
-    """(R, R^-T A R^-1) with L = R^T R, the product as the two triangular
-    solves leave it, before it is made antisymmetric."""
-    r = sys._cholesky()
-    return r, _congruent(r, sys._restrict(sys.s_matrix, -1.0))
+    """(F, F^-T A_E F^-1), the product as the sparse solves leave it, before
+    it is made antisymmetric."""
+    return _dense_factor(sys), sys._congruence()
 
 
 def _v_and_m(sys):
@@ -466,17 +480,19 @@ def test_m_operator_ou_singular_values():
 
 @pytest.mark.parametrize("sysname", ["torus", "hermite"])
 def test_m_antisymmetric_and_vlv_identity(sysname, torus_sys, hermite_sys):
-    # the route's congruence with L = R^T R: R^-T L R^-1 = I, and
-    # R^-T A R^-1 = O M O^T (O orthogonal) is antisymmetric before it is
-    # made so, exactly after, with the singular values of M = V A V
+    # the route's congruence with the grounded L_E = F^T F: F^-T L_E F^-1
+    # = I, and F^-T A_E F^-1 = O^T pi M O (O pi-orthonormal) is
+    # antisymmetric before it is made so, exactly after, with the singular
+    # values of M = V A V
     sys = torus_sys if sysname == "torus" else hermite_sys
-    r, m = _raw_congruence(sys)
+    f, m = _raw_congruence(sys)
     assert m.dtype == np.float64
     assert np.max(np.abs(m + m.T)) <= 1e-14 * np.max(np.abs(m))
     _symmetrize(m, -1.0)
     assert np.max(np.abs(m + m.T)) == 0.0
-    rlr = _congruent(r, sys._restrict(sys.l_matrix, 1.0))
-    np.testing.assert_allclose(rlr, np.eye(sys.n - 1), atol=1e-10)
+    f_inv = np.linalg.inv(f)
+    flf = f_inv.T @ _grounded_energy(sys, sys._energy_factor.keep) @ f_inv
+    np.testing.assert_allclose(flf, np.eye(sys.n - 1), atol=1e-10)
     _, m_ref = _v_and_m(sys)
     np.testing.assert_allclose(np.linalg.svd(m, compute_uv=False),
                                np.linalg.svd(m_ref, compute_uv=False),
@@ -494,6 +510,32 @@ def test_chain_records_raw_antisymmetry_residual(case, hermite_sys):
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
     _, m = _raw_congruence(sys)
     assert sys._weight_vectors[2] == np.max(np.abs(m + m.T))
+
+
+@pytest.mark.parametrize("case", ["torus m12", "torus m25", "hermite"])
+def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
+    # P^T L D L^T P = L_E = (pi L)[keep, keep] to rounding, grounded at the
+    # heaviest state; the residual the factor records is as small, and on
+    # the Hermite basis (g = 0) the factor is the diagonal sqrt(degree)
+    if case == "hermite":
+        sys = hermite_sys
+    else:
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
+    factor = sys._energy_factor
+    weight = sys.pi_weights * sys.const_vec**2
+    assert np.array_equal(factor.keep,
+                          np.delete(np.arange(sys.n), np.argmax(weight)))
+    energy = _grounded_energy(sys, factor.keep)
+    f = _dense_factor(sys)
+    scale = np.max(np.abs(energy))
+    assert np.max(np.abs(f.T @ f - energy)) <= 1e-13 * scale
+    assert factor.residual <= 1e-13
+    if case == "hermite":
+        assert np.array_equal(factor.keep, np.arange(1, sys.n))
+        np.testing.assert_array_equal(f, np.diag(np.diag(f)))
+        np.testing.assert_array_equal(
+            factor.root_d, np.sqrt([sum(a) for a in sys.multi_indices[1:]]))
 
 
 def test_m_operator_rejects_indefinite_restriction():
@@ -622,6 +664,50 @@ def test_spectral_weight_matches_complex_eigh_at_even_torus_size():
         assert got == pytest.approx(ref, rel=1e-13)
 
 
+def _dense_cholesky_atoms(sys, fr):
+    """Pooled (locations, masses) of the singular values of R^-T A R^-1, with
+    the restricted L = R^T R on the orthonormal mean-zero basis, from
+    numpy's dense SVD: the congruence the route replaced."""
+    import scipy.linalg
+
+    r = scipy.linalg.cholesky(sys._restrict(sys.l_matrix, 1.0))
+    x = scipy.linalg.solve_triangular(r, sys._restrict(sys.s_matrix, -1.0),
+                                      trans="T")
+    m = scipy.linalg.solve_triangular(r, x.T, trans="T").T
+    _, s, vt = np.linalg.svd((m - m.T) / 2.0)
+    g = scipy.linalg.solve_triangular(r, fr, trans="T")
+    order = np.argsort(s, kind="stable")
+    return _merge_atoms(s[order], ((vt @ g) ** 2)[order])
+
+
+@pytest.mark.parametrize("points", [24, 25])
+def test_sweep_atoms_match_dense_cholesky_route(points):
+    # the even grid m = 24 (N odd) and the odd grid m = 25 (N even), whose
+    # zero cluster sits 4.9e-8 from the next atom: the grounded factor
+    # gives the same atoms and zero atom as the dense Cholesky congruence,
+    # and the k -> inf limit to first order in the rounding, eps |M| / gap
+    # of the total mass
+    u = torus_cosine(2, 1.0)
+
+    def build(scale):
+        return discretize_torus(u, make_qgradu_drift(scale * ROT, u), points)
+
+    sys = build(1.0)
+    for seed in (5, 31):
+        f = np.random.default_rng(seed).standard_normal(sys.n)
+        result = sweep_k(build, f, [0.0, 1.0])
+        locs, mass = _dense_cholesky_atoms(sys, sys.reduce(f)[0])
+        assert locs[0] <= EIGENVALUE_MERGE_TOL < locs[1]
+        measure = result.measure
+        assert len(measure.locations) == 2 * len(locs) - 1
+        assert np.sum(measure.locations == 0.0) == 1
+        np.testing.assert_allclose(measure.locations[len(locs):], locs[1:],
+                                   rtol=0, atol=1e-12)
+        bound = np.finfo(float).eps * locs[-1] / locs[1]
+        assert (abs(result.limit_prediction - 2.0 * mass[0])
+                <= bound * measure.total_mass)
+
+
 # --- structured skew SVD, blockwise restriction, atom pooling ------------------
 
 
@@ -647,7 +733,8 @@ def test_skew_svd_against_dense_svd(name, m):
     scale = max(np.linalg.norm(m, 2), 1.0)
     work = np.array(m, order="F")
     h, tau, e = _skew_tridiagonal(work)
-    s, v = _skew_singular_vectors(_hessenberg_q(h, tau), e)
+    s, u, vt = _bidiagonal_svd(e)
+    v = _rotate_columns(_hessenberg_q(h, tau), u, vt)
     assert v is work  # the vectors are formed over the input
     assert s.shape == (size,) and v.shape == (size, size)
     np.testing.assert_allclose(np.sort(s)[::-1],
@@ -676,6 +763,20 @@ def test_reflectors_apply_q_without_forming_it(name, m):
     got = _hessenberg_q_times(h, tau, y)
     q = _hessenberg_q(h.copy(order="F"), tau)
     np.testing.assert_allclose(got, q @ y, rtol=0, atol=1e-14 * size)
+
+
+@pytest.mark.parametrize("name,m", list(_skew_cases()),
+                         ids=[name for name, _ in _skew_cases()])
+def test_packed_reflectors_form_the_same_q(name, m):
+    # the reflectors set aside in half an array and unpacked into a fresh
+    # one give Q bit for bit
+    size = len(m)
+    h, tau, _ = _skew_tridiagonal(np.array(m, order="F"))
+    packed = _pack_reflectors(h)
+    assert packed.shape == (max(size - 1, 0) * max(size - 2, 0) // 2,)
+    np.testing.assert_array_equal(
+        _hessenberg_q(_unpack_reflectors(packed, size), tau),
+        _hessenberg_q(h.copy(order="F"), tau))
 
 
 def _skew_kernel_cases():
@@ -1130,7 +1231,8 @@ def test_spectral_route_memory_at_m_32():
     # at most three dense (n - 1)^2 float64 arrays at once; the complex
     # route (B = iM and its eigenvectors) peaked at 86.3 MB traced here, a
     # full SVD of M at 7.2 arrays, the structured skew SVD in L's eigenbasis
-    # at 3.65, the Cholesky congruence at 2.54
+    # at 3.65, the Cholesky congruence at 2.54 to 2.65, the sparse factor of
+    # the grounded L at 2.22
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
     n = 32**2
@@ -1221,18 +1323,24 @@ def test_dense_chain_peak_rss_at_m_32(op):
     # lean chain through a full SVD and a dense basis by 7.7 and 6.5, the
     # blockwise restriction and structured skew SVD by 5.1 and 4.0, the
     # Cholesky congruence with the vectors formed over Q by 4.0 and 3.2;
-    # worst_case's kernel of A without an SVD by 3.0
-    assert _peak_rss_growth(op) <= {"report": 4.5, "worst_case": 3.5}[op]
+    # worst_case's kernel of A without an SVD by 3.0; the report through the
+    # sparse factor of the grounded L, with Q's reflectors packed during the
+    # bidiagonal SVD, by 3.6 (4.16 through the Cholesky congruence)
+    assert _peak_rss_growth(op) <= {"report": 4.0, "worst_case": 3.5}[op]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="VmHWM is read from /proc/self/status")
-@pytest.mark.parametrize("criteria,bound", [("C5", 1.5), ("C4,C5,C7", 4.5)])
+@pytest.mark.parametrize("criteria,bound", [("C5", 1.5), ("C4,C5,C7", 4.2),
+                                            ("C1", 3.6)])
 def test_release_gate_peak_rss_at_m_32(criteria, bound):
     # growth in (n - 1)^2 float64 arrays, n = 32^2; C5 through the spectral
     # route, which cached a dense array it never read, grew it by 3.9 and
     # C4, C5 and C7 with full temporaries and an SVD for ker A by 5.6; C5
-    # by the sparse solves alone by 0.65, and the three by 3.8
+    # by the sparse solves alone by 0.65, and the three by 3.8 to 4.4; with
+    # the sparse factor of the grounded L and Q's reflectors packed during
+    # the bidiagonal SVD, the three by 3.9 to 4.05, and C1 by 3.3 to 3.5
+    # against 4.2
     assert _peak_rss_growth(criteria) <= bound
 
 
@@ -1244,8 +1352,8 @@ def _buffer_owner(array):
 
 def test_dense_chain_caches_one_dense_array():
     # after every dense operation the system holds one (n - 1)^2 array:
-    # Z = R^{-1} [right singular vectors of R^-T A R^-1], over the buffer
-    # that held the restriction of A
+    # Z = F^{-1} [right singular vectors of F^-T A_E F^-1], over the buffer
+    # in which Q was formed
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
     variance_report(sys, np.cos(sys.points[:, 0]))
@@ -1264,14 +1372,17 @@ def test_dense_chain_caches_one_dense_array():
 def test_package_import_loads_no_sparse_module():
     # scipy.sparse is imported where sparse arrays are built, and
     # scipy.linalg where dense matrices are decomposed, keeping both out of
-    # the start-up cost of every command that never builds an operator
+    # the start-up cost of every command that never builds an operator; the
+    # acceptance matrix and the CLI, imported at start-up too, follow suit
     import irrlangevin
 
     src = str(Path(irrlangevin.__file__).resolve().parents[1])
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import irrlangevin; "
+    probe = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+             "importlib.import_module(sys.argv[2]); "
              "print(sorted(m for m in sys.modules "
              "if m in ('scipy.sparse', 'scipy.linalg') "
              "or m.startswith(('scipy.sparse.', 'scipy.linalg.'))))")
-    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module in ("irrlangevin", "irrlangevin.benchmark", "irrlangevin.cli"):
+        out = subprocess.run([sys.executable, "-c", probe, src, module],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module
