@@ -72,8 +72,13 @@ class CriterionRow:
 # --- shared instances (built once per process) ------------------------------
 
 
-@lru_cache(maxsize=None)
 def torus_benchmark_system(k: float, points_per_axis: int = 32):
+    # one cache key per system, however the mesh is passed
+    return _torus_system(k, points_per_axis)
+
+
+@lru_cache(maxsize=None)
+def _torus_system(k: float, points_per_axis: int):
     u = torus_cosine(2, 1.0)
     return discretize_torus(u, make_qgradu_drift(k * ROT, u), points_per_axis)
 

@@ -46,7 +46,11 @@ class Potential:
 
     Analytic derivatives are required (the integrator and the grid oracle
     need them cheap and exact); finite differences are used only as
-    cross-checks, see :func:`validate_potential`.
+    cross-checks, see :func:`validate_potential`.  ``constant_hessian`` is
+    the Hessian of a quadratic U, which does not depend on x, and None for
+    any other U; the simulator then steps by an affine map.  When it is set
+    the simulator may take grad U as ``x @ constant_hessian`` without
+    calling ``grad``, so the two must agree.
     """
 
     dim: int
@@ -56,6 +60,7 @@ class Potential:
     space_kind: SpaceKind
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    constant_hessian: Array | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -67,7 +72,10 @@ class DriftField:
     """Perturbation drift C with its analytic divergence.
 
     For ``kind == DriftKind.QGRADU`` the stored ``q`` is exactly
-    antisymmetric and ``divergence`` returns exactly zero.
+    antisymmetric and ``divergence`` returns exactly zero.  Such a drift
+    means Q grad U of the potential it is simulated with: the simulator
+    forms it from ``q`` and that potential's gradient, without calling
+    ``eval``.
     """
 
     dim: int
@@ -309,6 +317,7 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
             raise ValueError(f"cov has shape {cov_arr.shape}, expected ({dim}, {dim})")
         inv_cov = np.linalg.inv(cov_arr)
         inv_cov = (inv_cov + inv_cov.T) / 2.0
+    inv_cov.setflags(write=False)
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
@@ -324,7 +333,8 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
 
     return Potential(dim=dim, eval=_eval, grad=_grad, hess=_hess,
                      space_kind=SpaceKind.EUCLIDEAN, name="gaussian",
-                     params={"dim": dim, "cov": cov_arr.tolist()})
+                     params={"dim": dim, "cov": cov_arr.tolist()},
+                     constant_hessian=inv_cov)
 
 
 def double_well_2d(barrier: float = 1.0) -> Potential:

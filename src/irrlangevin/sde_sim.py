@@ -10,13 +10,26 @@ No Metropolis correction is applied: the object of study is the
 continuous-time diffusion, and the discretization bias is controlled by
 step halving (see ``mc_variance.replicated_clt(check_bias=True)``).
 
+Two paths run the same scheme.  When U has a constant Hessian H (a
+Gaussian target) and the drift is zero or Q grad U, the step is the affine
+map x -> x A + sqrt(2 dt) xi with A = I - dt H + k dt H Q^T (row vectors).
+If the spectral radius of A is below 1, d is at most ``AFFINE_MAX_DIM`` and
+the horizon has at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain,
+chains then run one at a time along the time axis, in chunks of the fixed
+``AFFINE_CHUNK_STEPS`` steps: a chunk's normals are drawn in place, its
+states come from a log-depth prefix scan over A, A^2, A^4, ..., and the
+observable is evaluated once per chunk.  Every other case (the torus,
+nonlinear U, custom drifts, an unstable A, many dimensions, many chains
+over a short horizon) runs on the loop: all chains in lock-step, one
+Python step at a time.  The two paths agree to rounding.
+
 RNG contract: every chain draws its Gaussian increments from a dedicated
 counter-based Philox stream keyed by its seed; a chain's increments are its
 stream's standard normals in step order.  The simulator draws them in blocks
-to bound memory, but neither the block size nor the number of chains run
-together is part of the stream.  Chains with seeds s, s+1, ... are therefore
-statistically independent and each chain is bit-reproducible from its seed
-alone.
+or chunks to bound memory, but neither their size, the path, nor the number
+of chains run together is part of the stream.  Chains with seeds s, s+1, ...
+are therefore statistically independent and each chain is bit-reproducible
+from its seed alone.
 """
 
 from __future__ import annotations
@@ -35,6 +48,11 @@ Observable = Callable[[Array], Array]
 
 RNG_NAME = "philox4x64"
 NOISE_BLOCK_BYTES = 4 * 2**20  # noise held at once; any value, same streams
+AFFINE_CHUNK_STEPS = 4096  # steps per affine chunk; any value, same streams
+# where the affine path is taken: its cost per chain-step grows like 12 dim^2
+# flops against the loop's 2 dim^2, and it pays a fixed cost per chain
+AFFINE_MAX_DIM = 8
+AFFINE_MIN_STEPS_PER_CHAIN = 8  # n_steps >= this * n_chains
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,18 +110,31 @@ class Trajectory:
 
 
 def _em_step(u: Potential, c: DriftField, k: float, dt: float):
-    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, k, dt."""
+    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, k, dt.
+
+    A QGRADU drift is taken as Q grad U of this potential, so grad U is
+    evaluated once per step: the drift ``-grad U + k Q grad U`` is
+    ``grad U @ (k Q^T - I)``.
+    """
     on_torus = u.space_kind is SpaceKind.FLAT_TORUS
-    has_drift = k != 0.0 and c.kind is not DriftKind.ZERO
     grad = u.grad
-    ceval = c.eval
     root = np.sqrt(2.0 * dt)
+    if k == 0.0 or c.kind is DriftKind.ZERO:
+        def drift(state):
+            return -grad(state)
+    elif c.kind is DriftKind.QGRADU:
+        fused = k * c.q.T - np.eye(u.dim)
+
+        def drift(state):
+            return grad(state) @ fused
+    else:
+        ceval = c.eval
+
+        def drift(state):
+            return -grad(state) + k * ceval(state)
 
     def advance(state, noise):
-        d = -grad(state)
-        if has_drift:
-            d = d + k * ceval(state)
-        new = state + dt * d + root * noise
+        new = state + dt * drift(state) + root * noise
         if on_torus:
             new = np.mod(new, TWO_PI)
         return new
@@ -156,43 +187,54 @@ def _noise_blocks(n_steps: int, dim: int, seeds: Sequence[int]):
         done += b
 
 
-def _run_chains(u: Potential, c: DriftField, f: Observable, *,
-                dt: float, n_steps: int, burn_in: int, k: float,
-                x0: Array, seeds: Sequence[int], thin: int = 1,
-                store: bool = False):
-    """Advance all chains in lock-step; the workhorse behind the public API.
+def _affine_powers(u: Potential, c: DriftField, k: float,
+                   dt: float) -> list[Array] | None:
+    """``[A, A^2, A^4, ..., A^AFFINE_CHUNK_STEPS]``, if the step is affine.
 
-    Rejects a drift or an ``x0`` whose dimension is not the potential's.
-
-    Returns ``(averages, states, times, running)`` where ``averages`` holds
-    each chain's left-endpoint time average of ``f`` over the post-burn-in
-    window; the last three are None unless ``store`` (single-chain use).
-    Divergence is detected per block and located exactly by replaying the
-    offending block step by step (the replay is deterministic, so the
-    reported step index and state are exact).
-
-    Memory does not grow with the horizon: the state and ``fsum`` take
-    O(n_chains * dim), the noise takes at most ``NOISE_BLOCK_BYTES`` (or one
-    step's noise, if that is larger), and the stored path is allocated up
-    front at ``8 * (dim + 2)`` bytes per recorded state.
+    The Euler-Maruyama step is ``x -> x A + sqrt(2 dt) xi`` when U has a
+    constant Hessian H on R^d and the drift is zero or Q grad U:
+    ``A = I - dt H + k dt H Q^T`` (row vectors).  Returns None when it is
+    not, or when the spectral radius of ``A`` is not below 1.
     """
-    if c.dim != u.dim:
-        raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (u.dim,):
-        raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
-    n_chains = len(seeds)
-    x = np.tile(x0, (n_chains, 1))
-    dim = x.shape[1]
-    advance = _em_step(u, c, k, dt)
+    h = u.constant_hessian
+    if (h is None or u.space_kind is not SpaceKind.EUCLIDEAN
+            or c.kind not in (DriftKind.ZERO, DriftKind.QGRADU)):
+        return None
+    a = np.eye(u.dim) - dt * h
+    if k != 0.0 and c.kind is DriftKind.QGRADU:
+        a += (k * dt) * (h @ c.q.T)
+    squares = [a]  # A^(2^j) for j = 0, 1, ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rho(A) < 1 exactly when some A^(2^j) has a norm below 1; squaring
+        # needs no LAPACK, whose first call pages in most of a megabyte
+        while not np.linalg.norm(squares[-1], np.inf) < 1.0:
+            if len(squares) == 64:
+                return None
+            squares.append(squares[-1] @ squares[-1])
+        while 1 << len(squares) <= AFFINE_CHUNK_STEPS:
+            squares.append(squares[-1] @ squares[-1])
+    return squares[:AFFINE_CHUNK_STEPS.bit_length()]
 
-    fsum = np.zeros(n_chains)
-    rows = (n_steps - burn_in) // thin + 1 if store else 0
-    states = np.empty((rows, dim))
-    times, running = np.empty(rows), np.empty(rows)
+
+def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
+                 seeds: Sequence[int], *, dt: float, n_steps: int,
+                 burn_in: int, k: float, thin: int, path) -> Array:
+    """Advance the chains in lock-step, one step at a time; the general path.
+
+    Returns each chain's sum of ``f`` over the post-burn-in left endpoints,
+    and fills ``path`` (None or ``(states, times, running)``) with the first
+    chain's recorded states.  Divergence is detected per noise block and
+    located exactly by replaying the offending block step by step (the
+    replay is deterministic, so the reported step index and state are
+    exact).
+    """
+    x = np.tile(x0, (len(seeds), 1))
+    advance = _em_step(u, c, k, dt)
+    fsum = np.zeros(len(seeds))
 
     def record(step, state):
-        if store and step >= burn_in and (step - burn_in) % thin == 0:
+        if path is not None and step >= burn_in and (step - burn_in) % thin == 0:
+            states, times, running = path
             j = (step - burn_in) // thin
             states[j] = state[0]
             times[j] = step * dt
@@ -201,32 +243,152 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
             else:
                 running[j] = fsum[0] / (step - burn_in)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow is detected per block and located by replay, not raised
-        for start, block in _noise_blocks(n_steps, dim, seeds):
-            x_entry = x.copy()
+    for start, block in _noise_blocks(n_steps, len(x0), seeds):
+        x_entry = x.copy()
+        for s in range(block.shape[0]):
+            step = start + s
+            record(step, x)
+            if step >= burn_in:
+                fsum += f(x)
+            x = advance(x, block[s])
+        if not np.all(np.isfinite(x)):
+            x = x_entry
             for s in range(block.shape[0]):
-                step = start + s
-                record(step, x)
-                if step >= burn_in:
-                    fsum += f(x)
-                x = advance(x, block[s])
-            if not np.all(np.isfinite(x)):
-                x = x_entry
-                for s in range(block.shape[0]):
-                    new = advance(x, block[s])
-                    bad = ~np.all(np.isfinite(new), axis=-1)
-                    if np.any(bad):
-                        i = int(np.argmax(bad))
-                        raise DivergenceError(step_index=start + s,
-                                              seed=int(seeds[i]), state=x[i])
-                    x = new
+                new = advance(x, block[s])
+                bad = ~np.all(np.isfinite(new), axis=-1)
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    raise DivergenceError(step_index=start + s,
+                                          seed=int(seeds[i]), state=x[i])
+                x = new
     record(n_steps, x)
+    return fsum
 
+
+def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
+                   f: Observable, x0: Array, seeds: Sequence[int], *,
+                   dt: float, n_steps: int, burn_in: int, k: float,
+                   thin: int, path) -> Array:
+    """The affine path: chains one at a time, ``AFFINE_CHUNK_STEPS`` at once.
+
+    Same contract as :func:`_loop_chains`.  A chunk's rows are its entry
+    state and the states after each of its steps.  They are made in place:
+    the chain's stream fills rows 1.. with its normals, scaled by
+    sqrt(2 dt), and a Hillis-Steele scan adds ``rows[:-2^j] @ A^(2^j)`` to
+    ``rows[2^j:]`` for j = 0, 1, ...  Row t is then
+    ``x A^t + sum_s sqrt(2 dt) xi_s A^(t-1-s)``, the state after t steps.
+    When a chunk is not finite, every chain is rerun on the loop, so a
+    divergence is located and reported exactly as the loop reports it: at
+    the earliest step of any chain, and at that step the lowest-index chain.
+    """
+    buf = np.empty((min(n_steps, AFFINE_CHUNK_STEPS) + 1, len(x0)))
+    sums = np.empty(len(buf))
+    root = np.sqrt(2.0 * dt)
+    fsum = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = Generator(Philox(key=int(seed)))
+        chain_path = path if i == 0 else None
+        buf[0] = x0
+        total = 0.0
+        for start in range(0, n_steps, AFFINE_CHUNK_STEPS):
+            b = min(AFFINE_CHUNK_STEPS, n_steps - start)
+            chunk = buf[:b + 1]
+            rng.standard_normal(out=chunk[1:])
+            chunk[1:] *= root
+            for j, power in enumerate(powers):
+                if 1 << j > b:
+                    break
+                chunk[1 << j:] += chunk[:-(1 << j)] @ power
+            if not np.all(np.isfinite(chunk)):
+                return _loop_chains(u, c, f, x0, seeds, dt=dt,
+                                    n_steps=n_steps, burn_in=burn_in, k=k,
+                                    thin=thin, path=path)
+            first = max(start, burn_in)  # first post-burn-in left endpoint
+            n = start + b - first
+            if n > 0:
+                # sums[m] is f summed from burn-in to step first + m, in
+                # step order as the loop adds it
+                sums[0] = total
+                sums[1:n + 1] = f(chunk[first - start:b])
+                np.cumsum(sums[:n + 1], out=sums[:n + 1])
+                if chain_path is not None:
+                    _record_chunk(chain_path, chunk, sums, start, first,
+                                  dt=dt, burn_in=burn_in, thin=thin)
+                total = sums[n]
+            buf[0] = chunk[b]
+        if chain_path is not None and (n_steps - burn_in) % thin == 0:
+            states, times, running = chain_path
+            states[-1] = buf[0]
+            times[-1] = n_steps * dt
+            running[-1] = total / (n_steps - burn_in)
+        fsum[i] = total
+    return fsum
+
+
+def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
+                  *, dt: float, burn_in: int, thin: int) -> None:
+    """Store the recorded steps among left endpoints ``first..`` of a chunk."""
+    states, times, running = path
+    j0 = -(-(first - burn_in) // thin)  # the first row recorded here
+    s0 = burn_in + j0 * thin
+    stop = start + len(chunk) - 1
+    if s0 >= stop:
+        return
+    rows = slice(j0, j0 + (stop - 1 - s0) // thin + 1)
+    states[rows] = chunk[s0 - start:stop - start:thin]
+    np.multiply(np.arange(s0, stop, thin), dt, out=times[rows])
+    done = np.arange(s0 - burn_in, stop - burn_in, thin)  # since burn-in
+    np.divide(sums[s0 - first:stop - first:thin], np.maximum(done, 1),
+              out=running[rows])
+    if s0 == burn_in:
+        running[j0] = sums[1]  # the window start records f itself
+
+
+def _run_chains(u: Potential, c: DriftField, f: Observable, *,
+                dt: float, n_steps: int, burn_in: int, k: float,
+                x0: Array, seeds: Sequence[int], thin: int = 1,
+                store: bool = False):
+    """Run the chains on the affine path or the loop; behind the public API.
+
+    Rejects a drift or an ``x0`` whose dimension is not the potential's.
+
+    Returns ``(averages, states, times, running)`` where ``averages`` holds
+    each chain's left-endpoint time average of ``f`` over the post-burn-in
+    window; the last three are None unless ``store`` (single-chain use).
+
+    The affine path is taken for at most ``AFFINE_MAX_DIM`` coordinates and
+    at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain; outside these
+    bounds the loop was timed faster.
+
+    Memory does not grow with the horizon: the state and ``fsum`` take
+    O(n_chains * dim), the noise takes at most ``NOISE_BLOCK_BYTES`` (or one
+    step's noise, if that is larger) on the loop and one chunk of
+    ``AFFINE_CHUNK_STEPS`` steps (with its product, at most 0.5 MB) on the
+    affine path, and the stored path is allocated up front at
+    ``8 * (dim + 2)`` bytes per recorded state.
+    """
+    if c.dim != u.dim:
+        raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (u.dim,):
+        raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
+    rows = (n_steps - burn_in) // thin + 1 if store else 0
+    path = (np.empty((rows, u.dim)), np.empty(rows), np.empty(rows))
+    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, k=k, thin=thin,
+                  path=path if store else None)
+    affine = (u.dim <= AFFINE_MAX_DIM
+              and n_steps >= AFFINE_MIN_STEPS_PER_CHAIN * len(seeds))
+    powers = _affine_powers(u, c, k, dt) if affine else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is detected per block or chunk and located by replay
+        if powers is None:
+            fsum = _loop_chains(u, c, f, x0, seeds, **kwargs)
+        else:
+            fsum = _affine_chains(powers, u, c, f, x0, seeds, **kwargs)
     averages = fsum / (n_steps - burn_in)
     if not store:
         return averages, None, None, None
-    return averages, states, times, running
+    return (averages, *path)
 
 
 def simulate(u: Potential, c: DriftField, f: Observable,
@@ -255,9 +417,10 @@ def chain_time_averages(u: Potential, c: DriftField, f: Observable,
                         cfg: SimConfig, n_chains: int) -> tuple[Array, float]:
     """Time averages of ``f`` for ``n_chains`` chains seeded seed, seed+1, ...
 
-    Chains are advanced in lock-step for speed but their noise streams are
-    the per-seed Philox streams, so the set of averages matches running the
-    chains one at a time.  Returns (averages, post-burn-in horizon).
+    Chains are advanced in lock-step (or, on the affine path, one after
+    another) but their noise streams are the per-seed Philox streams, so the
+    set of averages matches running the chains one at a time.  Returns
+    (averages, post-burn-in horizon).
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")

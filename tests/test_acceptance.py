@@ -95,6 +95,21 @@ def test_c06_sweeps_the_cached_systems(monkeypatch):
     assert all(row.passed for row in bench.run_c6(TOLERANCES))
 
 
+def test_c10_reuses_the_cached_m32_system(monkeypatch):
+    # the m = 32 row of C10 is the system C1, C4 and C6-C8 use
+    torus_benchmark_system(1.0)
+    real = bench.discretize_torus
+    meshes = []
+
+    def recording(*args):
+        meshes.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(bench, "discretize_torus", recording)
+    assert all(row.passed for row in bench.run_c10(TOLERANCES))
+    assert 32 not in meshes
+
+
 def test_c07_worst_case():
     _run("C7")
 

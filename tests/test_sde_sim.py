@@ -1,6 +1,7 @@
 """Euler-Maruyama stepping, trajectories, and the RNG contract."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ def test_block_size_never_changes_chain_averages(monkeypatch):
     np.testing.assert_array_equal(small, default)
 
 
+def test_block_size_never_changes_torus_chain_averages(monkeypatch):
+    # the torus always runs on the loop, so this exercises its noise blocks
+    u = torus_cosine(2, 1.0)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.05, n_steps=400, initial_point=[0.2, 0.1],
+                    burn_in_steps=30, seed=60)
+    default, small = _with_block_steps(
+        monkeypatch, 7, 300, 2,
+        lambda: chain_time_averages(u, c, coord1, cfg, n_chains=300)[0])
+    np.testing.assert_array_equal(small, default)
+
+
 def test_block_size_never_changes_a_trajectory(monkeypatch):
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
@@ -361,3 +374,222 @@ def test_trajectory_csv_export(tmp_path):
     assert data.shape == (21, 4)
     np.testing.assert_allclose(data[:, 0], traj.times)
     np.testing.assert_allclose(data[:, 1:3], traj.states)
+
+
+# --- the affine path (constant Hessian, zero or Q grad U drift) ---------------
+
+
+def _loop_and_affine(monkeypatch, run):
+    """``run()`` on the affine path, then with the loop forced on."""
+    affine = run()
+    monkeypatch.setattr(sde_sim, "_affine_powers", lambda *args: None)
+    return affine, run()
+
+
+def _spy_affine(monkeypatch):
+    """A list that gets one entry each time the affine path runs."""
+    taken = []
+    run = sde_sim._affine_chains
+
+    def spy(*args, **kwargs):
+        taken.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sde_sim, "_affine_chains", spy)
+    return taken
+
+
+def _rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _random_antisymmetric(dim, seed):
+    q = np.random.default_rng(seed).standard_normal((dim, dim))
+    return q - q.T
+
+
+CHUNK = sde_sim.AFFINE_CHUNK_STEPS
+
+
+@pytest.mark.parametrize("u, q, k, thin", [
+    (gaussian_potential(2), None, 0.0, 1),
+    (gaussian_potential(2), ROT, 1.0, 1),
+    (gaussian_potential(2), ROT, 2.0, 3),
+    (gaussian_potential(2, cov=[[2.0, 0.6], [0.6, 0.5]]), ROT, 1.0, 1),
+    (gaussian_potential(5, cov=np.linspace(0.5, 3.0, 5)),
+     _random_antisymmetric(5, 8), 1.0, 4),
+], ids=["zero-drift", "k1", "k2-thin3", "anisotropic-cov", "5d-random-q"])
+def test_affine_path_matches_the_loop(monkeypatch, u, q, k, thin):
+    # burn-in ends inside the second chunk; the horizon crosses two bounds
+    c = zero_drift(u.dim) if q is None else make_qgradu_drift(q, u)
+    assert sde_sim._affine_powers(u, c, k, 0.01) is not None
+    x0 = np.linspace(1.0, -0.5, u.dim)
+    cfg = SimConfig(step_size=0.01, n_steps=2 * CHUNK + 300,
+                    initial_point=x0, burn_in_steps=CHUNK + 100, seed=31,
+                    perturbation_scale=k, thin=thin)
+
+    def energy(x):
+        return np.sum(x * x, axis=-1)
+
+    taken = _spy_affine(monkeypatch)
+    affine, loop = _loop_and_affine(monkeypatch, lambda: (
+        simulate(u, c, energy, cfg),
+        chain_time_averages(u, c, energy, cfg, n_chains=3)[0]))
+    assert len(taken) == 2
+    np.testing.assert_array_equal(affine[0].times, loop[0].times)
+    assert _rel_diff(affine[0].states, loop[0].states) <= 1e-12
+    assert _rel_diff(affine[0].observable_running_mean,
+                     loop[0].observable_running_mean) <= 1e-12
+    assert _rel_diff(affine[1], loop[1]) <= 1e-12
+    # one chain's average is the same whichever entry point ran it
+    assert affine[1][0] == affine[0].observable_running_mean[-1]
+
+
+def test_affine_chunk_boundary_keeps_the_stream_increments():
+    # the increments, on both sides of a chunk boundary, are the stream's
+    # draws in step order (grad U(x) = x here)
+    n = CHUNK + 17
+    u = gaussian_potential(2)
+    cfg = SimConfig(step_size=0.01, n_steps=n, initial_point=[0.5, -0.5],
+                    seed=3)
+    traj = simulate(u, zero_drift(2), coord1, cfg)
+    assert len(traj.states) == n + 1
+    x = traj.states
+    implied = (x[1:] - x[:-1] + 0.01 * x[:-1]) / np.sqrt(0.02)
+    noise = Generator(Philox(key=3)).standard_normal((n, 2))
+    np.testing.assert_allclose(implied, noise, atol=1e-9)
+
+
+def test_unstable_affine_map_falls_back_to_the_loop(monkeypatch):
+    # inv cov 1e4 with dt 0.1: A = -999 I has spectral radius above 1
+    u = gaussian_potential(2, cov=1e-4)
+    assert sde_sim._affine_powers(u, zero_drift(2), 0.0, 0.1) is None
+    cfg = SimConfig(step_size=0.1, n_steps=500, initial_point=[1.0, 1.0],
+                    seed=44)
+
+    def diverge():
+        with pytest.raises(DivergenceError) as err:
+            chain_time_averages(u, zero_drift(2), coord1, cfg, n_chains=5)
+        return err.value
+
+    default, loop = _loop_and_affine(monkeypatch, diverge)
+    assert (default.step_index, default.seed) == (loop.step_index, loop.seed)
+    np.testing.assert_array_equal(default.state, loop.state)
+
+
+def test_affine_chunk_that_overflows_is_replayed_on_the_loop(monkeypatch):
+    # A = [[0.99, -0.05], [5, 0]] is stable (spectral radius 0.5), but its
+    # first step from (0, 1e308) overflows; the loop then locates it
+    u = gaussian_potential(2, cov=[1.0, 0.01])
+    c = make_qgradu_drift(ROT, u)
+    assert sde_sim._affine_powers(u, c, 5.0, 0.01) is not None
+    cfg = SimConfig(step_size=0.01, n_steps=50, initial_point=[0.0, 1e308],
+                    seed=12, perturbation_scale=5.0)
+
+    def diverge():
+        with pytest.raises(DivergenceError) as err:
+            chain_time_averages(u, c, coord1, cfg, n_chains=2)
+        return err.value
+
+    affine, loop = _loop_and_affine(monkeypatch, diverge)
+    assert (affine.step_index, affine.seed) == (loop.step_index, loop.seed)
+    np.testing.assert_array_equal(affine.state, loop.state)
+
+
+class _PoisonedStream:
+    """A seed's Philox normals, with an infinite one at a given step."""
+
+    def __init__(self, key, bad_step, dim):
+        self._rng = Generator(Philox(key=key))
+        self._bad = bad_step * dim  # the poisoned normal, in draw order
+        self._drawn = 0
+
+    def standard_normal(self, size=None, out=None):
+        draw = self._rng.standard_normal(size, out=out)
+        at = self._bad - self._drawn
+        if 0 <= at < draw.size:
+            draw.flat[at] = np.inf
+        self._drawn += draw.size
+        return draw
+
+
+def test_chains_that_diverge_apart_report_the_earliest_step(monkeypatch):
+    # seed 70 overflows at step 900 and seed 71 at step 10: both paths name
+    # seed 71 at step 10, the earliest step of any chain
+    bad_step = {70: 900, 71: 10}
+    monkeypatch.setattr(sde_sim, "Philox", lambda key: key)
+    monkeypatch.setattr(sde_sim, "Generator",
+                        lambda key: _PoisonedStream(key, bad_step[key], 2))
+    u = gaussian_potential(2)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.01, n_steps=1000, initial_point=[0.5, -0.5],
+                    seed=70, perturbation_scale=1.0)
+
+    def diverge():
+        with pytest.raises(DivergenceError) as err:
+            chain_time_averages(u, c, coord1, cfg, n_chains=2)
+        return err.value
+
+    taken = _spy_affine(monkeypatch)
+    affine, loop = _loop_and_affine(monkeypatch, diverge)
+    assert len(taken) == 1
+    assert (affine.step_index, affine.seed) == (loop.step_index, loop.seed)
+    assert (loop.step_index, loop.seed) == (10, 71)
+    np.testing.assert_array_equal(affine.state, loop.state)
+
+
+@pytest.mark.parametrize("dim, n_chains, n_steps, affine", [
+    (2, 4, 32, True),
+    (2, 5, 32, False),
+    (8, 1, 40, True),
+    (9, 1, 40, False),
+], ids=["8-steps-per-chain", "fewer-steps-per-chain", "dim-8", "dim-9"])
+def test_affine_path_is_taken_only_where_it_pays(monkeypatch, dim, n_chains,
+                                                 n_steps, affine):
+    taken = _spy_affine(monkeypatch)
+    u = gaussian_potential(dim)
+    cfg = SimConfig(step_size=0.01, n_steps=n_steps,
+                    initial_point=np.zeros(dim), seed=2)
+    chain_time_averages(u, zero_drift(dim), coord1, cfg, n_chains=n_chains)
+    assert bool(taken) == affine
+
+
+def test_affine_chains_hold_no_chains_by_steps_noise(monkeypatch):
+    # the loop's noise block for 1024 chains would take 4 MiB
+    taken = _spy_affine(monkeypatch)
+    u = gaussian_potential(2)
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.01, n_steps=2 * CHUNK + 100,
+                    initial_point=[0.0, 0.0], burn_in_steps=100, seed=5)
+    peak = _traced_peak_mb(
+        lambda: chain_time_averages(u, c, coord1, cfg, n_chains=1024))
+    assert taken
+    assert peak < 1.0
+
+
+def test_loop_many_chain_memory_does_not_grow_with_horizon(monkeypatch):
+    # the twins of the two memory tests above on the loop, which those
+    # Gaussian chains no longer take but torus and double-well chains do
+    monkeypatch.setattr(sde_sim, "_affine_powers", lambda *args: None)
+    test_many_chain_memory_does_not_grow_with_horizon()
+
+
+def test_loop_stored_path_memory_is_preallocated(monkeypatch):
+    monkeypatch.setattr(sde_sim, "_affine_powers", lambda *args: None)
+    test_stored_path_memory_is_preallocated()
+
+
+def test_loop_evaluates_grad_once_per_step():
+    # the Q grad U drift reuses the step's gradient instead of its own
+    calls = []
+    torus = torus_cosine(2, 1.0)
+
+    def grad(x):
+        calls.append(1)
+        return torus.grad(x)
+
+    u = replace(torus, grad=grad)
+    cfg = SimConfig(step_size=0.05, n_steps=200, initial_point=[0.1, 6.0],
+                    seed=21, perturbation_scale=2.0)
+    chain_time_averages(u, make_qgradu_drift(ROT, u), coord1, cfg, n_chains=4)
+    assert len(calls) == 200
