@@ -18,8 +18,8 @@ else it takes the kernel of the restricted A, and only the kernel, from the
 zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
 and inverse iteration, no SVD, Q never formed); it fills the resolvent into
 one array a block of columns at a time and symmetrizes it in place, and it
-reads L's eigenvalues from the system's cached vector, then takes only the
-few eigenvectors of L's lowest eigenspace.
+reads L's eigenvalues and its lowest eigenspace from the system's cached
+tridiagonal reduction.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     # no other dense array
     a_kernel = _skew_kernel(sys._restrict(sys.s_matrix, -1.0))
 
-    w = sys._l_eigenvalues
+    w, l_space = sys._l_spectrum
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
@@ -151,12 +151,6 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym, overwrite_a=True,
                                                 driver="evd")[-1])
     del sym
-
-    # the lambda-eigenspace of L, from a fresh restriction
-    dim = int(np.sum(np.abs(w - lam) <= 1e-8 * max(lam, 1.0)))
-    _, l_space = scipy.linalg.eigh(sys._restrict(sys.l_matrix, 1.0),
-                                   overwrite_a=True, driver="evr",
-                                   subset_by_index=[0, dim - 1])
 
     if a_kernel.shape[1] == 0:
         angles = np.asarray([])

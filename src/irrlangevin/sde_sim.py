@@ -16,12 +16,14 @@ map x -> x A + sqrt(2 dt) xi with A = I - dt H + k dt H Q^T (row vectors).
 If the spectral radius of A is below 1, d is at most ``AFFINE_MAX_DIM`` and
 the horizon has at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain,
 chains then run one at a time along the time axis, in chunks of the fixed
-``AFFINE_CHUNK_STEPS`` steps: a chunk's normals are drawn in place, its
-states come from a log-depth prefix scan over A, A^2, A^4, ..., and the
-observable is evaluated once per chunk.  Every other case (the torus,
-nonlinear U, custom drifts, an unstable A, many dimensions, many chains
-over a short horizon) runs on the loop: all chains in lock-step, one
-Python step at a time.  The two paths agree to rounding.
+``AFFINE_CHUNK_STEPS`` steps: a chunk's normals are drawn in place and
+its states come from a log-depth prefix scan over A, A^2, A^4, ...  Every
+other case (the torus, nonlinear U, custom drifts, an unstable A, many
+dimensions, many chains over a short horizon) runs on the loop: all chains
+in lock-step, one Python step at a time, each writing its states over its
+noise in a block.  Both paths fold a chunk or block alike: f once on all
+its post-burn-in states, running sums added in step order.  They agree to
+rounding, and the loop gives the bits of a step-by-step loop.
 
 RNG contract: every chain draws its Gaussian increments from a dedicated
 counter-based Philox stream keyed by its seed; a chain's increments are its
@@ -161,30 +163,12 @@ def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
 
 
 def _block_steps(n_chains: int, dim: int) -> int:
-    """Steps per noise block, at least 1.
+    """Steps per noise block of the loop, at least 1.
 
-    The block plus one chain's draw, on its way into the block, fit in
-    ``NOISE_BLOCK_BYTES``.
+    The block's rows, the fold's running sums (``n_chains`` per step) and
+    one chain's draw, on its way into the block, fit in ``NOISE_BLOCK_BYTES``.
     """
-    return max(1, NOISE_BLOCK_BYTES // (8 * (n_chains + 1) * dim))
-
-
-def _noise_blocks(n_steps: int, dim: int, seeds: Sequence[int]):
-    """Yield (start, noise of shape (block, n_chains, dim)) blocks.
-
-    Every block is drawn into the same preallocated buffer, so a yielded
-    block is valid only until the next one is requested.
-    """
-    rngs = [Generator(Philox(key=int(s))) for s in seeds]
-    steps = min(n_steps, _block_steps(len(rngs), dim))
-    buf = np.empty((steps, len(rngs), dim))
-    done = 0
-    while done < n_steps:
-        b = min(steps, n_steps - done)
-        for i, r in enumerate(rngs):
-            buf[:b, i] = r.standard_normal((b, dim))
-        yield done, buf[:b]
-        done += b
+    return max(1, NOISE_BLOCK_BYTES // (8 * ((n_chains + 1) * dim + n_chains)))
 
 
 def _affine_powers(u: Potential, c: DriftField, k: float,
@@ -223,46 +207,36 @@ def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
 
     Returns each chain's sum of ``f`` over the post-burn-in left endpoints,
     and fills ``path`` (None or ``(states, times, running)``) with the first
-    chain's recorded states.  Divergence is detected per noise block and
-    located exactly by replaying the offending block step by step (the
-    replay is deterministic, so the reported step index and state are
-    exact).
+    chain's recorded states.  A noise block's rows are its entry state and
+    the states after each of its steps, all chains side by side: the streams
+    fill rows 1.. with normals, each step writes its states over its noise,
+    and :func:`_fold` folds the block.  A coordinate that is not finite stays
+    so at every later step, so the first row holding one locates a
+    divergence exactly: its step, the lowest-index chain there, and that
+    chain's state before it.
     """
-    x = np.tile(x0, (len(seeds), 1))
+    rngs = [Generator(Philox(key=int(s))) for s in seeds]
     advance = _em_step(u, c, k, dt)
-    fsum = np.zeros(len(seeds))
-
-    def record(step, state):
-        if path is not None and step >= burn_in and (step - burn_in) % thin == 0:
-            states, times, running = path
-            j = (step - burn_in) // thin
-            states[j] = state[0]
-            times[j] = step * dt
-            if step == burn_in:
-                running[j] = f(state)[0]
-            else:
-                running[j] = fsum[0] / (step - burn_in)
-
-    for start, block in _noise_blocks(n_steps, len(x0), seeds):
-        x_entry = x.copy()
-        for s in range(block.shape[0]):
-            step = start + s
-            record(step, x)
-            if step >= burn_in:
-                fsum += f(x)
-            x = advance(x, block[s])
-        if not np.all(np.isfinite(x)):
-            x = x_entry
-            for s in range(block.shape[0]):
-                new = advance(x, block[s])
-                bad = ~np.all(np.isfinite(new), axis=-1)
-                if np.any(bad):
-                    i = int(np.argmax(bad))
-                    raise DivergenceError(step_index=start + s,
-                                          seed=int(seeds[i]), state=x[i])
-                x = new
-    record(n_steps, x)
-    return fsum
+    steps = min(n_steps, _block_steps(len(seeds), len(x0)))
+    buf = np.empty((steps + 1, len(seeds), len(x0)))
+    sums = np.empty((steps + 1, len(seeds)))
+    buf[0] = x0
+    total = np.zeros(len(seeds))
+    for start in range(0, n_steps, steps):
+        rows = buf[:min(steps, n_steps - start) + 1]
+        for i, rng in enumerate(rngs):
+            rows[1:, i] = rng.standard_normal((len(rows) - 1, len(x0)))
+        for s in range(len(rows) - 1):
+            rows[s + 1] = advance(rows[s], rows[s + 1])
+        if not np.all(np.isfinite(rows[-1])):
+            bad = ~np.all(np.isfinite(rows[1:]), axis=-1)
+            s, i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise DivergenceError(step_index=start + int(s), seed=int(seeds[i]),
+                                  state=rows[s, i].copy())
+        total = _fold(f, rows, sums, total, start, path, dt=dt,
+                      n_steps=n_steps, burn_in=burn_in, thin=thin)
+        buf[0] = rows[-1]
+    return total
 
 
 def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
@@ -277,9 +251,10 @@ def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
     sqrt(2 dt), and a Hillis-Steele scan adds ``rows[:-2^j] @ A^(2^j)`` to
     ``rows[2^j:]`` for j = 0, 1, ...  Row t is then
     ``x A^t + sum_s sqrt(2 dt) xi_s A^(t-1-s)``, the state after t steps.
-    When a chunk is not finite, every chain is rerun on the loop, so a
-    divergence is located and reported exactly as the loop reports it: at
-    the earliest step of any chain, and at that step the lowest-index chain.
+    The chunk is then folded by :func:`_fold`.  When a chunk is not finite,
+    every chain is rerun on the loop, so a divergence is located and
+    reported exactly as the loop reports it: at the earliest step of any
+    chain, and at that step the lowest-index chain.
     """
     buf = np.empty((min(n_steps, AFFINE_CHUNK_STEPS) + 1, len(x0)))
     sums = np.empty(len(buf))
@@ -287,51 +262,63 @@ def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
     fsum = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
         rng = Generator(Philox(key=int(seed)))
-        chain_path = path if i == 0 else None
         buf[0] = x0
         total = 0.0
         for start in range(0, n_steps, AFFINE_CHUNK_STEPS):
-            b = min(AFFINE_CHUNK_STEPS, n_steps - start)
-            chunk = buf[:b + 1]
+            chunk = buf[:min(AFFINE_CHUNK_STEPS, n_steps - start) + 1]
             rng.standard_normal(out=chunk[1:])
             chunk[1:] *= root
             for j, power in enumerate(powers):
-                if 1 << j > b:
+                if 1 << j >= len(chunk):
                     break
                 chunk[1 << j:] += chunk[:-(1 << j)] @ power
             if not np.all(np.isfinite(chunk)):
                 return _loop_chains(u, c, f, x0, seeds, dt=dt,
                                     n_steps=n_steps, burn_in=burn_in, k=k,
                                     thin=thin, path=path)
-            first = max(start, burn_in)  # first post-burn-in left endpoint
-            n = start + b - first
-            if n > 0:
-                # sums[m] is f summed from burn-in to step first + m, in
-                # step order as the loop adds it
-                sums[0] = total
-                sums[1:n + 1] = f(chunk[first - start:b])
-                np.cumsum(sums[:n + 1], out=sums[:n + 1])
-                if chain_path is not None:
-                    _record_chunk(chain_path, chunk, sums, start, first,
-                                  dt=dt, burn_in=burn_in, thin=thin)
-                total = sums[n]
-            buf[0] = chunk[b]
-        if chain_path is not None and (n_steps - burn_in) % thin == 0:
-            states, times, running = chain_path
-            states[-1] = buf[0]
-            times[-1] = n_steps * dt
-            running[-1] = total / (n_steps - burn_in)
+            total = _fold(f, chunk, sums, total, start,
+                          path if i == 0 else None, dt=dt, n_steps=n_steps,
+                          burn_in=burn_in, thin=thin)
+            buf[0] = chunk[-1]
         fsum[i] = total
     return fsum
 
 
+def _fold(f: Observable, rows: Array, sums: Array, total, start: int, path,
+          *, dt: float, n_steps: int, burn_in: int, thin: int):
+    """Add ``f`` over a block's post-burn-in left endpoints; return the total.
+
+    ``rows`` holds the states at steps ``start``, ``start + 1``, ... of one
+    chain, (b + 1, dim), or of all chains side by side, (b + 1, n_chains,
+    dim); ``total`` is each chain's sum so far.  ``f`` is evaluated once on
+    the block, and ``sums[m]``, in a buffer of b + 1 rows or more, becomes
+    the total over the endpoints before ``first + m``, added in step order.
+    Chain 0's recorded steps, and its last state when the block ends the
+    run, go to ``path``.
+    """
+    b = len(rows) - 1
+    first = max(start, burn_in)  # first post-burn-in left endpoint
+    n = start + b - first
+    if n <= 0:
+        return total
+    sums[0] = total
+    sums[1:n + 1] = f(rows[first - start:b])
+    np.cumsum(sums[:n + 1], axis=0, out=sums[:n + 1])
+    if path is not None:
+        chain0 = (slice(None), 0) if rows.ndim == 3 else slice(None)
+        stop = start + b + (start + b == n_steps)  # the last state, too
+        _record_chunk(path, rows[chain0], sums[chain0], start, first, stop,
+                      dt=dt, burn_in=burn_in, thin=thin)
+    return sums[n].copy()
+
+
 def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
-                  *, dt: float, burn_in: int, thin: int) -> None:
-    """Store the recorded steps among left endpoints ``first..`` of a chunk."""
+                  stop: int, *, dt: float, burn_in: int, thin: int) -> None:
+    """Store the recorded steps among steps ``first..stop - 1`` of a chunk
+    whose rows start at step ``start``."""
     states, times, running = path
     j0 = -(-(first - burn_in) // thin)  # the first row recorded here
     s0 = burn_in + j0 * thin
-    stop = start + len(chunk) - 1
     if s0 >= stop:
         return
     rows = slice(j0, j0 + (stop - 1 - s0) // thin + 1)
@@ -360,12 +347,13 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain; outside these
     bounds the loop was timed faster.
 
-    Memory does not grow with the horizon: the state and ``fsum`` take
-    O(n_chains * dim), the noise takes at most ``NOISE_BLOCK_BYTES`` (or one
-    step's noise, if that is larger) on the loop and one chunk of
-    ``AFFINE_CHUNK_STEPS`` steps (with its product, at most 0.5 MB) on the
-    affine path, and the stored path is allocated up front at
-    ``8 * (dim + 2)`` bytes per recorded state.
+    Memory does not grow with the horizon.  On the loop, a noise block's
+    rows and the fold's running sums, allocated once per run, take at most
+    ``NOISE_BLOCK_BYTES`` (or one step's, if that is larger; see
+    :func:`_block_steps`), plus ``f``'s output and temporaries on one block.
+    On the affine path one chunk of ``AFFINE_CHUNK_STEPS`` steps, with its
+    sums and product, takes at most 0.5 MB.  The stored path is allocated
+    up front at ``8 * (dim + 2)`` bytes per recorded state.
     """
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
@@ -380,7 +368,7 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
               and n_steps >= AFFINE_MIN_STEPS_PER_CHAIN * len(seeds))
     powers = _affine_powers(u, c, k, dt) if affine else None
     with np.errstate(over="ignore", invalid="ignore"):
-        # overflow is detected per block or chunk and located by replay
+        # overflow is detected per block or chunk and located on the loop's rows
         if powers is None:
             fsum = _loop_chains(u, c, f, x0, seeds, **kwargs)
         else:

@@ -262,20 +262,32 @@ class DiscretizedSystem:
     # -- cached factorizations -------------------------------------------
 
     @cached_property
-    def _l_eigenvalues(self) -> Array:
-        """Eigenvalues of the restricted L, ascending, checked positive.
+    def _l_spectrum(self) -> tuple[Array, Array]:
+        """(w, vectors): the restricted L's eigenvalues, ascending and checked
+        positive, and orthonormal eigenvectors of its lowest cluster, those
+        within 1e-8 max(w[0], 1) of w[0].
 
-        Computed without eigenvectors, so LAPACK's workspace is O(n); the
-        restriction is overwritten and only the O(n) vector is kept.  A
-        failed check raises on every access, since nothing is cached then.
+        ``dsytrd`` overwrites the restriction with T = Q^T L Q tridiagonal,
+        keeping Q as reflectors where ``dgehrd`` keeps them; ``dsterf`` gives
+        T's eigenvalues, ``dstebz`` and ``dstein`` the cluster's vectors,
+        mapped back by :func:`_hessenberg_q_times`.  A failed check raises on
+        every access, since nothing is cached then.
         """
         import scipy.linalg
+        from scipy.linalg import lapack
 
-        w = scipy.linalg.eigvalsh(self._restrict(self.l_matrix, 1.0),
-                                  overwrite_a=True, driver="evd")
+        size = self.n - 1
+        h, d, e, tau, _ = lapack.dsytrd(
+            self._restrict(self.l_matrix, 1.0), lower=1, overwrite_a=1,
+            lwork=int(lapack.dsytrd_lwork(size, lower=1)[0]))
+        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+                                          lapack_driver="sterf")
         if w[0] <= 0.0:
             raise _not_positive_definite(w[0])
-        return w
+        dim = int(np.sum(np.abs(w - w[0]) <= 1e-8 * max(w[0], 1.0)))
+        _, y = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                             select_range=(0, dim - 1))
+        return w, _hessenberg_q_times(h, tau, y)
 
     @cached_property
     def _householder(self) -> tuple[Array, Array, float]:
@@ -318,10 +330,10 @@ class DiscretizedSystem:
             lu = splu(energy, permc_spec=order, diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
         except RuntimeError as exc:  # how SuperLU reports a zero pivot
-            raise _not_positive_definite(self._l_eigenvalues[0]) from exc
+            raise _not_positive_definite(self._l_spectrum[0][0]) from exc
         d = lu.U.diagonal()
         if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
-            raise _not_positive_definite(self._l_eigenvalues[0])
+            raise _not_positive_definite(self._l_spectrum[0][0])
         inverse = np.argsort(lu.perm_c)
         rebuilt = lu.L @ scipy.sparse.diags_array(d) @ lu.L.T
         residual = abs(rebuilt - energy[inverse][:, inverse]).max() / abs(energy).max()
@@ -918,7 +930,7 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     """
     import scipy.linalg
 
-    lam = float(sys._l_eigenvalues[0])
+    lam = float(sys._l_spectrum[0][0])
     eigs = scipy.linalg.eigvals(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0),
                                 overwrite_a=True)
     return lam, float(eigs.real.min())

@@ -11,6 +11,9 @@ from irrlangevin import sde_sim
 from irrlangevin.errors import DivergenceError
 from irrlangevin.mc_variance import replicated_clt
 from irrlangevin.model import (
+    DriftField,
+    DriftKind,
+    double_well_2d,
     gaussian_potential,
     make_qgradu_drift,
     torus_cosine,
@@ -194,7 +197,7 @@ def _with_block_steps(monkeypatch, steps, n_chains, dim, run):
     """``run()`` at the default budget, then at ``steps`` steps per block."""
     default = run()
     monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES",
-                        steps * 8 * (n_chains + 1) * dim)
+                        steps * 8 * ((n_chains + 1) * dim + n_chains))
     assert sde_sim._block_steps(n_chains, dim) == steps
     return default, run()
 
@@ -593,3 +596,143 @@ def test_loop_evaluates_grad_once_per_step():
                     seed=21, perturbation_scale=2.0)
     chain_time_averages(u, make_qgradu_drift(ROT, u), coord1, cfg, n_chains=4)
     assert len(calls) == 200
+
+
+# --- the loop's blocks against a step-by-step reference -----------------------
+
+
+def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, k, thin,
+                   path):
+    """The loop as it ran before its blocks were folded, kept as a reference:
+    ``f`` and the record on every step, and a diverged block replayed step by
+    step from a copy of its entry state."""
+    x = np.tile(x0, (len(seeds), 1))
+    advance = sde_sim._em_step(u, c, k, dt)
+    fsum = np.zeros(len(seeds))
+    rngs = [sde_sim.Generator(sde_sim.Philox(key=int(s))) for s in seeds]
+    steps = sde_sim._block_steps(len(seeds), len(x0))
+
+    def record(step, state):
+        if path is not None and step >= burn_in and (step - burn_in) % thin == 0:
+            states, times, running = path
+            j = (step - burn_in) // thin
+            states[j] = state[0]
+            times[j] = step * dt
+            if step == burn_in:
+                running[j] = f(state)[0]
+            else:
+                running[j] = fsum[0] / (step - burn_in)
+
+    for start in range(0, n_steps, steps):
+        b = min(steps, n_steps - start)
+        block = np.stack([r.standard_normal((b, len(x0))) for r in rngs], axis=1)
+        x_entry = x.copy()
+        for s in range(b):
+            step = start + s
+            record(step, x)
+            if step >= burn_in:
+                fsum += f(x)
+            x = advance(x, block[s])
+        if not np.all(np.isfinite(x)):
+            x = x_entry
+            for s in range(b):
+                new = advance(x, block[s])
+                bad = ~np.all(np.isfinite(new), axis=-1)
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    raise DivergenceError(step_index=start + s,
+                                          seed=int(seeds[i]), state=x[i])
+                x = new
+    record(n_steps, x)
+    return fsum
+
+
+def _swirl():
+    """A custom (not Q grad U) 2-d drift, so the loop calls its ``eval``."""
+    def drift(x):
+        return np.sin(x[..., ::-1]) * np.array([1.0, -1.0])
+
+    return DriftField(dim=2, eval=drift, kind=DriftKind.CUSTOM,
+                      divergence=lambda x: np.zeros(np.shape(x)[:-1]))
+
+
+LOOP_CASES = {
+    "torus": (torus_cosine(2, 1.0), lambda u: make_qgradu_drift(ROT, u),
+              [0.1, 6.0]),
+    "double-well": (double_well_2d(), lambda u: make_qgradu_drift(ROT, u),
+                    [1.0, 0.0]),
+    "custom-drift": (double_well_2d(), lambda u: _swirl(), [0.5, -0.5]),
+}
+
+
+def _wavy(x):
+    return np.cos(x[..., 0]) + x[..., 1] ** 2
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_loop_matches_the_per_step_loop(monkeypatch, case, thin):
+    # burn-in ends inside the third 7-step block; 5 chains in lock-step
+    u, drift, x0 = LOOP_CASES[case]
+    c = drift(u)
+    runs = []
+    for loop in (sde_sim._loop_chains, _per_step_loop):
+        monkeypatch.setattr(sde_sim, "_loop_chains", loop)
+        for bytes_ in (sde_sim.NOISE_BLOCK_BYTES,
+                       7 * 8 * (6 * 2 + 5), 7 * 8 * (2 * 2 + 1)):
+            monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES", bytes_)
+            for k in (0.0, 1.0, 2.0):
+                cfg = SimConfig(step_size=0.05, n_steps=101, initial_point=x0,
+                                burn_in_steps=17, seed=40,
+                                perturbation_scale=k, thin=thin)
+                runs.append((simulate(u, c, _wavy, cfg),
+                             chain_time_averages(u, c, _wavy, cfg, 5)[0]))
+        monkeypatch.undo()
+    half = len(runs) // 2
+    for (traj, avg), (ref, ref_avg) in zip(runs[:half], runs[half:]):
+        np.testing.assert_array_equal(traj.states, ref.states)
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_array_equal(traj.observable_running_mean,
+                                      ref.observable_running_mean)
+        np.testing.assert_array_equal(avg, ref_avg)
+
+
+def test_loop_divergence_matches_the_per_step_loop(monkeypatch):
+    # torus chains poisoned at steps 40 and 12 diverge inside 7-step blocks;
+    # both loops name seed 71 at step 12 with the same state
+    bad_step = {70: 40, 71: 12, 72: 12}
+    monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES", 7 * 8 * (4 * 2 + 3))
+    monkeypatch.setattr(sde_sim, "Philox", lambda key: key)
+    monkeypatch.setattr(sde_sim, "Generator",
+                        lambda key: _PoisonedStream(key, bad_step[key], 2))
+    u = torus_cosine(2, 1.0)
+    cfg = SimConfig(step_size=0.05, n_steps=60, initial_point=[0.1, 6.0],
+                    seed=70, perturbation_scale=1.0)
+    errors = []
+    for loop in (sde_sim._loop_chains, _per_step_loop):
+        monkeypatch.setattr(sde_sim, "_loop_chains", loop)
+        with pytest.raises(DivergenceError) as err:
+            chain_time_averages(u, make_qgradu_drift(ROT, u), coord1, cfg, 3)
+        errors.append(err.value)
+    new, ref = errors
+    assert (new.step_index, new.seed) == (ref.step_index, ref.seed) == (12, 71)
+    np.testing.assert_array_equal(new.state, ref.state)
+
+
+def test_loop_evaluates_f_once_per_noise_block(monkeypatch):
+    # 50 steps in 7-step blocks are 8 blocks, each with post-burn-in steps;
+    # a step-by-step loop would call f 47 times
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return coord1(x)
+
+    monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES", 7 * 8 * (5 * 2 + 4))
+    assert sde_sim._block_steps(4, 2) == 7
+    u = torus_cosine(2, 1.0)
+    cfg = SimConfig(step_size=0.05, n_steps=50, initial_point=[0.1, 6.0],
+                    burn_in_steps=3, seed=21, perturbation_scale=1.0)
+    chain_time_averages(u, make_qgradu_drift(ROT, u), f, cfg, n_chains=4)
+    assert len(calls) == 8
+    assert sum(shape[0] for shape in calls) == 47
