@@ -22,15 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .model import DriftField, Potential
-from .sde_sim import SimConfig, Trajectory, chain_time_averages
+from .observables import Observable
+from .sde_sim import ObservableFn, SimConfig, Trajectory, chain_time_averages
 
 Array = np.ndarray
-Observable = Callable[[Array], Array]
 
 
 class EstimatorMethod(Enum):
@@ -59,16 +58,18 @@ class VarianceEstimate:
             raise ValueError("stderr must be finite")
 
 
-def _left_endpoint_values(traj: Trajectory, f: Observable) -> Array:
+def _left_endpoint_values(traj: Trajectory,
+                          f: Observable | ObservableFn) -> Array:
     if traj.thin != 1:
         raise ValueError(
             "batch estimators need an unthinned trajectory (thin == 1); "
             f"got thin={traj.thin}"
         )
+    f = f.fn if isinstance(f, Observable) else f
     return np.asarray(f(traj.states[:-1]), dtype=float)
 
 
-def batch_means(traj: Trajectory, f: Observable,
+def batch_means(traj: Trajectory, f: Observable | ObservableFn,
                 batch_length: float | None = None,
                 min_batches: int = 20) -> VarianceEstimate:
     """Non-overlapping batch-means estimate from a single trajectory.
@@ -113,13 +114,15 @@ def batch_means(traj: Trajectory, f: Observable,
     )
 
 
-def overlapping_batch_means(traj: Trajectory, f: Observable,
+def overlapping_batch_means(traj: Trajectory, f: Observable | ObservableFn,
                             batch_length: float | None = None) -> VarianceEstimate:
     """Overlapping variant: every window of the batch length is a batch.
 
     Smaller variance than plain batch means at the same batch length; same
     bias.  Degrees of freedom for the standard error follow the effective
-    count 1.5 * total / batch_length.
+    count 1.5 * total / batch_length.  Beside ``f``'s values, which are
+    released once summed, two horizon-length buffers are held: the
+    cumulative sums, and the window means, centred and squared in place.
     """
     values = _left_endpoint_values(traj, f)
     dt = traj.step_size
@@ -135,21 +138,26 @@ def overlapping_batch_means(traj: Trajectory, f: Observable,
         )
     b = max(int(round(batch_length / dt)), 1)
     n = len(values)
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    means = (csum[b:] - csum[:-b]) / b  # n - b + 1 overlapping windows
     center = float(values.mean())
-    dev = means - center
-    if np.ptp(values) == 0.0:
+    constant = np.ptp(values) == 0.0
+    csum = np.zeros(n + 1)
+    np.cumsum(values, out=csum[1:])
+    del values
+    dev = np.subtract(csum[b:], csum[:-b])  # n - b + 1 overlapping windows
+    dev /= b
+    dev -= center
+    if constant:
         estimate = 0.0
     else:
-        estimate = float(dt * n * b * np.sum(dev**2) / ((n - b) * (n - b + 1)))
+        estimate = float(dt * n * b * np.sum(np.square(dev, out=dev))
+                         / ((n - b) * (n - b + 1)))
     dof = max(int(round(1.5 * n / b)) - 1, 1)
     stderr = estimate * np.sqrt(2.0 / dof)
     return VarianceEstimate(
         point_estimate=estimate, stderr=float(stderr),
         method=EstimatorMethod.OVERLAPPING_BATCH_MEANS,
         batch_length=float(b * dt), total_time=float(total), n_chains=1,
-        center=center, dt=dt, diagnostics={"n_windows": len(means)},
+        center=center, dt=dt, diagnostics={"n_windows": len(dev)},
     )
 
 
@@ -171,8 +179,9 @@ def _normality_diagnostics(averages: Array) -> dict:
     }
 
 
-def replicated_clt(u: Potential, c: DriftField, f: Observable, cfg: SimConfig,
-                   n_chains: int, check_bias: bool = False) -> VarianceEstimate:
+def replicated_clt(u: Potential, c: DriftField, f: Observable | ObservableFn,
+                   cfg: SimConfig, n_chains: int,
+                   check_bias: bool = False) -> VarianceEstimate:
     """Across-chain estimate from ``n_chains`` independent replicas.
 
     Chains are seeded ``cfg.seed, cfg.seed + 1, ...``.  The estimate is the

@@ -21,9 +21,10 @@ its states come from a log-depth prefix scan over A, A^2, A^4, ...  Every
 other case (the torus, nonlinear U, custom drifts, an unstable A, many
 dimensions, many chains over a short horizon) runs on the loop: all chains
 in lock-step, one Python step at a time, each writing its states over its
-noise in a block.  Both paths fold a chunk or block alike: f once on all
-its post-burn-in states, running sums added in step order.  They agree to
-rounding, and the loop gives the bits of a step-by-step loop.
+noise in place, in blocks of at most ``AFFINE_CHUNK_STEPS`` steps.  Both
+paths fold a chunk or block alike: f once on all its post-burn-in states,
+running sums added in step order.  They agree to rounding, and the loop
+gives the bits of a step-by-step loop.
 
 RNG contract: every chain draws its Gaussian increments from a dedicated
 counter-based Philox stream keyed by its seed; a chain's increments are its
@@ -44,13 +45,16 @@ from numpy.random import Generator, Philox
 
 from .errors import DivergenceError
 from .model import DriftField, DriftKind, Potential, SpaceKind
+from .observables import Observable
 
 Array = np.ndarray
-Observable = Callable[[Array], Array]
+ObservableFn = Callable[[Array], Array]
 
 RNG_NAME = "philox4x64"
-NOISE_BLOCK_BYTES = 4 * 2**20  # noise held at once; any value, same streams
-AFFINE_CHUNK_STEPS = 4096  # steps per affine chunk; any value, same streams
+# bytes of a loop block's states and sums held at once; any value, same streams
+NOISE_BLOCK_BYTES = 4 * 2**20
+# steps per affine chunk, and at most per loop block; any value, same streams
+AFFINE_CHUNK_STEPS = 4096
 # where the affine path is taken: its cost per chain-step grows like 12 dim^2
 # flops against the loop's 2 dim^2, and it pays a fixed cost per chain
 AFFINE_MAX_DIM = 8
@@ -114,9 +118,13 @@ class Trajectory:
 def _em_step(u: Potential, c: DriftField, k: float, dt: float):
     """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, k, dt.
 
-    A QGRADU drift is taken as Q grad U of this potential, so grad U is
-    evaluated once per step: the drift ``-grad U + k Q grad U`` is
-    ``grad U @ (k Q^T - I)``.
+    The map writes the next state, ``root * noise + (state + dt * drift)``,
+    over ``noise`` and returns it.  That is the step's one addition with its
+    operands swapped, so the bits are those of ``state + dt * drift + root *
+    noise``, and no array is made for the state.  A caller that keeps its
+    noise passes a copy.  A QGRADU drift is taken as Q grad U of this
+    potential, so grad U is evaluated once per step: the drift
+    ``-grad U + k Q grad U`` is ``grad U @ (k Q^T - I)``.
     """
     on_torus = u.space_kind is SpaceKind.FLAT_TORUS
     grad = u.grad
@@ -136,10 +144,11 @@ def _em_step(u: Potential, c: DriftField, k: float, dt: float):
             return -grad(state) + k * ceval(state)
 
     def advance(state, noise):
-        new = state + dt * drift(state) + root * noise
+        noise *= root
+        noise += state + dt * drift(state)
         if on_torus:
-            new = np.mod(new, TWO_PI)
-        return new
+            np.mod(noise, TWO_PI, out=noise)
+        return noise
 
     return advance
 
@@ -149,26 +158,30 @@ def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
     """One Euler-Maruyama step from ``x`` with the given standard-normal draw.
 
     Returns ``x + dt (-grad U(x) + k C(x)) + sqrt(2 dt) noise``; on the torus
-    the coordinates are wrapped back into [0, 2pi).  Raises DivergenceError
-    when the result is not finite.
+    the coordinates are wrapped back into [0, 2pi).  ``noise`` is left as
+    it is.  Raises DivergenceError when the result is not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _em_step(u, c, k, dt)(x, np.asarray(noise, dtype=float))
+        out = _em_step(u, c, k, dt)(x, np.array(noise, dtype=float))
     if not np.all(np.isfinite(out)):
         raise DivergenceError(step_index=0, seed=None, state=x)
     return out
 
 
 def _block_steps(n_chains: int, dim: int) -> int:
-    """Steps per noise block of the loop, at least 1.
+    """Steps per noise block of the loop, from 1 to ``AFFINE_CHUNK_STEPS``.
 
     The block's rows, the fold's running sums (``n_chains`` per step) and
     one chain's draw, on its way into the block, fit in ``NOISE_BLOCK_BYTES``.
+    The chunk length caps a block of few chains, whose budget would cover a
+    whole horizon: a 2-d chain then holds 160 KB of rows, sums and draw,
+    not 4 MiB.
     """
-    return max(1, NOISE_BLOCK_BYTES // (8 * ((n_chains + 1) * dim + n_chains)))
+    budget = NOISE_BLOCK_BYTES // (8 * ((n_chains + 1) * dim + n_chains))
+    return max(1, min(AFFINE_CHUNK_STEPS, budget))
 
 
 def _affine_powers(u: Potential, c: DriftField, k: float,
@@ -200,7 +213,7 @@ def _affine_powers(u: Potential, c: DriftField, k: float,
     return squares[:AFFINE_CHUNK_STEPS.bit_length()]
 
 
-def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
+def _loop_chains(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
                  seeds: Sequence[int], *, dt: float, n_steps: int,
                  burn_in: int, k: float, thin: int, path) -> Array:
     """Advance the chains in lock-step, one step at a time; the general path.
@@ -209,11 +222,11 @@ def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
     and fills ``path`` (None or ``(states, times, running)``) with the first
     chain's recorded states.  A noise block's rows are its entry state and
     the states after each of its steps, all chains side by side: the streams
-    fill rows 1.. with normals, each step writes its states over its noise,
-    and :func:`_fold` folds the block.  A coordinate that is not finite stays
-    so at every later step, so the first row holding one locates a
-    divergence exactly: its step, the lowest-index chain there, and that
-    chain's state before it.
+    fill rows 1.. with normals, each step writes its states over its noise
+    in place, and :func:`_fold` folds the block.  A coordinate that is not
+    finite stays so at every later step, so the first row holding one
+    locates a divergence exactly: its step, the lowest-index chain there,
+    and that chain's state before it.
     """
     rngs = [Generator(Philox(key=int(s))) for s in seeds]
     advance = _em_step(u, c, k, dt)
@@ -227,7 +240,7 @@ def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
         for i, rng in enumerate(rngs):
             rows[1:, i] = rng.standard_normal((len(rows) - 1, len(x0)))
         for s in range(len(rows) - 1):
-            rows[s + 1] = advance(rows[s], rows[s + 1])
+            advance(rows[s], rows[s + 1])
         if not np.all(np.isfinite(rows[-1])):
             bad = ~np.all(np.isfinite(rows[1:]), axis=-1)
             s, i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -240,7 +253,7 @@ def _loop_chains(u: Potential, c: DriftField, f: Observable, x0: Array,
 
 
 def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
-                   f: Observable, x0: Array, seeds: Sequence[int], *,
+                   f: ObservableFn, x0: Array, seeds: Sequence[int], *,
                    dt: float, n_steps: int, burn_in: int, k: float,
                    thin: int, path) -> Array:
     """The affine path: chains one at a time, ``AFFINE_CHUNK_STEPS`` at once.
@@ -284,7 +297,7 @@ def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
     return fsum
 
 
-def _fold(f: Observable, rows: Array, sums: Array, total, start: int, path,
+def _fold(f: ObservableFn, rows: Array, sums: Array, total, start: int, path,
           *, dt: float, n_steps: int, burn_in: int, thin: int):
     """Add ``f`` over a block's post-burn-in left endpoints; return the total.
 
@@ -331,12 +344,13 @@ def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
         running[j0] = sums[1]  # the window start records f itself
 
 
-def _run_chains(u: Potential, c: DriftField, f: Observable, *,
+def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn, *,
                 dt: float, n_steps: int, burn_in: int, k: float,
                 x0: Array, seeds: Sequence[int], thin: int = 1,
                 store: bool = False):
     """Run the chains on the affine path or the loop; behind the public API.
 
+    ``f`` is a callable or an :class:`Observable`, whose ``fn`` is taken.
     Rejects a drift or an ``x0`` whose dimension is not the potential's.
 
     Returns ``(averages, states, times, running)`` where ``averages`` holds
@@ -348,15 +362,17 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     bounds the loop was timed faster.
 
     Memory does not grow with the horizon.  On the loop, a noise block's
-    rows and the fold's running sums, allocated once per run, take at most
-    ``NOISE_BLOCK_BYTES`` (or one step's, if that is larger; see
-    :func:`_block_steps`), plus ``f``'s output and temporaries on one block.
-    On the affine path one chunk of ``AFFINE_CHUNK_STEPS`` steps, with its
-    sums and product, takes at most 0.5 MB.  The stored path is allocated
-    up front at ``8 * (dim + 2)`` bytes per recorded state.
+    rows and the fold's running sums, allocated once per run and written
+    in place by the steps, hold at most ``AFFINE_CHUNK_STEPS`` steps in
+    ``NOISE_BLOCK_BYTES`` (or one step, if that is larger; see
+    :func:`_block_steps`), plus ``f``'s output and temporaries on one
+    block.  On the affine path one chunk of ``AFFINE_CHUNK_STEPS`` steps,
+    with its sums and product, takes at most 0.5 MB.  The stored path is
+    allocated up front at ``8 * (dim + 2)`` bytes per recorded state.
     """
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
+    f = f.fn if isinstance(f, Observable) else f
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (u.dim,):
         raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
@@ -379,7 +395,7 @@ def _run_chains(u: Potential, c: DriftField, f: Observable, *,
     return (averages, *path)
 
 
-def simulate(u: Potential, c: DriftField, f: Observable,
+def simulate(u: Potential, c: DriftField, f: Observable | ObservableFn,
              cfg: SimConfig) -> Trajectory:
     """Run one chain and return its recorded trajectory.
 
@@ -401,8 +417,9 @@ def simulate(u: Potential, c: DriftField, f: Observable,
                       total_time=total_time)
 
 
-def chain_time_averages(u: Potential, c: DriftField, f: Observable,
-                        cfg: SimConfig, n_chains: int) -> tuple[Array, float]:
+def chain_time_averages(u: Potential, c: DriftField,
+                        f: Observable | ObservableFn, cfg: SimConfig,
+                        n_chains: int) -> tuple[Array, float]:
     """Time averages of ``f`` for ``n_chains`` chains seeded seed, seed+1, ...
 
     Chains are advanced in lock-step (or, on the affine path, one after

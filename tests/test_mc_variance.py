@@ -17,8 +17,19 @@ from irrlangevin.mc_variance import (
     overlapping_batch_means,
     replicated_clt,
 )
-from irrlangevin.model import gaussian_potential, make_qgradu_drift, zero_drift
-from irrlangevin.sde_sim import SimConfig, Trajectory, simulate
+from irrlangevin.model import (
+    gaussian_potential,
+    make_potential,
+    make_qgradu_drift,
+    zero_drift,
+)
+from irrlangevin.observables import parse_observable
+from irrlangevin.sde_sim import (
+    SimConfig,
+    Trajectory,
+    chain_time_averages,
+    simulate,
+)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -230,3 +241,26 @@ def test_bias_flag_matches_its_definition():
     assert est.bias_flagged == (moved > est.stderr)
     unchecked = replicated_clt(u, zero_drift(2), coord1, cfg, n_chains=8)
     assert unchecked.bias_flagged is None
+
+
+@pytest.mark.parametrize("potential, spec", [("gaussian", "x1"),
+                                             ("torus_cosine", "cos1")])
+def test_observable_and_its_fn_give_the_same_bits(potential, spec):
+    # every sampler entry point takes parse_observable's dataclass as well
+    # as its callable; the Gaussian runs on the affine path, the torus on
+    # the loop
+    u = make_potential(potential, dim=2)
+    c = make_qgradu_drift(ROT, u)
+    obs = parse_observable(spec, 2)
+    cfg = SimConfig(step_size=0.05, n_steps=8_200, initial_point=[0.5, 0.5],
+                    burn_in_steps=100, seed=9)
+    runs = []
+    for f in (obs, obs.fn):
+        traj = simulate(u, c, f, cfg)
+        runs.append((traj.states, traj.observable_running_mean,
+                     chain_time_averages(u, c, f, cfg, 3)[0],
+                     batch_means(traj, f).point_estimate,
+                     overlapping_batch_means(traj, f).point_estimate,
+                     replicated_clt(u, c, f, cfg, 8).point_estimate))
+    for dataclass_out, fn_out in zip(*runs):
+        np.testing.assert_array_equal(dataclass_out, fn_out)

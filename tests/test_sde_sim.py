@@ -9,7 +9,7 @@ from numpy.random import Generator, Philox
 
 from irrlangevin import sde_sim
 from irrlangevin.errors import DivergenceError
-from irrlangevin.mc_variance import replicated_clt
+from irrlangevin.mc_variance import overlapping_batch_means, replicated_clt
 from irrlangevin.model import (
     DriftField,
     DriftKind,
@@ -107,6 +107,16 @@ def test_single_step_matches_step_em():
     assert traj.states.shape == (2, 2)
     np.testing.assert_array_equal(traj.states[0], [0.4, -0.2])
     np.testing.assert_allclose(traj.states[1], expected, rtol=1e-15)
+
+
+def test_step_em_leaves_its_noise_alone():
+    # the simulator's step writes over its noise; step_em hands it a copy
+    u = torus_cosine(2, 1.0)
+    noise = np.array([0.5, 7.0])
+    out = step_em(np.array([6.2, 0.05]), u, make_qgradu_drift(ROT, u), k=1.0,
+                  dt=0.25, noise=noise)
+    np.testing.assert_array_equal(noise, [0.5, 7.0])
+    assert not np.shares_memory(out, noise)
 
 
 def test_simulate_is_deterministic():
@@ -274,13 +284,28 @@ def test_many_chain_memory_does_not_grow_with_horizon():
     assert peak <= 16.0
 
 
+PATH_STEPS = 43_000
+
+
+def _simulate_gaussian_path():
+    cfg = SimConfig(step_size=0.01, n_steps=PATH_STEPS,
+                    initial_point=[0.0, 0.0], seed=5)
+    return simulate(gaussian_potential(2), zero_drift(2), coord1, cfg)
+
+
 def test_stored_path_memory_is_preallocated():
-    # 43,001 recorded states take 8 * (2 + 2) bytes each: 1.4 MB
-    u = gaussian_potential(2)
-    cfg = SimConfig(step_size=0.01, n_steps=43_000, initial_point=[0.0, 0.0],
-                    seed=5)
-    peak = _traced_peak_mb(lambda: simulate(u, zero_drift(2), coord1, cfg))
-    assert peak <= 5.0
+    # 43,001 recorded states take 8 * (2 + 2) bytes each: 1.4 MB; a block or
+    # chunk of the run may add 0.5 MB, not a horizon's worth of noise
+    peak = _traced_peak_mb(_simulate_gaussian_path)
+    assert peak <= 8 * (2 + 2) * (PATH_STEPS + 1) / 1e6 + 0.5
+
+
+def test_overlapping_batch_means_holds_two_horizon_buffers():
+    # the cumulative sums and the window means, 8 bytes a step each; coord1's
+    # values are a view of the path
+    traj = _simulate_gaussian_path()
+    peak = _traced_peak_mb(lambda: overlapping_batch_means(traj, coord1))
+    assert peak <= 2 * 8 * (PATH_STEPS + 1) / 1e6
 
 
 def test_long_run_mean_near_zero():
@@ -605,7 +630,9 @@ def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, k, thin,
                    path):
     """The loop as it ran before its blocks were folded, kept as a reference:
     ``f`` and the record on every step, and a diverged block replayed step by
-    step from a copy of its entry state."""
+    step from a copy of its entry state.  ``advance`` writes its step over
+    the noise it is given, so the first pass hands it copies and the block
+    stays intact for the replay."""
     x = np.tile(x0, (len(seeds), 1))
     advance = sde_sim._em_step(u, c, k, dt)
     fsum = np.zeros(len(seeds))
@@ -632,7 +659,7 @@ def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, k, thin,
             record(step, x)
             if step >= burn_in:
                 fsum += f(x)
-            x = advance(x, block[s])
+            x = advance(x, block[s].copy())
         if not np.all(np.isfinite(x)):
             x = x_entry
             for s in range(b):

@@ -1386,3 +1386,26 @@ def test_package_import_loads_no_sparse_module():
         out = subprocess.run([sys.executable, "-c", probe, src, module],
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "[]", module
+
+
+def test_sampler_loads_no_scipy_module():
+    # a torus chain, its batch-means and OBM estimates and a replicated CLT
+    # run on numpy alone: scipy.sparse would add 14 MB of RSS, and
+    # scipy.sparse.linalg 24 MB
+    import irrlangevin
+
+    src = str(Path(irrlangevin.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from irrlangevin import *; "
+        "u = make_potential('torus_cosine', dim=2); "
+        "c = make_qgradu_drift(np.array([[0.0, 1.0], [-1.0, 0.0]]), u); "
+        "f = parse_observable('cos1', 2); "
+        "cfg = SimConfig(step_size=0.05, n_steps=8_200, "
+        "initial_point=[0.5, 0.5], burn_in_steps=100, seed=3); "
+        "traj = simulate(u, c, f, cfg); batch_means(traj, f); "
+        "overlapping_batch_means(traj, f); replicated_clt(u, c, f, cfg, 4); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
