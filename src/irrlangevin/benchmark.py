@@ -23,11 +23,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import KSweepResult, equality_certificate, sweep_k, worst_case
+from .analysis import KSweepResult, sweep_k, worst_case
 from .mc_variance import replicated_clt
 from .model import gaussian_potential, make_qgradu_drift, torus_cosine
 from .sde_sim import SimConfig
 from .spectral_oracle import (
+    KERNEL_FLAG_RTOL,
     asymptotic_variances,
     discretize_gaussian_linear,
     discretize_torus,
@@ -169,18 +170,22 @@ def _max_abs(x) -> float:
 
 def _structure_residuals(sys) -> list[tuple[str, float]]:
     """C4's residuals for one system, with no dense A: D A = P^T (D S) P
-    (D = diag(pi)) on the stencil, and the sparse factor F of the grounded
-    L and F^-T A F^-1 as the spectral chain formed them."""
+    (D = diag(pi)) on the stencil, the cached P^T L D L^T P against the
+    grounded L_E, and F^-T A F^-1 as the spectral chain formed it."""
     pi, const = sys.pi_weights, sys.const_vec
     pi_l = pi[:, None] * sys.l_matrix
     pi_s = pi[:, None] * sys.s_matrix
     a_const = sys.center(sys.s_matrix @ sys.center(const)[0])[0]
+    fac = sys._energy_factor
+    energy = pi_l.tocsr()[fac.keep][:, fac.keep]
+    inverse = np.argsort(fac.perm)
+    ldl = (fac.lower * fac.pivots) @ fac.lower.T - energy[inverse][:, inverse]
     return [
         ("pi-symmetry of L", _max_abs(pi_l - pi_l.T)),
         ("pi-antisymmetry of A", _max_abs(pi_s + pi_s.T)),
         ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
         ("A annihilates constants", _max_abs(a_const)),
-        ("grounded L = F^T F", sys._energy_factor.residual),
+        ("grounded L = F^T F", _max_abs(ldl) / _max_abs(energy)),
         ("F^-T A F^-1 antisymmetric", sys._weight_vectors[2]),
     ]
 
@@ -200,11 +205,12 @@ def run_c4(tol: Mapping[str, float]) -> list[CriterionRow]:
 
 
 def _equality(sys, f) -> tuple[float, bool]:
-    """(sigma2_rev - sigma2_irr, kernel flag) of ``f`` by the sparse solves
-    alone; the same expressions as ``variance_report``'s ``equality_gap``
-    and ``kernel_flag``."""
-    rev, irr = asymptotic_variances(sys, f)
-    return rev - irr, equality_certificate(sys, f).equal
+    """(sigma2_rev - sigma2_irr, kernel flag) of ``f`` by one solve with L and
+    one with L - A, as ``variance_report``'s ``equality_gap`` and ``kernel_flag``."""
+    fr, _ = sys.reduce(f)
+    h, residual = sys.kernel_residual(fr)
+    return (float(2.0 * fr @ h) - float(2.0 * fr @ sys.solve(fr)),
+            bool(residual <= KERNEL_FLAG_RTOL))
 
 
 def run_c5(tol: Mapping[str, float]) -> list[CriterionRow]:

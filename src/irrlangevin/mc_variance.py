@@ -69,6 +69,25 @@ def _left_endpoint_values(traj: Trajectory,
     return np.asarray(f(traj.states[:-1]), dtype=float)
 
 
+def _batches(traj: Trajectory, f: Observable | ObservableFn,
+             batch_length: float | None, min_batches: int) -> tuple[Array, float, int]:
+    """(f's left-endpoint values, horizon, steps per batch), checked to hold
+    ``min_batches`` batches; ``batch_length`` defaults to sqrt(horizon)."""
+    values = _left_endpoint_values(traj, f)
+    total = len(values) * traj.step_size
+    if batch_length is None:
+        batch_length = float(np.sqrt(total))
+    if batch_length <= 0:
+        raise ValueError("batch_length must be positive")
+    if total < min_batches * batch_length:
+        raise ValueError(
+            f"horizon {total:g} too short for batch length {batch_length:g}: "
+            f"need at least {min_batches} batches, i.e. a horizon of "
+            f"{min_batches * batch_length:g}"
+        )
+    return values, total, max(int(round(batch_length / traj.step_size)), 1)
+
+
 def batch_means(traj: Trajectory, f: Observable | ObservableFn,
                 batch_length: float | None = None,
                 min_batches: int = 20) -> VarianceEstimate:
@@ -81,20 +100,8 @@ def batch_means(traj: Trajectory, f: Observable | ObservableFn,
     """
     if min_batches < 2:
         raise ValueError("min_batches must be at least 2")
-    values = _left_endpoint_values(traj, f)
+    values, _, steps_per_batch = _batches(traj, f, batch_length, min_batches)
     dt = traj.step_size
-    total = len(values) * dt
-    if batch_length is None:
-        batch_length = float(np.sqrt(total))
-    if batch_length <= 0:
-        raise ValueError("batch_length must be positive")
-    if total < min_batches * batch_length:
-        raise ValueError(
-            f"horizon {total:g} too short for batch length {batch_length:g}: "
-            f"need at least {min_batches} batches, i.e. a horizon of "
-            f"{min_batches * batch_length:g}"
-        )
-    steps_per_batch = max(int(round(batch_length / dt)), 1)
     n_batches = len(values) // steps_per_batch
     used = values[: n_batches * steps_per_batch]
     means = used.reshape(n_batches, steps_per_batch).mean(axis=1)
@@ -124,19 +131,8 @@ def overlapping_batch_means(traj: Trajectory, f: Observable | ObservableFn,
     released once summed, two horizon-length buffers are held: the
     cumulative sums, and the window means, centred and squared in place.
     """
-    values = _left_endpoint_values(traj, f)
+    values, total, b = _batches(traj, f, batch_length, 20)
     dt = traj.step_size
-    total = len(values) * dt
-    if batch_length is None:
-        batch_length = float(np.sqrt(total))
-    if batch_length <= 0:
-        raise ValueError("batch_length must be positive")
-    if total < 20.0 * batch_length:
-        raise ValueError(
-            f"horizon {total:g} too short for batch length {batch_length:g}: "
-            f"need at least 20 batches, i.e. a horizon of {20.0 * batch_length:g}"
-        )
-    b = max(int(round(batch_length / dt)), 1)
     n = len(values)
     center = float(values.mean())
     constant = np.ptp(values) == 0.0

@@ -78,9 +78,9 @@ def parse_observable(spec: str, dim: int) -> Observable:
 
     def fn(x, _powers=tuple(powers.items())):
         x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for axis, power in _powers:
-            out = out * x[..., axis] ** power
+        out = x[..., _powers[0][0]] ** _powers[0][1]  # fresh, even for power 1
+        for axis, power in _powers[1:]:
+            out *= x[..., axis] ** power
         return out
 
     return Observable(name=text, fn=fn,

@@ -36,21 +36,24 @@ independent routes:
   O^T pi M O and F^{-T} E^T pi f = O^T pi g have the same atoms.  The
   route therefore needs a factor of L, not its eigendecomposition.
 
-The reversible value is sigma2_rev = 2 <f, L^{-1} f>; since every weight
-is nonnegative, the perturbed value never exceeds it.  Route agreement and
-the operator-structure identities are the acceptance gates of the package,
-not trusted by construction alone.
+The reversible value is sigma2_rev = 2 <f, L^{-1} f>, by the spectral
+route's factor of L; since every weight is nonnegative, the perturbed
+value never exceeds it.  Route agreement and the operator-structure
+identities are the acceptance gates of the package, not trusted by
+construction alone.
 
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private.
-A is never formed densely.  The spectral route grounds one state g with
+A is never formed densely.  Every solve with L grounds one state g with
 (pi c)_g != 0: E = P J projects the unit vectors of the other states onto
 the mean-zero subspace, so L_E = E^T pi L E = (pi L)[keep, keep] (L
 annihilates constants) and A_E = E^T pi A E is the same restriction of
 pi S plus two rank-one terms.  SuperLU factors L_E = P^T L D L^T P with
 diagonal pivots (``_energy_factor``), so F = D^{1/2} L^T P is sparse, and
-the diagonal sqrt(degree) on the Hermite basis.  The chain fills
+the diagonal sqrt(degree) on the Hermite basis.  ``kernel_residual``
+solves L h = f as h = E F^{-1} F^{-T} (pi f)[keep], and a zero or negative
+pivot refuses it as it refuses the spectral chain.  The chain fills
 m = F^{-T} A_E F^{-1} a block of columns at a time by sparse triangular
 solves, reduces it to a skew-tridiagonal T = Q^T m Q
 (``_skew_tridiagonal``), keeps only Q's reflectors, packed into half an
@@ -93,7 +96,7 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
-# The build and the resolvent route are O(n) (4 MB and 18 MB of RSS growth
+# The build and the sparse solves are O(n) (3 MB and 6.5 MB of RSS growth
 # at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
 # at n = 4096 variance_report (with generator_gaps) grows RSS by 319 MB and
 # worst_case by 184 MB, so about 0.93 GB and 0.54 GB at this cap
@@ -155,16 +158,15 @@ class VarianceReport:
 class _EnergyFactor:
     """F = D^{1/2} L^T P with P^T L D L^T P = L_E on the grounded states.
 
-    ``lower`` is the unit lower triangular L (sparse, CSC), ``root_d`` the
-    square roots of the pivots D, and P x = x[argsort(perm)].  ``residual``
-    is max |P^T L D L^T P - L_E| / max |L_E|, taken when the factor is made.
+    ``lower`` is the unit lower triangular L (sparse, CSC), ``pivots`` the
+    diagonal of D, ``root_d`` their square roots, and P x = x[argsort(perm)].
     """
 
     keep: Array  # every state but the grounded one
     perm: Array
     lower: scipy.sparse.csc_array
+    pivots: Array
     root_d: Array
-    residual: float
 
     def solve(self, x: Array) -> Array:
         """F^{-1} x for the columns of the (N, k) ``x``."""
@@ -334,11 +336,9 @@ class DiscretizedSystem:
         d = lu.U.diagonal()
         if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
             raise _not_positive_definite(self._l_spectrum[0][0])
-        inverse = np.argsort(lu.perm_c)
-        rebuilt = lu.L @ scipy.sparse.diags_array(d) @ lu.L.T
-        residual = abs(rebuilt - energy[inverse][:, inverse]).max() / abs(energy).max()
-        return _EnergyFactor(keep=keep, perm=lu.perm_c, lower=lu.L,
-                             root_d=np.sqrt(d), residual=float(residual))
+        # perm_c views SuperLU's factors; spsolve_triangular re-sorts an unsorted L
+        return _EnergyFactor(keep, lu.perm_c.copy(), lu.L.sorted_indices(), d,
+                             np.sqrt(d))
 
     @cached_property
     def _weight_vectors(self) -> tuple[Array, Array, float]:
@@ -368,12 +368,7 @@ class DiscretizedSystem:
 
     @cached_property
     def _lc_solver(self) -> Callable[[Array], Array]:
-        return _bordered_solver(self, self.l_matrix - self.s_matrix,
-                                "perturbed operator")
-
-    @cached_property
-    def _l_solver(self) -> Callable[[Array], Array]:
-        return _bordered_solver(self, self.l_matrix, "energy operator")
+        return _bordered_solver(self)
 
     # -- the solve path ----------------------------------------------------
 
@@ -394,8 +389,16 @@ class DiscretizedSystem:
         return self.to_mean_zero(self._lc_solver(self.from_mean_zero(rhs)))
 
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
-        """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev."""
-        h = self._l_solver(self.from_mean_zero(fr))
+        """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev.
+
+        h = E x, centred, with x = F^{-1} F^{-T} (pi f)[keep] by the grounded factor."""
+        factor, h = self._energy_factor, np.zeros(self.n)
+        b = (self.pi_weights * self.from_mean_zero(fr))[factor.keep, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            h[factor.keep] = factor.solve(factor.solve_t(b))[:, 0]
+        if not np.all(np.isfinite(h)):
+            raise DiscretizationDefectError("restricted energy operator is singular")
+        h = self.center(h)[0]
         a_h = float(np.linalg.norm(self.to_mean_zero(self.s_matrix @ h)))
         fr_norm = float(np.linalg.norm(fr))
         return self.to_mean_zero(h), a_h / max(fr_norm, 1e-300)
@@ -452,30 +455,25 @@ class DiscretizedSystem:
         return (x.T / root).T
 
 
-def _bordered_solver(sys: DiscretizedSystem, op,
-                     what: str) -> Callable[[Array], Array]:
-    """Sparse LU of the bordered system [[op, c], [(pi c)^T, 0]], as a solve.
+def _bordered_solver(sys: DiscretizedSystem) -> Callable[[Array], Array]:
+    """Sparse LU of the bordered system [[L - S, c], [(pi c)^T, 0]], as a solve.
 
     The returned function maps a centered f (a vector, or one per column)
-    to the h with (pi c)^T h = 0 and op h - f a multiple of c.  For
-    op = L - S that h is (L - A)^{-1} f on the mean-zero subspace: there
-    P S P and S differ only by a multiple of c, which the border absorbs.
-    An exactly singular factor or a non-finite solution raises
-    :class:`DiscretizationDefectError`.
+    to the h with (pi c)^T h = 0 and (L - S) h - f a multiple of c, which is
+    (L - A)^{-1} f on the mean-zero subspace: there P S P and S differ only
+    by a multiple of c, which the border absorbs.  An exactly singular
+    factor or a non-finite solution raises :class:`DiscretizationDefectError`.
 
     On a torus grid the columns are ordered by SuperLU's minimum degree on
-    the pattern of B^T + B (B the bordered matrix), which cuts the fill of
-    the stencil's factors by 34 to 47 % against COLAMD (m = 16 to 83) in
-    about the same time.  The Hermite basis keeps COLAMD: there minimum
-    degree took 3 to 7 times as long, and with Q coupling every pair of
-    axes it also filled 16 to 38 % more.
+    the pattern of B^T + B (B the bordered matrix), which cut the fill by
+    34 to 47 % against COLAMD (m = 16 to 83); the Hermite basis keeps
+    COLAMD, since there minimum degree took 3 to 7 times as long.
     """
     import scipy.sparse
     from scipy.sparse.linalg import splu
 
-    const, pi = sys.const_vec, sys.pi_weights
-    n = op.shape[0]
-    coo = op.tocoo()
+    const, pi, n = sys.const_vec, sys.pi_weights, sys.n
+    coo = (sys.l_matrix - sys.s_matrix).tocoo()
     border = np.arange(n)
     bordered = scipy.sparse.csc_array(
         (np.concatenate([coo.data, const, pi * const]),
@@ -483,7 +481,7 @@ def _bordered_solver(sys: DiscretizedSystem, op,
           np.concatenate([coo.col, np.full(n, n), border]))),
         shape=(n + 1, n + 1))
     order = "MMD_AT_PLUS_A" if isinstance(sys.backend, TorusGrid) else "COLAMD"
-    message = f"{what} is singular on the mean-zero subspace"
+    message = "perturbed operator is singular on the mean-zero subspace"
     try:
         lu = splu(bordered, permc_spec=order)
     except RuntimeError as exc:  # how SuperLU reports a zero pivot
@@ -533,8 +531,8 @@ def _symmetrize(a: Array, sign: float) -> float:
 
 def _not_positive_definite(smallest: float) -> DiscretizationDefectError:
     return DiscretizationDefectError(
-        "restricted energy operator is not positive definite: "
-        f"smallest eigenvalue {smallest:.6e}")
+        "restricted energy operator is not positive definite (singular or "
+        f"indefinite): smallest eigenvalue {smallest:.6e}")
 
 
 def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:
@@ -884,7 +882,7 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     the mean-zero subspace by a sparse bordered LU in O(n) memory; the
     spectral route integrates (1 + y^2)^{-1} against the spectral weight of
     g = V f, which needs a sparse factor of L and the SVD of M.  sigma2_rev
-    is 2 <f, L^{-1} f> from the sparse solve, as in
+    is 2 <f, L^{-1} f>, solved by that same factor, as in
     :func:`asymptotic_variances`.
     """
     fr, shift = sys.reduce(f)
@@ -911,7 +909,7 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
 
 
 def asymptotic_variances(sys: DiscretizedSystem, f: Array) -> tuple[float, float]:
-    """(sigma2_rev, sigma2_irr) by the two sparse bordered solves only.
+    """(sigma2_rev, sigma2_irr) by the sparse factors of L and L - S only.
 
     Same values as :func:`variance_report` without any dense matrix: O(n)
     memory, so suitable for grid-refinement studies where only the numbers

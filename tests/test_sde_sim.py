@@ -9,7 +9,11 @@ from numpy.random import Generator, Philox
 
 from irrlangevin import sde_sim
 from irrlangevin.errors import DivergenceError
-from irrlangevin.mc_variance import overlapping_batch_means, replicated_clt
+from irrlangevin.mc_variance import (
+    batch_means,
+    overlapping_batch_means,
+    replicated_clt,
+)
 from irrlangevin.model import (
     DriftField,
     DriftKind,
@@ -19,6 +23,7 @@ from irrlangevin.model import (
     torus_cosine,
     zero_drift,
 )
+from irrlangevin.observables import parse_observable
 from irrlangevin.sde_sim import (
     SimConfig,
     chain_time_averages,
@@ -306,6 +311,14 @@ def test_overlapping_batch_means_holds_two_horizon_buffers():
     traj = _simulate_gaussian_path()
     peak = _traced_peak_mb(lambda: overlapping_batch_means(traj, coord1))
     assert peak <= 2 * 8 * (PATH_STEPS + 1) / 1e6
+
+
+def test_batch_means_of_a_parsed_coordinate_holds_one_horizon_array():
+    # x1's values, 8 bytes a step (0.344 MB), built in one array; a product
+    # started from np.ones held two (0.689 MB traced)
+    traj = _simulate_gaussian_path()
+    fn = parse_observable("x1", 2).fn
+    assert _traced_peak_mb(lambda: batch_means(traj, fn)) <= 0.36
 
 
 def test_long_run_mean_near_zero():

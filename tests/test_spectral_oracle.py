@@ -388,6 +388,17 @@ def test_observable_powers():
     assert parse_observable("cos1", 2).powers is None
 
 
+def test_monomial_values_are_a_fresh_product():
+    # the product starts from the first factor, not from ones: the same bits,
+    # in an array of its own even for a bare coordinate
+    x = np.random.default_rng(2).standard_normal((5, 3))
+    values = parse_observable("x1", 3).fn(x)
+    assert not np.shares_memory(values, x)
+    np.testing.assert_array_equal(values, x[:, 0])
+    np.testing.assert_array_equal(parse_observable("x1^2*x3", 3).fn(x),
+                                  np.ones(5) * x[:, 0] ** 2 * x[:, 2])
+
+
 def test_hermite_coefficients_coordinate_and_square(hermite_sys):
     coeffs = observable_vector(hermite_sys, parse_observable("x1", 2))
     expected = np.zeros(hermite_sys.n)
@@ -515,8 +526,10 @@ def test_chain_records_raw_antisymmetry_residual(case, hermite_sys):
 @pytest.mark.parametrize("case", ["torus m12", "torus m25", "hermite"])
 def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
     # P^T L D L^T P = L_E = (pi L)[keep, keep] to rounding, grounded at the
-    # heaviest state; the residual the factor records is as small, and on
-    # the Hermite basis (g = 0) the factor is the diagonal sqrt(degree)
+    # heaviest state; the residual C4 takes from the factor is as small, and
+    # on the Hermite basis (g = 0) the factor is the diagonal sqrt(degree)
+    from irrlangevin.benchmark import _structure_residuals
+
     if case == "hermite":
         sys = hermite_sys
     else:
@@ -530,7 +543,7 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
     f = _dense_factor(sys)
     scale = np.max(np.abs(energy))
     assert np.max(np.abs(f.T @ f - energy)) <= 1e-13 * scale
-    assert factor.residual <= 1e-13
+    assert dict(_structure_residuals(sys))["grounded L = F^T F"] <= 1e-13
     if case == "hermite":
         assert np.array_equal(factor.keep, np.arange(1, sys.n))
         np.testing.assert_array_equal(f, np.diag(np.diag(f)))
@@ -958,6 +971,40 @@ def test_singular_energy_operator_is_a_defect(entry):
         entry(_zero_operator_system(), np.array([1.0, -2.0, 1.0]))
 
 
+@pytest.mark.parametrize("entry", [equality_certificate, asymptotic_variances])
+def test_negative_definite_energy_operator_is_a_defect(entry):
+    # L = -(graph Laplacian) is symmetric and kills constants, but a solve
+    # with it would give sigma2_rev < 0; the grounded factor refuses it, as
+    # the spectral chain does
+    lap = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+    sys = DiscretizedSystem(
+        n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array(-lap),
+        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        const_vec=np.ones(3),
+    )
+    with pytest.raises(DiscretizationDefectError, match="not positive definite"):
+        entry(sys, np.array([1.0, -2.0, 1.0]))
+
+
+def test_variance_report_factors_l_once(monkeypatch):
+    # one sparse LU of L - S for the resolvent and one L D L^T of the
+    # grounded L for every solve with L, the chain's included
+    import scipy.sparse.linalg
+
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    u = torus_cosine(2, 1.0)
+    sys = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
+    variance_report(sys, np.cos(sys.points[:, 0]))
+    assert sorted(calls) == [(sys.n - 1, sys.n - 1), (sys.n + 1, sys.n + 1)]
+
+
 def test_non_finite_solution_is_a_defect():
     # L factors (its pivots are small but normal), yet the solution for an
     # observable of size 1e300 overflows
@@ -1215,8 +1262,8 @@ def test_torus_build_allocates_no_n_by_n_array():
 
 
 def test_resolvent_route_memory_at_n_4096():
-    # the dense construction peaked at 1343 MB traced here, the sparse
-    # build and both bordered solves at 3.9 MB
+    # the dense construction peaked at 1343 MB traced here; the sparse
+    # build, the bordered LU of L - S and the grounded L D L^T of L at 8.9 MB
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
 
