@@ -170,7 +170,7 @@ def _max_abs(x) -> float:
 
 def _structure_residuals(sys) -> list[tuple[str, float]]:
     """C4's residuals for one system, with no dense A: D A = P^T (D S) P
-    (D = diag(pi)) on the stencil, the cached P^T L D L^T P against the
+    (D = diag(pi)) on the stencil, F^T F of the cached factor F against the
     grounded L_E, and F^-T A F^-1 as the spectral chain formed it."""
     pi, const = sys.pi_weights, sys.const_vec
     pi_l = pi[:, None] * sys.l_matrix
@@ -179,13 +179,14 @@ def _structure_residuals(sys) -> list[tuple[str, float]]:
     fac = sys._energy_factor
     energy = pi_l.tocsr()[fac.keep][:, fac.keep]
     inverse = np.argsort(fac.perm)
-    ldl = (fac.lower * fac.pivots) @ fac.lower.T - energy[inverse][:, inverse]
+    f = fac.triangular.U
+    ftf = f.T @ f - energy[inverse][:, inverse]
     return [
         ("pi-symmetry of L", _max_abs(pi_l - pi_l.T)),
         ("pi-antisymmetry of A", _max_abs(pi_s + pi_s.T)),
         ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
         ("A annihilates constants", _max_abs(a_const)),
-        ("grounded L = F^T F", _max_abs(ldl) / _max_abs(energy)),
+        ("grounded L = F^T F", _max_abs(ftf) / _max_abs(energy)),
         ("F^-T A F^-1 antisymmetric", sys._weight_vectors[2]),
     ]
 

@@ -20,7 +20,7 @@ standard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -196,12 +196,9 @@ def replicated_clt(u: Potential, c: DriftField, f: Observable | ObservableFn,
         dt=cfg.step_size, diagnostics=diags,
     )
     if check_bias:
-        half = SimConfig(
-            step_size=cfg.step_size / 2.0, n_steps=cfg.n_steps * 2,
-            initial_point=cfg.initial_point,
-            burn_in_steps=cfg.burn_in_steps * 2, seed=cfg.seed,
-            perturbation_scale=cfg.perturbation_scale,
-        )
+        half = replace(cfg, step_size=cfg.step_size / 2.0,
+                       n_steps=cfg.n_steps * 2,
+                       burn_in_steps=cfg.burn_in_steps * 2)
         averages_h, total_h = chain_time_averages(u, c, f, half, n_chains)
         est_h, _, _, _ = _clt_reduce(averages_h, total_h)
         out.bias_flagged = bool(abs(est_h - estimate) > max(stderr, 1e-300))

@@ -28,6 +28,15 @@ import numpy as np
 
 Array = np.ndarray
 
+# A6 follows |grad U| out to RAY_RADII along RAYS directions drawn from RAY_SEED
+RAYS = 8
+RAY_RADII = np.geomspace(1.0, 50.0, 12)
+RAY_SEED = 0
+FD_STEP = 1e-4  # the central differences of the derivative checks
+GRAD_RTOL = 1e-5
+DIV_RTOL = 1e-5
+HESS_SYM_RTOL = 1e-12
+
 
 class SpaceKind(Enum):
     EUCLIDEAN = "euclidean"
@@ -178,9 +187,6 @@ def check_assumptions(
     c: DriftField,
     probes: Array,
     epsilons: Sequence[float] = (0.01, 0.1, 1.0),
-    n_rays: int = 8,
-    ray_radii: Array | None = None,
-    seed: int = 0,
 ) -> AssumptionReport:
     """Evaluate the drift/growth diagnostics on a probe set.
 
@@ -214,14 +220,12 @@ def check_assumptions(
     if u.space_kind is SpaceKind.FLAT_TORUS:
         a6 = None  # compact space: gradient growth at infinity is vacuous
     else:
-        if ray_radii is None:
-            ray_radii = np.geomspace(1.0, 50.0, 12)
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((n_rays, u.dim))
+        rng = np.random.default_rng(RAY_SEED)
+        dirs = rng.standard_normal((RAYS, u.dim))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         ok = True
         for d in dirs:
-            along = np.linalg.norm(u.grad(np.outer(ray_radii, d)), axis=-1)
+            along = np.linalg.norm(u.grad(np.outer(RAY_RADII, d)), axis=-1)
             if np.any(np.diff(along) < -1e-9 * (1.0 + np.max(along))):
                 ok = False
                 break
@@ -237,15 +241,12 @@ def validate_potential(
     u: Potential,
     probes: Array | None = None,
     seed: int = 0,
-    fd_step: float = 1e-4,
-    grad_rtol: float = 1e-5,
-    hess_sym_rtol: float = 1e-12,
 ) -> None:
     """Cross-check analytic derivatives against central finite differences.
 
     Raises ValueError when the gradient disagrees with the finite-difference
-    gradient beyond ``grad_rtol`` (relative, at step ``fd_step``) or when the
-    Hessian fails symmetry at ``hess_sym_rtol`` relative.
+    gradient beyond ``GRAD_RTOL`` (relative, at step ``FD_STEP``) or when the
+    Hessian fails symmetry at ``HESS_SYM_RTOL`` relative.
     """
     if probes is None:
         rng = np.random.default_rng(seed)
@@ -258,45 +259,41 @@ def validate_potential(
     hess = u.hess(probes)
     scale = np.maximum(np.linalg.norm(hess, axis=(-2, -1)), 1.0)
     asym = np.linalg.norm(hess - np.swapaxes(hess, -2, -1), axis=(-2, -1))
-    if np.any(asym > hess_sym_rtol * scale):
+    if np.any(asym > HESS_SYM_RTOL * scale):
         raise ValueError(
-            f"hessian asymmetry {np.max(asym / scale):.3e} exceeds {hess_sym_rtol:.1e}"
+            f"hessian asymmetry {np.max(asym / scale):.3e} exceeds {HESS_SYM_RTOL:.1e}"
         )
 
     grad = u.grad(probes)
     fd = np.empty_like(grad)
     for ax in range(u.dim):
         e = np.zeros(u.dim)
-        e[ax] = fd_step
-        fd[:, ax] = (u.eval(probes + e) - u.eval(probes - e)) / (2.0 * fd_step)
+        e[ax] = FD_STEP
+        fd[:, ax] = (u.eval(probes + e) - u.eval(probes - e)) / (2.0 * FD_STEP)
     denom = np.maximum(np.linalg.norm(grad, axis=-1), 1.0)
     err = np.linalg.norm(grad - fd, axis=-1) / denom
-    if np.any(err > grad_rtol):
+    if np.any(err > GRAD_RTOL):
         raise ValueError(
             f"gradient mismatch {np.max(err):.3e} vs finite differences "
-            f"(rtol {grad_rtol:.1e}, step {fd_step:.1e})"
+            f"(rtol {GRAD_RTOL:.1e}, step {FD_STEP:.1e})"
         )
 
 
-def validate_drift(
-    c: DriftField,
-    probes: Array,
-    fd_step: float = 1e-4,
-    div_rtol: float = 1e-5,
-) -> None:
-    """Check the stored divergence against a finite-difference divergence."""
+def validate_drift(c: DriftField, probes: Array) -> None:
+    """Check the stored divergence against a finite-difference divergence
+    (step ``FD_STEP``, relative tolerance ``DIV_RTOL``)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     div = c.divergence(probes)
     fd = np.zeros(probes.shape[0])
     for ax in range(c.dim):
         e = np.zeros(c.dim)
-        e[ax] = fd_step
-        fd += (c.eval(probes + e)[:, ax] - c.eval(probes - e)[:, ax]) / (2.0 * fd_step)
+        e[ax] = FD_STEP
+        fd += (c.eval(probes + e)[:, ax] - c.eval(probes - e)[:, ax]) / (2.0 * FD_STEP)
     scale = np.maximum(np.abs(div), np.max(np.abs(fd)) + 1.0)
-    if np.any(np.abs(div - fd) > div_rtol * scale):
+    if np.any(np.abs(div - fd) > DIV_RTOL * scale):
         raise ValueError(
             f"divergence mismatch {np.max(np.abs(div - fd) / scale):.3e} "
-            f"vs finite differences (rtol {div_rtol:.1e})"
+            f"vs finite differences (rtol {DIV_RTOL:.1e})"
         )
 
 

@@ -344,18 +344,20 @@ def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
         running[j0] = sums[1]  # the window start records f itself
 
 
-def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn, *,
-                dt: float, n_steps: int, burn_in: int, k: float,
-                x0: Array, seeds: Sequence[int], thin: int = 1,
-                store: bool = False):
-    """Run the chains on the affine path or the loop; behind the public API.
+def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn,
+                cfg: SimConfig, seeds: Sequence[int], store: bool = False):
+    """Run the chains of ``cfg`` on the affine path or the loop; behind the
+    public API.
 
     ``f`` is a callable or an :class:`Observable`, whose ``fn`` is taken.
-    Rejects a drift or an ``x0`` whose dimension is not the potential's.
+    The chains start at ``cfg.initial_point`` with the streams of ``seeds``.
+    Rejects a drift or an initial point whose dimension is not the
+    potential's.
 
-    Returns ``(averages, states, times, running)`` where ``averages`` holds
-    each chain's left-endpoint time average of ``f`` over the post-burn-in
-    window; the last three are None unless ``store`` (single-chain use).
+    Returns ``(averages, total_time, path)`` where ``averages`` holds each
+    chain's left-endpoint time average of ``f`` over the post-burn-in
+    window of length ``total_time``; ``path`` is None unless ``store``
+    (single-chain use), and then ``(states, times, running)``.
 
     The affine path is taken for at most ``AFFINE_MAX_DIM`` coordinates and
     at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain; outside these
@@ -373,13 +375,16 @@ def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn, *,
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
     f = f.fn if isinstance(f, Observable) else f
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(cfg.initial_point, dtype=float)
     if x0.shape != (u.dim,):
         raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
-    rows = (n_steps - burn_in) // thin + 1 if store else 0
-    path = (np.empty((rows, u.dim)), np.empty(rows), np.empty(rows))
-    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, k=k, thin=thin,
-                  path=path if store else None)
+    dt, n_steps, burn_in = cfg.step_size, cfg.n_steps, cfg.burn_in_steps
+    k = cfg.perturbation_scale
+    rows = (n_steps - burn_in) // cfg.thin + 1
+    path = ((np.empty((rows, u.dim)), np.empty(rows), np.empty(rows))
+            if store else None)
+    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, k=k, thin=cfg.thin,
+                  path=path)
     affine = (u.dim <= AFFINE_MAX_DIM
               and n_steps >= AFFINE_MIN_STEPS_PER_CHAIN * len(seeds))
     powers = _affine_powers(u, c, k, dt) if affine else None
@@ -389,10 +394,7 @@ def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn, *,
             fsum = _loop_chains(u, c, f, x0, seeds, **kwargs)
         else:
             fsum = _affine_chains(powers, u, c, f, x0, seeds, **kwargs)
-    averages = fsum / (n_steps - burn_in)
-    if not store:
-        return averages, None, None, None
-    return (averages, *path)
+    return fsum / (n_steps - burn_in), (n_steps - burn_in) * dt, path
 
 
 def simulate(u: Potential, c: DriftField, f: Observable | ObservableFn,
@@ -403,14 +405,10 @@ def simulate(u: Potential, c: DriftField, f: Observable | ObservableFn,
     bit-identical trajectories.
     """
     try:
-        _, states, times, running = _run_chains(
-            u, c, f, dt=cfg.step_size, n_steps=cfg.n_steps,
-            burn_in=cfg.burn_in_steps, k=cfg.perturbation_scale,
-            x0=cfg.initial_point, seeds=[cfg.seed], thin=cfg.thin, store=True,
-        )
+        _, total_time, (states, times, running) = _run_chains(
+            u, c, f, cfg, [cfg.seed], store=True)
     except DivergenceError as err:
         raise DivergenceError(err.step_index, cfg.seed, err.state) from None
-    total_time = (cfg.n_steps - cfg.burn_in_steps) * cfg.step_size
     return Trajectory(times=times, states=states,
                       observable_running_mean=running,
                       step_size=cfg.step_size, thin=cfg.thin, seed=cfg.seed,
@@ -429,13 +427,8 @@ def chain_time_averages(u: Potential, c: DriftField,
     """
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
-    seeds = [cfg.seed + i for i in range(n_chains)]
-    averages, _, _, _ = _run_chains(
-        u, c, f, dt=cfg.step_size, n_steps=cfg.n_steps,
-        burn_in=cfg.burn_in_steps, k=cfg.perturbation_scale,
-        x0=cfg.initial_point, seeds=seeds, thin=1, store=False,
-    )
-    total_time = (cfg.n_steps - cfg.burn_in_steps) * cfg.step_size
+    averages, total_time, _ = _run_chains(
+        u, c, f, cfg, [cfg.seed + i for i in range(n_chains)])
     return averages, total_time
 
 

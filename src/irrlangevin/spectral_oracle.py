@@ -44,22 +44,26 @@ construction alone.
 
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
-:class:`DiscretizedSystem`; the factorizations behind them stay private.
-A is never formed densely.  Every solve with L grounds one state g with
+:class:`DiscretizedSystem`; the factorizations behind them stay private,
+and every sparse solve is a ``SuperLU.solve`` on one of two cached
+factors.  A is never formed densely.  ``solve`` takes the bordered LU of
+L - S (``_lc_factor``).  Every solve with L grounds one state g with
 (pi c)_g != 0: E = P J projects the unit vectors of the other states onto
 the mean-zero subspace, so L_E = E^T pi L E = (pi L)[keep, keep] (L
 annihilates constants) and A_E = E^T pi A E is the same restriction of
 pi S plus two rank-one terms.  SuperLU factors L_E = P^T L D L^T P with
-diagonal pivots (``_energy_factor``), so F = D^{1/2} L^T P is sparse, and
-the diagonal sqrt(degree) on the Hermite basis.  ``kernel_residual``
-solves L h = f as h = E F^{-1} F^{-T} (pi f)[keep], and a zero or negative
-pivot refuses it as it refuses the spectral chain.  The chain fills
-m = F^{-T} A_E F^{-1} a block of columns at a time by sparse triangular
-solves, reduces it to a skew-tridiagonal T = Q^T m Q
+diagonal pivots (``_energy_factor``); its U = D L^T becomes
+F = D^{1/2} L^T in place, and SuperLU's factor of the triangular F, whose
+L is the identity, makes the solves with F = D^{1/2} L^T P and F^T.  F is
+sparse, and the diagonal sqrt(degree) on the Hermite basis.
+``kernel_residual`` solves L h = f as h = E F^{-1} F^{-T} (pi f)[keep],
+and a zero or negative pivot refuses it as it refuses the spectral chain.
+The chain fills m = F^{-T} A_E F^{-1} a block of columns at a time by
+these solves, reduces it to a skew-tridiagonal T = Q^T m Q
 (``_skew_tridiagonal``), keeps only Q's reflectors, packed into half an
 array, while it takes the SVD of a bidiagonal matrix of half the size
-(``_bidiagonal_svd``), then forms Q in a fresh array, F^{-1} Q over it by
-sparse solves, and the singular vectors (``_rotate_columns``).  A system
+(``_bidiagonal_svd``), then forms Q in a fresh array, F^{-1} Q over it,
+and the singular vectors (``_rotate_columns``).  A system
 caches what the chain yields: the singular values, one dense array
 Z = F^{-1} [right singular vectors of m], so the masses of the atoms are
 (Z^T b)^2 with b = (pi f)[keep], and max |m + m^T| of m as the solves left
@@ -93,14 +97,15 @@ from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
 # package never load them.
 if TYPE_CHECKING:
     import scipy.sparse
+    import scipy.sparse.linalg
 
 Array = np.ndarray
 
-# The build and the sparse solves are O(n) (3 MB and 6.5 MB of RSS growth
-# at n = 4096).  The spectral route, worst_case and generator_gaps stay dense:
-# at n = 4096 variance_report (with generator_gaps) grows RSS by 319 MB and
-# worst_case by 184 MB, so about 0.93 GB and 0.54 GB at this cap
-# (extrapolated by n^2, not run).
+# The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
+# growth at n = 4096, by glibc's mmap threshold).  The spectral route,
+# worst_case and generator_gaps stay dense: at n = 4096 variance_report
+# (with generator_gaps) grows RSS by 319 MB and worst_case by 184 MB, so
+# about 0.93 GB and 0.54 GB at this cap (extrapolated by n^2, not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -156,34 +161,26 @@ class VarianceReport:
 
 @dataclass(frozen=True)
 class _EnergyFactor:
-    """F = D^{1/2} L^T P with P^T L D L^T P = L_E on the grounded states.
+    """F = D^{1/2} L^T P with F^T F = P^T L D L^T P = L_E on the grounded
+    states, and P x = x[argsort(perm)].
 
-    ``lower`` is the unit lower triangular L (sparse, CSC), ``pivots`` the
-    diagonal of D, ``root_d`` their square roots, and P x = x[argsort(perm)].
+    ``triangular`` is SuperLU's factor of the upper triangular F itself,
+    whose L is the identity and whose U is F, so both solves are SuperLU's.
     """
 
     keep: Array  # every state but the grounded one
     perm: Array
-    lower: scipy.sparse.csc_array
-    pivots: Array
-    root_d: Array
+    triangular: scipy.sparse.linalg.SuperLU
 
     def solve(self, x: Array) -> Array:
         """F^{-1} x for the columns of the (N, k) ``x``."""
-        from scipy.sparse.linalg import spsolve_triangular
-
-        y = spsolve_triangular(self.lower.T, x / self.root_d[:, None],
-                               lower=False, unit_diagonal=True, overwrite_b=True)
-        return y[self.perm]
+        return self.triangular.solve(x)[self.perm]
 
     def solve_t(self, x: Array) -> Array:
         """F^{-T} x for the columns of the (N, k) ``x``."""
-        from scipy.sparse.linalg import spsolve_triangular
-
         y = np.empty_like(x)
         y[self.perm] = x
-        return spsolve_triangular(self.lower, y, lower=True, unit_diagonal=True,
-                                  overwrite_b=True) / self.root_d[:, None]
+        return self.triangular.solve(y, trans="T")
 
 
 @dataclass
@@ -308,17 +305,20 @@ class DiscretizedSystem:
 
     @cached_property
     def _energy_factor(self) -> _EnergyFactor:
-        """Sparse P^T L D L^T P of the grounded energy matrix L_E.
+        """Sparse F = D^{1/2} L^T P of the grounded energy matrix L_E.
 
         The grounded state g has the largest pi c^2, which keeps the Gram
         matrix of E furthest from singular; on the Hermite basis g = 0.
         SuperLU takes its pivots on the diagonal (``SymmetricMode`` with
         ``diag_pivot_thresh`` 0), so its row order is its column order and
-        U = D L^T; only L and D are kept.  The torus orders by minimum
-        degree on the pattern, as the bordered LU does; the Hermite L_E is
-        diagonal and keeps its order, so there L = I.  A zero, negative or
-        off-diagonal pivot raises :class:`DiscretizationDefectError` with
-        the smallest eigenvalue of the restricted L.
+        U = D L^T; its rows are scaled by D^{-1/2} in place, the diagonal set
+        to sqrt(D) exactly, and the result factored again in its own order
+        with diagonal pivots, which adds no entry.  The torus orders by
+        minimum degree on the pattern, as the bordered LU does; the Hermite
+        L_E is diagonal and keeps its order, so there F = sqrt(D).  A zero,
+        negative or off-diagonal pivot raises
+        :class:`DiscretizationDefectError` with the smallest eigenvalue of
+        the restricted L.
         """
         import scipy.sparse
         from scipy.sparse.linalg import splu
@@ -328,17 +328,21 @@ class DiscretizedSystem:
         pi_l = scipy.sparse.diags_array(self.pi_weights) @ self.l_matrix
         energy = pi_l.tocsr()[keep][:, keep].tocsc()
         order = "MMD_AT_PLUS_A" if isinstance(self.backend, TorusGrid) else "NATURAL"
+        on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         try:
-            lu = splu(energy, permc_spec=order, diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+            lu = splu(energy, permc_spec=order, **on_diagonal)
         except RuntimeError as exc:  # how SuperLU reports a zero pivot
             raise _not_positive_definite(self._l_spectrum[0][0]) from exc
-        d = lu.U.diagonal()
+        f = lu.U
+        d = f.diagonal()
         if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
             raise _not_positive_definite(self._l_spectrum[0][0])
-        # perm_c views SuperLU's factors; spsolve_triangular re-sorts an unsorted L
-        return _EnergyFactor(keep, lu.perm_c.copy(), lu.L.sorted_indices(), d,
-                             np.sqrt(d))
+        perm = lu.perm_c.copy()  # perm_c is a view that keeps lu alive
+        del lu  # SuperLU's factors of L_E go before those of F are made
+        root = np.sqrt(d, out=d)
+        f.data /= root[f.indices]
+        f.setdiag(root)
+        return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
 
     @cached_property
     def _weight_vectors(self) -> tuple[Array, Array, float]:
@@ -367,8 +371,36 @@ class DiscretizedSystem:
         return s, _rotate_columns(z, u, vt), residual
 
     @cached_property
-    def _lc_solver(self) -> Callable[[Array], Array]:
-        return _bordered_solver(self)
+    def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
+        """Sparse LU of the bordered system [[L - S, c], [(pi c)^T, 0]].
+
+        Its solution for [f; 0], f centered, is the h with (pi c)^T h = 0 and
+        (L - S) h - f a multiple of c, which is (L - A)^{-1} f on the
+        mean-zero subspace: there P S P and S differ only by a multiple of c,
+        which the border absorbs.  An exactly singular factor raises
+        :class:`DiscretizationDefectError`.
+
+        On a torus grid the columns are ordered by SuperLU's minimum degree
+        on the pattern of B^T + B (B the bordered matrix), which cut the fill
+        by 34 to 47 % against COLAMD (m = 16 to 83); the Hermite basis keeps
+        COLAMD, since there minimum degree took 3 to 7 times as long.
+        """
+        import scipy.sparse
+        from scipy.sparse.linalg import splu
+
+        const, pi, n = self.const_vec, self.pi_weights, self.n
+        coo = (self.l_matrix - self.s_matrix).tocoo()
+        border = np.arange(n)
+        bordered = scipy.sparse.csc_array(
+            (np.concatenate([coo.data, const, pi * const]),
+             (np.concatenate([coo.row, border, np.full(n, n)]),
+              np.concatenate([coo.col, np.full(n, n), border]))),
+            shape=(n + 1, n + 1))
+        order = "MMD_AT_PLUS_A" if isinstance(self.backend, TorusGrid) else "COLAMD"
+        try:
+            return splu(bordered, permc_spec=order)
+        except RuntimeError as exc:  # how SuperLU reports a zero pivot
+            raise _perturbed_singular() from exc
 
     # -- the solve path ----------------------------------------------------
 
@@ -385,13 +417,22 @@ class DiscretizedSystem:
         return self.to_mean_zero(f_centered), shift
 
     def solve(self, rhs: Array) -> Array:
-        """(L - A)^{-1} rhs in mean-zero coordinates; ``rhs`` a vector or matrix."""
-        return self.to_mean_zero(self._lc_solver(self.from_mean_zero(rhs)))
+        """(L - A)^{-1} rhs in mean-zero coordinates; ``rhs`` a vector or matrix.
+
+        One solve with the bordered LU, whose non-finite result is a defect."""
+        f = self.from_mean_zero(rhs)
+        padded = np.concatenate([f, np.zeros((1,) + f.shape[1:])])
+        h = self._lc_factor.solve(padded)[:self.n]
+        if not np.all(np.isfinite(h)):
+            raise _perturbed_singular()
+        return self.to_mean_zero(h)
 
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
         """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev.
 
-        h = E x, centred, with x = F^{-1} F^{-T} (pi f)[keep] by the grounded factor."""
+        h = E x, centred, with x = F^{-1} F^{-T} (pi f)[keep] by two SuperLU
+        solves with the grounded factor's triangular F; a non-finite x raises
+        :class:`DiscretizationDefectError`."""
         factor, h = self._energy_factor, np.zeros(self.n)
         b = (self.pi_weights * self.from_mean_zero(fr))[factor.keep, None]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -455,48 +496,6 @@ class DiscretizedSystem:
         return (x.T / root).T
 
 
-def _bordered_solver(sys: DiscretizedSystem) -> Callable[[Array], Array]:
-    """Sparse LU of the bordered system [[L - S, c], [(pi c)^T, 0]], as a solve.
-
-    The returned function maps a centered f (a vector, or one per column)
-    to the h with (pi c)^T h = 0 and (L - S) h - f a multiple of c, which is
-    (L - A)^{-1} f on the mean-zero subspace: there P S P and S differ only
-    by a multiple of c, which the border absorbs.  An exactly singular
-    factor or a non-finite solution raises :class:`DiscretizationDefectError`.
-
-    On a torus grid the columns are ordered by SuperLU's minimum degree on
-    the pattern of B^T + B (B the bordered matrix), which cut the fill by
-    34 to 47 % against COLAMD (m = 16 to 83); the Hermite basis keeps
-    COLAMD, since there minimum degree took 3 to 7 times as long.
-    """
-    import scipy.sparse
-    from scipy.sparse.linalg import splu
-
-    const, pi, n = sys.const_vec, sys.pi_weights, sys.n
-    coo = (sys.l_matrix - sys.s_matrix).tocoo()
-    border = np.arange(n)
-    bordered = scipy.sparse.csc_array(
-        (np.concatenate([coo.data, const, pi * const]),
-         (np.concatenate([coo.row, border, np.full(n, n)]),
-          np.concatenate([coo.col, np.full(n, n), border]))),
-        shape=(n + 1, n + 1))
-    order = "MMD_AT_PLUS_A" if isinstance(sys.backend, TorusGrid) else "COLAMD"
-    message = "perturbed operator is singular on the mean-zero subspace"
-    try:
-        lu = splu(bordered, permc_spec=order)
-    except RuntimeError as exc:  # how SuperLU reports a zero pivot
-        raise DiscretizationDefectError(message) from exc
-
-    def solve(rhs: Array) -> Array:
-        padded = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
-        out = lu.solve(padded)[:n]
-        if not np.all(np.isfinite(out)):
-            raise DiscretizationDefectError(message)
-        return out
-
-    return solve
-
-
 # --- dense helpers -------------------------------------------------------------
 
 
@@ -527,6 +526,11 @@ def _symmetrize(a: Array, sign: float) -> float:
         rows[...] = half
         cols[...] = sign * half.T
     return residual
+
+
+def _perturbed_singular() -> DiscretizationDefectError:
+    return DiscretizationDefectError(
+        "perturbed operator is singular on the mean-zero subspace")
 
 
 def _not_positive_definite(smallest: float) -> DiscretizationDefectError:

@@ -137,7 +137,7 @@ def _grounded_energy(sys, keep):
 def _dense_factor(sys):
     """The factor F = D^{1/2} L^T P of the grounded L_E = F^T F, dense."""
     factor = sys._energy_factor
-    return (factor.root_d[:, None] * factor.lower.toarray().T)[:, factor.perm]
+    return factor.triangular.U.toarray()[:, factor.perm]
 
 
 def _raw_congruence(sys):
@@ -548,7 +548,8 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
         assert np.array_equal(factor.keep, np.arange(1, sys.n))
         np.testing.assert_array_equal(f, np.diag(np.diag(f)))
         np.testing.assert_array_equal(
-            factor.root_d, np.sqrt([sum(a) for a in sys.multi_indices[1:]]))
+            factor.triangular.U.diagonal(),
+            np.sqrt([sum(a) for a in sys.multi_indices[1:]]))
 
 
 def test_m_operator_rejects_indefinite_restriction():
@@ -988,21 +989,81 @@ def test_negative_definite_energy_operator_is_a_defect(entry):
 
 def test_variance_report_factors_l_once(monkeypatch):
     # one sparse LU of L - S for the resolvent and one L D L^T of the
-    # grounded L for every solve with L, the chain's included
+    # grounded L for every solve with L, the chain's included; the only
+    # other factorization is SuperLU's of the triangular F, in its own order
+    import scipy.sparse
     import scipy.sparse.linalg
 
     calls = []
     splu = scipy.sparse.linalg.splu
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counting(a, permc_spec, **kwargs):
+        triangular = scipy.sparse.tril(a, -1).nnz == 0
+        calls.append((a.shape[0], permc_spec, triangular))
+        return splu(a, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
     variance_report(sys, np.cos(sys.points[:, 0]))
-    assert sorted(calls) == [(sys.n - 1, sys.n - 1), (sys.n + 1, sys.n + 1)]
+    assert sorted(calls) == [(sys.n - 1, "MMD_AT_PLUS_A", False),
+                             (sys.n - 1, "NATURAL", True),
+                             (sys.n + 1, "MMD_AT_PLUS_A", False)]
+    assert sys._energy_factor.triangular.L.nnz == sys.n - 1
+
+
+@pytest.mark.parametrize("case", ["torus", "hermite"])
+def test_sparse_solves_use_no_triangular_solver(case, hermite_sys, monkeypatch):
+    # every sparse solve is SuperLU's on a cached factor: the values are
+    # those of the spsolve_triangular route to rounding, and that route is
+    # never taken
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve_triangular called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", refuse)
+    if case == "hermite":
+        sys, f = hermite_sys, np.arange(hermite_sys.n) % 5 - 1.5
+        expected = (28.775, 18.379555116466655, 18.37955511646666)
+    else:
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), 12)
+        f = np.cos(sys.points[:, 0]) + np.sin(sys.points[:, 1]) ** 2
+        expected = (0.6820637650986611, 0.6322410721816273, 0.6322410721816282)
+    report = variance_report(sys, f)
+    np.testing.assert_allclose(
+        [report.sigma2_rev, report.sigma2_irr, report.route_spectral],
+        expected, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(asymptotic_variances(sys, f), expected[:2],
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("case", ["torus m12", "torus m25", "hermite"])
+def test_triangular_factor_adds_no_fill(case, hermite_sys):
+    # SuperLU's factor of F has the identity as its L and F as its U, and
+    # F's diagonal is the square root of the L D L^T pivots bit for bit
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
+
+    if case == "hermite":
+        sys, order = hermite_sys, "NATURAL"
+    else:
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
+        order = "MMD_AT_PLUS_A"
+    factor = sys._energy_factor
+    pi_l = scipy.sparse.diags_array(sys.pi_weights) @ sys.l_matrix
+    energy = pi_l.tocsr()[factor.keep][:, factor.keep].tocsc()
+    u_ldl = splu(energy, permc_spec=order, diag_pivot_thresh=0.0,
+                 options={"SymmetricMode": True}).U
+    triangular = factor.triangular
+    assert triangular.L.nnz == sys.n - 1
+    assert triangular.U.nnz == u_ldl.nnz
+    assert np.array_equal(triangular.U.diagonal(), np.sqrt(u_ldl.diagonal()))
+    if case == "hermite":
+        assert np.array_equal(triangular.U.diagonal(),
+                              np.sqrt([sum(a) for a in sys.multi_indices[1:]]))
 
 
 def test_non_finite_solution_is_a_defect():
@@ -1263,7 +1324,7 @@ def test_torus_build_allocates_no_n_by_n_array():
 
 def test_resolvent_route_memory_at_n_4096():
     # the dense construction peaked at 1343 MB traced here; the sparse
-    # build, the bordered LU of L - S and the grounded L D L^T of L at 8.9 MB
+    # build, the bordered LU of L - S and the grounded L D L^T of L at 7.7 MB
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
 
