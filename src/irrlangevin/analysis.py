@@ -16,10 +16,11 @@ the system caches as Z_j = F^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
 ``worst_case`` caches nothing of its own: before it allocates anything
 else it takes the kernel of the restricted A, and only the kernel, from the
 zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
-and inverse iteration, no SVD, Q never formed); it fills the resolvent into
-one array a block of columns at a time and symmetrizes it in place, and it
-reads L's eigenvalues and its lowest eigenspace from the system's cached
-tridiagonal reduction.
+and inverse iteration, no SVD, Q never formed); it reads L's eigenvalues and
+its lowest eigenspace from the system's cached tridiagonal reduction, and
+takes the top eigenvalue of the symmetrized resolvent off the intersection
+of the two by Lanczos, each product two solves with the cached bordered LU
+of L - S, so the resolvent is never formed.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DiscretizationDefectError
 from .spectral_oracle import (
     KERNEL_FLAG_RTOL,
     DiscretizedSystem,
     SpectralMeasure,
-    _by_column_blocks,
     _skew_kernel,
-    _symmetrize,
 )
 
 Array = np.ndarray
@@ -127,14 +127,15 @@ def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
 def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     """Compare the worst observables of the two dynamics.
 
-    For real f, sigma2_irr(f) = <(M + M*) f, f>_pi with M the inverse of the
+    For real f, sigma2_irr(f) = <(R + R*) f, f>_pi with R the inverse of the
     perturbed operator, so the supremum over unit-norm f is the largest
-    eigenvalue of the symmetrized M, times 2 -- no optimization loop needed.
-    The intersection dimension counts principal angles below ``ANGLE_TOL``
-    between the numerical kernels of (L - lambda) and A.
+    eigenvalue of R + R^T in mean-zero coordinates.  The intersection
+    dimension counts principal angles below ``ANGLE_TOL`` between the
+    numerical kernels of (L - lambda) and A; R + R^T is exactly 2 / lambda
+    on the intersection, and its largest eigenvalue on the complement is
+    found by Lanczos (ARPACK) from a fixed start vector.  A run that does
+    not converge raises :class:`DiscretizationDefectError`.
     """
-    import scipy.linalg
-
     # the kernel of the restricted A comes first, while this function holds
     # no other dense array
     a_kernel = _skew_kernel(sys._restrict(sys.s_matrix, -1.0))
@@ -143,21 +144,39 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
-    # the resolvent, at most 16 blocks of columns at a time so the solve's
-    # temporaries stay small, symmetrized in place
-    size = len(w)
-    sym = _by_column_blocks(size, lambda j, k: sys.solve(np.eye(size, k - j, -j)))
-    _symmetrize(sym, 1.0)
-    sup_irr = float(2.0 * scipy.linalg.eigvalsh(sym, overwrite_a=True,
-                                                driver="evd")[-1])
-    del sym
-
     if a_kernel.shape[1] == 0:
         angles = np.asarray([])
         intersection = 0
     else:
         angles = _principal_angles(l_space, a_kernel)
         intersection = int(np.sum(np.sin(angles) <= ANGLE_TOL))
+
+    # (L - A) v = lam v on the intersection, so R + R^T is 2 / lam there
+    # exactly; Lanczos runs on the orthogonal complement, which R + R^T
+    # maps to itself
+    common = _common_vectors(l_space, a_kernel, intersection)
+    size = len(w)
+
+    def project(x: Array) -> Array:
+        return x - common @ (common.T @ x)
+
+    def sym(x: Array) -> Array:
+        x = project(x)
+        return project(sys.solve(x) + sys.solve(x, adjoint=True))
+
+    sup_irr = sup_rev if intersection else -np.inf
+    if intersection < size:  # every one-state mean-zero space is common
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        start = project(np.random.default_rng(0).standard_normal(size))
+        try:
+            top = eigsh(LinearOperator((size, size), matvec=sym, dtype=float),
+                        k=1, which="LA", tol=0, v0=start,
+                        return_eigenvectors=False)[0]
+        except ArpackNoConvergence as exc:
+            raise DiscretizationDefectError(
+                "Lanczos did not converge on the symmetrized resolvent") from exc
+        sup_irr = max(sup_irr, float(top))
 
     return WorstCaseResult(
         sup_rev=sup_rev, sup_irr=sup_irr,
@@ -188,6 +207,21 @@ def _principal_angles(a: Array, b: Array) -> Array:
     sin = scipy.linalg.svdvals(blas.dgemm(-1.0, a, cross, beta=1.0, c=b))
     return np.where(cos**2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))
+
+
+def _common_vectors(a: Array, b: Array, count: int) -> Array:
+    """Orthonormal columns spanning the ``count``-dimensional numerical
+    intersection of the spans of the orthonormal columns of ``a`` and
+    ``b``: the right singular vectors of the smallest sines, as in
+    :func:`_principal_angles`, mapped into the narrower basis."""
+    if count == 0:
+        return np.zeros((len(a), 0))
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    import scipy.linalg
+
+    vt = scipy.linalg.svd(b - a @ (a.T @ b), full_matrices=False)[2]
+    return b @ vt[b.shape[1] - count:].T
 
 
 def equality_certificate(sys: DiscretizedSystem, f: Array) -> EqualityCertificate:

@@ -73,7 +73,8 @@ caches the sparse factor and the O(n) eigenvalues of the restricted L.
 restrictions, a block of columns at a time in O(n nnz) and without a dense
 basis.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes
 it from the zero window of the symmetric tridiagonal form of T, with no
-SVD, and applies Q's reflectors to the kernel's few columns alone.  Every
+SVD, and applies Q's reflectors to the kernel's few columns alone, and
+never forms the resolvent, whose transpose ``solve`` also applies.  Every
 dense LAPACK call and level-3 product is scipy's, and each LAPACK call
 overwrites its input, handed over as it is; ``scipy.linalg`` is imported
 where it is used.
@@ -103,9 +104,10 @@ Array = np.ndarray
 
 # The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
 # growth at n = 4096, by glibc's mmap threshold).  The spectral route,
-# worst_case and generator_gaps stay dense: at n = 4096 variance_report
-# (with generator_gaps) grows RSS by 319 MB and worst_case by 184 MB, so
-# about 0.93 GB and 0.54 GB at this cap (extrapolated by n^2, not run).
+# worst_case's restrictions and generator_gaps stay dense: at n = 4096
+# variance_report (with generator_gaps) grows RSS by 319 MB and worst_case
+# by 164 MB, so about 0.93 GB and 0.48 GB at this cap (extrapolated by n^2,
+# not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
@@ -416,13 +418,20 @@ class DiscretizedSystem:
         f_centered, shift = self.center(f)
         return self.to_mean_zero(f_centered), shift
 
-    def solve(self, rhs: Array) -> Array:
-        """(L - A)^{-1} rhs in mean-zero coordinates; ``rhs`` a vector or matrix.
+    def solve(self, rhs: Array, adjoint: bool = False) -> Array:
+        """(L - A)^{-1} rhs in mean-zero coordinates, or with ``adjoint`` its
+        transpose (L + A)^{-1} rhs; ``rhs`` a vector or matrix.
 
-        One solve with the bordered LU, whose non-finite result is a defect."""
+        One solve with the bordered LU, whose non-finite result is a defect;
+        (L - S)^T = pi (L + S) pi^{-1}, so the adjoint is a transposed solve
+        for [pi f; 0], divided by pi."""
         f = self.from_mean_zero(rhs)
+        if adjoint:
+            f = (self.pi_weights * f.T).T
         padded = np.concatenate([f, np.zeros((1,) + f.shape[1:])])
-        h = self._lc_factor.solve(padded)[:self.n]
+        h = self._lc_factor.solve(padded, trans="T" if adjoint else "N")[:self.n]
+        if adjoint:
+            h = (h.T / self.pi_weights).T
         if not np.all(np.isfinite(h)):
             raise _perturbed_singular()
         return self.to_mean_zero(h)

@@ -9,6 +9,7 @@ from irrlangevin.analysis import (
     sweep_k,
     worst_case,
 )
+from irrlangevin.errors import DiscretizationDefectError
 from irrlangevin.model import make_qgradu_drift, torus_cosine, zero_drift
 from irrlangevin.spectral_oracle import (
     discretize_gaussian_linear,
@@ -211,6 +212,101 @@ def test_worst_case_intersection_reported_not_asserted(torus_axis_sys):
     assert res.strict == (res.sup_rev - res.sup_irr > 1e-9)
     if res.kernel_intersection_dim == 0:
         assert res.strict
+
+
+def _dense_sup_irr(sys):
+    r = np.linalg.inv(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0))
+    return 2.0 * np.linalg.eigvalsh((r + r.T) / 2.0)[-1]
+
+
+def _hermite_random_q(dim, degree, seed):
+    q = np.random.default_rng(seed).standard_normal((dim, dim))
+    return discretize_gaussian_linear(q - q.T, dim=dim, degree=degree)
+
+
+@pytest.mark.parametrize("case", ["torus24", "torus25", "axis", "hermite_q",
+                                  "hermite_zero"])
+def test_worst_case_sup_irr_matches_dense_resolvent(case, request):
+    # the zero-drift Hermite resolvent is L^{-1}, whose top eigenvalue 1 is
+    # degenerate; on the axis torus A annihilates every function of x1; the
+    # random Q in dim 3 has a kernel vector, so there the kernels meet
+    u = torus_cosine(2, 1.0)
+    sys = {
+        "torus24": lambda: request.getfixturevalue("torus_benchmark"),
+        "torus25": lambda: discretize_torus(u, make_qgradu_drift(ROT, u), 25),
+        "axis": lambda: request.getfixturevalue("torus_axis_sys"),
+        "hermite_q": lambda: _hermite_random_q(3, 5, 1),
+        "hermite_zero": lambda: discretize_gaussian_linear(
+            np.zeros((3, 3)), dim=3, degree=4),
+    }[case]()
+    assert worst_case(sys).sup_irr == pytest.approx(_dense_sup_irr(sys),
+                                                    rel=1e-12)
+
+
+def test_worst_case_repeats_bit_for_bit(torus_benchmark):
+    # the Lanczos start vector is fixed, so a second call on the same system
+    # gives the same bits
+    first = worst_case(torus_benchmark).sup_irr
+    assert worst_case(torus_benchmark).sup_irr == first
+
+
+@pytest.mark.parametrize("degree", [3, 8])
+def test_worst_case_exact_intersection_gives_sup_rev_exactly(degree):
+    # the chain rotation in dim 5 has a kernel vector omega, so omega . x is
+    # a common eigenvector; Lanczos over the whole space put sup_irr a few
+    # ulp above sup_rev = 2 at both degrees
+    q = np.diag(np.ones(4), 1)
+    res = worst_case(discretize_gaussian_linear(q - q.T, dim=5, degree=degree))
+    assert res.kernel_intersection_dim == 1
+    assert res.sup_irr == res.sup_rev == 2.0
+    assert res.strict is False
+
+
+def test_worst_case_on_a_one_state_mean_zero_space():
+    # Hermite dim 1 degree 1 leaves only x in the mean-zero space, too small
+    # for ARPACK and wholly in the intersection
+    res = worst_case(discretize_gaussian_linear(np.zeros((1, 1)), dim=1,
+                                                degree=1))
+    assert res.sup_irr == res.sup_rev == 2.0
+
+
+def test_worst_case_lanczos_failure_is_a_defect(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(DiscretizationDefectError, match="did not converge"):
+        worst_case(hermite_builder(1.0))
+
+
+@pytest.mark.parametrize("case", ["torus", "hermite"])
+def test_adjoint_solve_is_the_transpose(case, torus_benchmark):
+    # y . R x = x . R^T y in mean-zero coordinates, R = (L - A)^{-1}
+    sys = torus_benchmark if case == "torus" else _hermite_random_q(3, 5, 2)
+    x, y = np.random.default_rng(4).standard_normal((2, sys.n - 1))
+    assert y @ sys.solve(x) == pytest.approx(x @ sys.solve(y, adjoint=True),
+                                             rel=1e-12)
+    np.testing.assert_allclose(
+        sys.solve(np.stack([x, y], axis=1), adjoint=True),
+        np.stack([sys.solve(x, adjoint=True), sys.solve(y, adjoint=True)],
+                 axis=1), rtol=1e-13, atol=1e-13)
+
+
+def test_adjoint_solve_keeps_the_finiteness_check():
+    class NanFactor:
+        def solve(self, b, trans="N"):
+            return np.full_like(b, np.nan)
+
+    sys = hermite_builder(1.0)
+    sys._lc_factor = NanFactor()
+    for adjoint in (False, True):
+        with pytest.raises(DiscretizationDefectError,
+                           match="perturbed operator is singular on the "
+                                 "mean-zero subspace"):
+            sys.solve(np.ones(sys.n - 1), adjoint=adjoint)
 
 
 # --- equality_certificate ----------------------------------------------------
