@@ -34,7 +34,6 @@ from .model import (
     gaussian_potential,
     make_potential,
     make_qgradu_drift,
-    stationary_density_unnorm,
     torus_cosine,
     validate_drift,
     validate_potential,
@@ -46,14 +45,11 @@ from .sde_sim import (
     Trajectory,
     chain_time_averages,
     simulate,
-    step_em,
     trajectory_to_csv,
 )
 from .spectral_oracle import (
     DiscretizedSystem,
-    GaussianLinear,
     SpectralMeasure,
-    TorusGrid,
     VarianceReport,
     asymptotic_variances,
     discretize_gaussian_linear,
@@ -74,14 +70,12 @@ __all__ = [
     "DriftKind",
     "EqualityCertificate",
     "EstimatorMethod",
-    "GaussianLinear",
     "KSweepResult",
     "Observable",
     "Potential",
     "SimConfig",
     "SpaceKind",
     "SpectralMeasure",
-    "TorusGrid",
     "Trajectory",
     "VarianceEstimate",
     "VarianceReport",
@@ -104,8 +98,6 @@ __all__ = [
     "parse_observable",
     "replicated_clt",
     "simulate",
-    "stationary_density_unnorm",
-    "step_em",
     "sweep_k",
     "torus_cosine",
     "trajectory_to_csv",

@@ -95,11 +95,13 @@ def sweep_k(sys_builder: Callable[[float], DiscretizedSystem], f: Array,
     ``sys_builder`` maps a drift scale to the discretized system; only the
     unit scale is built, because M scales linearly in k so every value
     follows from the same atoms.  ``k_values`` must be sorted ascending and
-    start at 0 (whose entry reproduces the reversible variance).
+    start at 0 (whose entry reproduces the reversible variance), all finite.
     """
     k_arr = np.asarray(k_values, dtype=float)
     if k_arr.ndim != 1 or len(k_arr) == 0:
         raise ValueError("k_values must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(k_arr)):
+        raise ValueError(f"k_values must be finite, got {k_arr.tolist()}")
     if np.any(np.diff(k_arr) <= 0):
         raise ValueError("k_values must be sorted strictly ascending")
     if k_arr[0] != 0.0:

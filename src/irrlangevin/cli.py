@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -58,26 +57,6 @@ POTENTIAL_FLAGS = {
     "double_well_2d": ("barrier",),
     "torus_cosine": ("dim", "amplitude"),
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved run description; round-trips through (to|from)_dict."""
-
-    command: str
-    potential_spec: dict = field(default_factory=dict)
-    drift_spec: dict = field(default_factory=dict)
-    observable_spec: str = "x1"
-    backend_spec: dict = field(default_factory=dict)
-    sim_spec: dict = field(default_factory=dict)
-    output_path: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**data)
 
 
 # --- flag parsing helpers ----------------------------------------------------
@@ -282,7 +261,8 @@ def _system_from_args(args, u: Potential, scale: float):
     return discretize_gaussian_linear(q, u.dim, args.degree), backend
 
 
-def _config_from_args(args, output: str) -> ExperimentConfig:
+def _config_from_args(args, output: str) -> dict:
+    """The fully resolved run description that a JSON report embeds."""
     drift_spec = {"kind": args.drift, "k": args.k}
     if args.q is not None:
         drift_spec["q"] = args.q
@@ -299,12 +279,11 @@ def _config_from_args(args, output: str) -> ExperimentConfig:
         sim_spec = {"dt": args.dt, "n_steps": args.n_steps,
                     "burn_in": args.burn_in, "seed": args.seed,
                     "initial": args.initial, "thin": args.thin}
-    return ExperimentConfig(
-        command=args.command, potential_spec=potential_spec,
-        drift_spec=drift_spec,
-        observable_spec=getattr(args, "observable", ""),
-        backend_spec=backend_spec, sim_spec=sim_spec, output_path=output,
-    )
+    return {"command": args.command, "potential_spec": potential_spec,
+            "drift_spec": drift_spec,
+            "observable_spec": getattr(args, "observable", ""),
+            "backend_spec": backend_spec, "sim_spec": sim_spec,
+            "output_path": output}
 
 
 def _sim_config_from_args(args, u: Potential) -> SimConfig:
@@ -510,7 +489,7 @@ def run_command(argv: list[str]) -> int:
             return _cmd_reproduce_benchmark(args, output)
         report = _COMMANDS[args.command](args, _potential_from_args(args))
         if isinstance(report, dict):
-            config = _config_from_args(args, output).to_dict()
+            config = _config_from_args(args, output)
             report = json.dumps({"config": config, **report}, indent=2,
                                 sort_keys=True) + "\n"
         write_atomic(output, report)

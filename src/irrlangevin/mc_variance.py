@@ -4,9 +4,9 @@ For an ergodic chain and a square-integrable observable f, the scaled
 time average sqrt(t) ( (1/t) int_0^t f(X_s) ds - mean ) tends to a centered
 Gaussian whose variance sigma^2(f) these estimators target.  Two routes:
 
-* batch means -- one long trajectory cut into contiguous blocks; the
-  variance of block averages, scaled by the block length, estimates
-  sigma^2(f).
+* batch means -- one long trajectory cut into contiguous blocks, at least
+  ``MIN_BATCHES`` of them; the variance of block averages, scaled by the
+  block length, estimates sigma^2(f).
 * replicated CLT -- many independent chains; the across-chain variance of
   the full time averages, scaled by the horizon, estimates sigma^2(f)
   directly from the limit theorem.
@@ -30,6 +30,8 @@ from .observables import Observable
 from .sde_sim import ObservableFn, SimConfig, Trajectory, chain_time_averages
 
 Array = np.ndarray
+
+MIN_BATCHES = 20  # batches the horizon must cover, for either batch estimator
 
 
 class EstimatorMethod(Enum):
@@ -70,37 +72,33 @@ def _left_endpoint_values(traj: Trajectory,
 
 
 def _batches(traj: Trajectory, f: Observable | ObservableFn,
-             batch_length: float | None, min_batches: int) -> tuple[Array, float, int]:
+             batch_length: float | None) -> tuple[Array, float, int]:
     """(f's left-endpoint values, horizon, steps per batch), checked to hold
-    ``min_batches`` batches; ``batch_length`` defaults to sqrt(horizon)."""
+    ``MIN_BATCHES`` batches; ``batch_length`` defaults to sqrt(horizon)."""
     values = _left_endpoint_values(traj, f)
     total = len(values) * traj.step_size
     if batch_length is None:
         batch_length = float(np.sqrt(total))
     if batch_length <= 0:
         raise ValueError("batch_length must be positive")
-    if total < min_batches * batch_length:
+    if total < MIN_BATCHES * batch_length:
         raise ValueError(
             f"horizon {total:g} too short for batch length {batch_length:g}: "
-            f"need at least {min_batches} batches, i.e. a horizon of "
-            f"{min_batches * batch_length:g}"
+            f"need at least {MIN_BATCHES} batches, i.e. a horizon of "
+            f"{MIN_BATCHES * batch_length:g}"
         )
     return values, total, max(int(round(batch_length / traj.step_size)), 1)
 
 
 def batch_means(traj: Trajectory, f: Observable | ObservableFn,
-                batch_length: float | None = None,
-                min_batches: int = 20) -> VarianceEstimate:
+                batch_length: float | None = None) -> VarianceEstimate:
     """Non-overlapping batch-means estimate from a single trajectory.
 
     ``batch_length`` defaults to sqrt(total_time), the usual
     mean-squared-error-optimal growth rate.  The post-burn-in horizon must
-    cover at least ``min_batches`` batches (default 20; lowering it is for
-    didactic two-batch computations, not production use).
+    cover at least ``MIN_BATCHES`` batches.
     """
-    if min_batches < 2:
-        raise ValueError("min_batches must be at least 2")
-    values, _, steps_per_batch = _batches(traj, f, batch_length, min_batches)
+    values, _, steps_per_batch = _batches(traj, f, batch_length)
     dt = traj.step_size
     n_batches = len(values) // steps_per_batch
     used = values[: n_batches * steps_per_batch]
@@ -131,7 +129,7 @@ def overlapping_batch_means(traj: Trajectory, f: Observable | ObservableFn,
     released once summed, two horizon-length buffers are held: the
     cumulative sums, and the window means, centred and squared in place.
     """
-    values, total, b = _batches(traj, f, batch_length, 20)
+    values, total, b = _batches(traj, f, batch_length)
     dt = traj.step_size
     n = len(values)
     center = float(values.mean())

@@ -28,6 +28,7 @@ import numpy as np
 
 Array = np.ndarray
 
+A4_EPSILONS = (0.01, 0.1, 1.0)  # the growth weights A4's margins are taken at
 # A6 follows |grad U| out to RAY_RADII along RAYS directions drawn from RAY_SEED
 RAYS = 8
 RAY_RADII = np.geomspace(1.0, 50.0, 12)
@@ -111,7 +112,7 @@ class AssumptionReport:
         ``e^U * |div(C e^{-U})|`` pointwise, so zero residual means the
         perturbation preserves pi.
     a4_margin
-        for each epsilon, the smallest constant c such that
+        for each epsilon of ``A4_EPSILONS``, the smallest constant c such that
         ``|C . grad U| + |D2U|_F <= eps |grad U|^2 + c`` on the probes
         (negative when the left side is dominated outright).
     a5_ratio
@@ -177,17 +178,8 @@ def zero_drift(dim: int) -> DriftField:
                       kind=DriftKind.ZERO, name="zero")
 
 
-def stationary_density_unnorm(u: Potential, x: Array) -> Array:
-    """Unnormalized stationary density e^{-U(x)}; strictly positive."""
-    return np.exp(-u.eval(np.asarray(x, dtype=float)))
-
-
-def check_assumptions(
-    u: Potential,
-    c: DriftField,
-    probes: Array,
-    epsilons: Sequence[float] = (0.01, 0.1, 1.0),
-) -> AssumptionReport:
+def check_assumptions(u: Potential, c: DriftField,
+                      probes: Array) -> AssumptionReport:
     """Evaluate the drift/growth diagnostics on a probe set.
 
     Purely diagnostic: the report never raises on an assumption failure,
@@ -211,9 +203,7 @@ def check_assumptions(
     grad_norm = np.linalg.norm(grad, axis=-1)
     hess_norm = np.linalg.norm(hess, axis=(-2, -1))  # Frobenius
     lhs = np.abs(np.sum(cval * grad, axis=-1)) + hess_norm
-    a4 = {
-        float(eps): float(np.max(lhs - eps * grad_norm**2)) for eps in epsilons
-    }
+    a4 = {eps: float(np.max(lhs - eps * grad_norm**2)) for eps in A4_EPSILONS}
 
     a5 = float(np.max(np.linalg.norm(cval, axis=-1) / (grad_norm + 1.0)))
 

@@ -7,10 +7,11 @@ Three kinds are understood:
 * Fourier modes     ``cos1``, ``sin2``, or with a harmonic ``cos1:3``
                     (meaning cos(3 x_1) on the torus)
 
-Monomials vectorize on both oracle backends; Fourier modes only on the
-torus grid (they are not polynomials, so the Galerkin truncation would not
-represent them exactly).  In the Hermite basis a monomial's coefficients
-are products of one-axis closed forms, so no quadrature grid is needed.
+Monomials vectorize on both oracle systems; Fourier modes only on a torus
+system, which carries its grid nodes (they are not polynomials, so the
+Galerkin truncation would not represent them exactly).  In the Hermite
+basis a monomial's coefficients are products of one-axis closed forms, so
+no quadrature grid is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral_oracle import DiscretizedSystem, GaussianLinear, TorusGrid
+from .spectral_oracle import DiscretizedSystem
 
 Array = np.ndarray
 
@@ -96,25 +97,23 @@ def _power_coefficient(p: int, a: int) -> float:
 
 
 def observable_vector(sys: DiscretizedSystem, obs: Observable) -> Array:
-    """State-space representation of an observable on an oracle backend."""
-    if isinstance(sys.backend, TorusGrid):
+    """Values at a torus system's grid nodes, or Hermite coefficients."""
+    if sys.points is not None:
         return np.asarray(obs.fn(sys.points), dtype=float)
-    if isinstance(sys.backend, GaussianLinear):
-        if obs.powers is None:
-            raise ValueError(
-                f"observable {obs.name!r} is not polynomial; the Gaussian "
-                "backend represents monomials only"
-            )
-        alphas = np.array(sys.multi_indices)  # (n, dim)
-        basis_degree = int(alphas.sum(axis=1).max())
-        if sum(obs.powers) > basis_degree:
-            raise ValueError(
-                f"observable degree {sum(obs.powers)} exceeds the basis degree "
-                f"{basis_degree}; raise --degree"
-            )
-        # the coefficient on prod_i He_{a_i} is the product of one-axis ones
-        table = np.array([[_power_coefficient(p, a)
-                           for a in range(basis_degree + 1)]
-                          for p in obs.powers])
-        return np.prod(table[np.arange(len(obs.powers)), alphas], axis=1)
-    raise TypeError(f"unknown backend {type(sys.backend).__name__}")
+    if obs.powers is None:
+        raise ValueError(
+            f"observable {obs.name!r} is not polynomial; the Gaussian "
+            "backend represents monomials only"
+        )
+    alphas = np.array(sys.multi_indices)  # (n, dim)
+    basis_degree = int(alphas.sum(axis=1).max())
+    if sum(obs.powers) > basis_degree:
+        raise ValueError(
+            f"observable degree {sum(obs.powers)} exceeds the basis degree "
+            f"{basis_degree}; raise --degree"
+        )
+    # the coefficient on prod_i He_{a_i} is the product of one-axis ones
+    table = np.array([[_power_coefficient(p, a)
+                       for a in range(basis_degree + 1)]
+                      for p in obs.powers])
+    return np.prod(table[np.arange(len(obs.powers)), alphas], axis=1)

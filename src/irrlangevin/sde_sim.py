@@ -27,17 +27,18 @@ running sums added in step order.  They agree to rounding, and the loop
 gives the bits of a step-by-step loop.
 
 RNG contract: every chain draws its Gaussian increments from a dedicated
-counter-based Philox stream keyed by its seed; a chain's increments are its
-stream's standard normals in step order.  The simulator draws them in blocks
-or chunks to bound memory, but neither their size, the path, nor the number
-of chains run together is part of the stream.  Chains with seeds s, s+1, ...
-are therefore statistically independent and each chain is bit-reproducible
-from its seed alone.
+counter-based Philox stream keyed by its seed (``RNG_NAME`` in the CLI's
+reports); a chain's increments are its stream's standard normals in step
+order.  The simulator draws them in blocks or chunks to bound memory, but
+neither their size, the path, nor the number of chains run together is
+part of the stream.  Chains with seeds s, s+1, ... are therefore
+statistically independent and each chain is bit-reproducible from its seed
+alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,14 +77,17 @@ class SimConfig:
     thin: int = 1  # store every thin-th state (quadrature still uses all steps)
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(
+                f"step_size must be positive and finite, got {self.step_size!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
         if not 0 <= self.burn_in_steps < self.n_steps:
             raise ValueError("burn_in_steps must satisfy 0 <= burn_in < n_steps")
-        if self.perturbation_scale < 0:
-            raise ValueError("perturbation_scale must be nonnegative")
+        if not (np.isfinite(self.perturbation_scale)
+                and self.perturbation_scale >= 0):
+            raise ValueError("perturbation_scale must be nonnegative and "
+                             f"finite, got {self.perturbation_scale!r}")
         if self.thin < 1:
             raise ValueError("thin must be a positive integer")
 
@@ -106,7 +110,6 @@ class Trajectory:
     thin: int
     seed: int
     total_time: float  # post-burn-in horizon covered by the quadrature
-    rng_name: str = RNG_NAME
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -151,24 +154,6 @@ def _em_step(u: Potential, c: DriftField, k: float, dt: float):
         return noise
 
     return advance
-
-
-def step_em(x: Array, u: Potential, c: DriftField, k: float, dt: float,
-            noise: Array) -> Array:
-    """One Euler-Maruyama step from ``x`` with the given standard-normal draw.
-
-    Returns ``x + dt (-grad U(x) + k C(x)) + sqrt(2 dt) noise``; on the torus
-    the coordinates are wrapped back into [0, 2pi).  ``noise`` is left as
-    it is.  Raises DivergenceError when the result is not finite.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _em_step(u, c, k, dt)(x, np.array(noise, dtype=float))
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(step_index=0, seed=None, state=x)
-    return out
 
 
 def _block_steps(n_chains: int, dim: int) -> int:

@@ -23,7 +23,7 @@ independent routes:
 
 * resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
   sparse LU of L - S bordered by the mean-zero constraint (O(n) memory),
-  its columns ordered by minimum degree on the torus grid;
+  its columns ordered by minimum degree on a system with grid nodes;
 * spectral: with V = L^{-1/2} and the real antisymmetric M = V A V,
   expand g = V f in the singular vectors of M and return
   2 sum_j w_j / (1 + y_j^2), where the atoms (y_j, w_j) form the spectral
@@ -114,19 +114,6 @@ KERNEL_FLAG_RTOL = 1e-9
 
 
 @dataclass
-class TorusGrid:
-    dim: int
-    points_per_axis: int
-    spacing: float
-
-
-@dataclass
-class GaussianLinear:
-    dim: int
-    q_matrix: Array
-
-
-@dataclass
 class SpectralMeasure:
     """Atoms of the spectral weight of a vector: sum_j w_j delta_{y_j}.
 
@@ -152,7 +139,6 @@ class VarianceReport:
 
     sigma2_rev: float
     sigma2_irr: float
-    route_resolvent: float
     route_spectral: float
     equality_gap: float
     kernel_flag: bool
@@ -198,7 +184,9 @@ class DiscretizedSystem:
     P = I - c (pi c)^T, the pi-orthogonal projection onto the mean-zero
     subspace; the rank-one parts of P S P vanish in every quantity taken on
     that subspace, so the solves use S itself and A is never densified.
-    Treat instances as immutable; derived
+    A torus system carries its grid nodes ``points`` and a Hermite system
+    its ``multi_indices``; the nodes also tell the factorizations to order
+    the states by minimum degree.  Treat instances as immutable; derived
     factorizations are cached on first use and shared by all operations.
     """
 
@@ -206,7 +194,6 @@ class DiscretizedSystem:
     pi_weights: Array
     l_matrix: scipy.sparse.sparray
     s_matrix: scipy.sparse.sparray
-    backend: TorusGrid | GaussianLinear
     const_vec: Array
     points: Array | None = None  # torus node coordinates, (n, dim)
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
@@ -329,7 +316,7 @@ class DiscretizedSystem:
                          np.argmax(self.pi_weights * self.const_vec**2))
         pi_l = scipy.sparse.diags_array(self.pi_weights) @ self.l_matrix
         energy = pi_l.tocsr()[keep][:, keep].tocsc()
-        order = "MMD_AT_PLUS_A" if isinstance(self.backend, TorusGrid) else "NATURAL"
+        order = "NATURAL" if self.points is None else "MMD_AT_PLUS_A"
         on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         try:
             lu = splu(energy, permc_spec=order, **on_diagonal)
@@ -398,7 +385,7 @@ class DiscretizedSystem:
              (np.concatenate([coo.row, border, np.full(n, n)]),
               np.concatenate([coo.col, np.full(n, n), border]))),
             shape=(n + 1, n + 1))
-        order = "MMD_AT_PLUS_A" if isinstance(self.backend, TorusGrid) else "COLAMD"
+        order = "COLAMD" if self.points is None else "MMD_AT_PLUS_A"
         try:
             return splu(bordered, permc_spec=order)
         except RuntimeError as exc:  # how SuperLU reports a zero pivot
@@ -785,7 +772,6 @@ def discretize_torus(u: Potential, c: DriftField,
 
     return DiscretizedSystem(
         n=n, pi_weights=pi, l_matrix=l_matrix, s_matrix=s_matrix,
-        backend=TorusGrid(dim=u.dim, points_per_axis=m, spacing=h),
         const_vec=np.ones(n), points=points,
         antisym_correction=_sym_part_ratio(r_mat, adj, pi),
     )
@@ -868,7 +854,6 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
     const[0] = 1.0
     return DiscretizedSystem(
         n=n, pi_weights=np.ones(n), l_matrix=l_matrix, s_matrix=s_matrix,
-        backend=GaussianLinear(dim=dim, q_matrix=q.copy()),
         const_vec=const, multi_indices=tuple(idxs),
     )
 
@@ -899,7 +884,7 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     :func:`asymptotic_variances`.
     """
     fr, shift = sys.reduce(f)
-    route_resolvent = float(2.0 * fr @ sys.solve(fr))
+    sigma2_irr = float(2.0 * fr @ sys.solve(fr))
 
     measure = sys.spectral_weight(fr)
     route_spectral = float(
@@ -910,13 +895,13 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
     sigma2_rev = float(2.0 * fr @ h0)
     kernel_flag = residual <= KERNEL_FLAG_RTOL
 
-    scale = max(abs(route_resolvent), abs(route_spectral), 1e-300)
+    scale = max(abs(sigma2_irr), abs(route_spectral), 1e-300)
     return VarianceReport(
-        sigma2_rev=sigma2_rev, sigma2_irr=route_resolvent,
-        route_resolvent=route_resolvent, route_spectral=route_spectral,
-        equality_gap=sigma2_rev - route_resolvent, kernel_flag=kernel_flag,
+        sigma2_rev=sigma2_rev, sigma2_irr=sigma2_irr,
+        route_spectral=route_spectral,
+        equality_gap=sigma2_rev - sigma2_irr, kernel_flag=kernel_flag,
         center_shift=shift,
-        route_discrepancy=abs(route_resolvent - route_spectral) / scale,
+        route_discrepancy=abs(sigma2_irr - route_spectral) / scale,
         measure=measure,
     )
 

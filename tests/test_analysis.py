@@ -125,6 +125,9 @@ def test_sweep_input_validation():
         sweep_k(hermite_builder, f, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError, match="nonempty"):
         sweep_k(hermite_builder, f, [])
+    for bad in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="k_values must be finite"):
+            sweep_k(hermite_builder, f, bad)
 
 
 # --- worst_case --------------------------------------------------------------

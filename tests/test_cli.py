@@ -7,7 +7,7 @@ import pytest
 
 from irrlangevin import benchmark as bench
 from irrlangevin import cli
-from irrlangevin.cli import ExperimentConfig, run_command
+from irrlangevin.cli import run_command
 from irrlangevin.model import POTENTIAL_CATALOG
 from irrlangevin.spectral_oracle import discretize_gaussian_linear
 
@@ -218,6 +218,20 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sweep-k", "--drift", "qgradu", "--q", "0,1,-1,0", "--backend",
+      "hermite", "--degree", "2", "--k-values", "0,nan"], "k_values"),
+    (["sample", "--dt", "nan", "--n-steps", "10", "--burn-in", "0"],
+     "step_size"),
+])
+def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
+    # not a silent NaN row, and not a divergence at step 0
+    out = tmp_path / "out"
+    assert run_command([*argv, "--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hermite_backend_requires_standard_gaussian(capsys):
     code = run_command([
         "spectral-report", "--potential", "gaussian", "--dim", "2",
@@ -279,22 +293,6 @@ def test_benchmark_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):
 
 def test_benchmark_rejects_unknown_names(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C99"]) == 2
-
-
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(
-        command="sweep-k",
-        potential_spec={"name": "gaussian", "dim": 2, "cov": None},
-        drift_spec={"kind": "qgradu", "q": "0,1,-1,0", "k": 1.0},
-        observable_spec="x1",
-        backend_spec={"backend": "hermite", "points_per_axis": 32,
-                      "degree": 4},
-        sim_spec={},
-        output_path="out.csv",
-    )
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    # and through JSON, as embedded in the reports
-    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_benchmark_tolerances_not_settable_from_command_line(capsys):

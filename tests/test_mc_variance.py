@@ -62,15 +62,16 @@ def test_constant_observable_is_exactly_zero():
 
 
 def test_two_batch_formula():
-    # 2 batches of length B: estimate is B (m1 - m2)^2 / 2 by definition
-    values = np.concatenate([np.full(10, 1.0), np.full(10, 4.0)])
+    # 20 batches of length B with means m1, m2, m1, ...: by definition the
+    # estimate is B times their sample variance, B 20 ((m1 - m2) / 2)^2 / 19
+    values = np.tile(np.repeat([1.0, 4.0], 10), 10)
     traj = make_traj(values, dt=1.0)
-    est = batch_means(traj, coord1, batch_length=10.0, min_batches=2)
-    assert est.point_estimate == pytest.approx(10.0 * (1.0 - 4.0) ** 2 / 2.0,
-                                               rel=1e-14)
+    est = batch_means(traj, coord1, batch_length=10.0)
+    assert est.point_estimate == pytest.approx(
+        10.0 * 20 * ((1.0 - 4.0) / 2.0) ** 2 / 19.0, rel=1e-14)
     assert est.method is EstimatorMethod.BATCH_MEANS
     assert est.batch_length == 10.0
-    assert est.diagnostics["n_batches"] == 2
+    assert est.diagnostics["n_batches"] == 20
 
 
 def test_batch_means_shift_invariance():

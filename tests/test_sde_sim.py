@@ -28,7 +28,6 @@ from irrlangevin.sde_sim import (
     SimConfig,
     chain_time_averages,
     simulate,
-    step_em,
     trajectory_to_csv,
 )
 
@@ -39,16 +38,22 @@ def coord1(x):
     return np.asarray(x)[..., 0]
 
 
+def em_step(x, u, c, k, dt, noise):
+    """One step of the simulator's Euler-Maruyama map, on a copy of ``noise``."""
+    return sde_sim._em_step(u, c, k, dt)(np.asarray(x, dtype=float),
+                                         np.array(noise, dtype=float))
+
+
 def test_step_em_fixed_point():
     u = gaussian_potential(2)
     x = np.zeros(2)  # grad U(0) = 0
-    out = step_em(x, u, zero_drift(2), k=0.0, dt=0.1, noise=np.zeros(2))
+    out = em_step(x, u, zero_drift(2), k=0.0, dt=0.1, noise=np.zeros(2))
     np.testing.assert_array_equal(out, x)
 
 
 def test_step_em_deterministic_euler_1d():
     u = gaussian_potential(1)
-    out = step_em(np.array([1.0]), u, zero_drift(1), k=0.0, dt=0.1,
+    out = em_step(np.array([1.0]), u, zero_drift(1), k=0.0, dt=0.1,
                   noise=np.zeros(1))
     assert out[0] == pytest.approx(0.9, abs=1e-15)
 
@@ -57,28 +62,15 @@ def test_step_em_with_skew_drift():
     # drift at (1,0) is -x + Qx = (-1, -1), so one step of 0.1 lands (0.9, -0.1)
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
-    out = step_em(np.array([1.0, 0.0]), u, c, k=1.0, dt=0.1, noise=np.zeros(2))
+    out = em_step(np.array([1.0, 0.0]), u, c, k=1.0, dt=0.1, noise=np.zeros(2))
     np.testing.assert_allclose(out, [0.9, -0.1], atol=1e-15)
 
 
 def test_step_em_wraps_torus_coordinates():
     u = torus_cosine(2, 0.0)
-    out = step_em(np.array([6.2, 0.05]), u, zero_drift(2), k=0.0, dt=0.25,
+    out = em_step(np.array([6.2, 0.05]), u, zero_drift(2), k=0.0, dt=0.25,
                   noise=np.array([1.0, -1.0]))
     assert np.all((out >= 0.0) & (out < 2 * np.pi))
-
-
-def test_step_em_rejects_nonpositive_dt():
-    u = gaussian_potential(1)
-    with pytest.raises(ValueError):
-        step_em(np.zeros(1), u, zero_drift(1), k=0.0, dt=0.0, noise=np.zeros(1))
-
-
-def test_step_em_raises_on_overflow():
-    u = gaussian_potential(1)
-    with pytest.raises(DivergenceError):
-        step_em(np.array([1e308]), u, zero_drift(1), k=0.0, dt=1e10,
-                noise=np.zeros(1))
 
 
 def test_simconfig_validation():
@@ -89,6 +81,12 @@ def test_simconfig_validation():
                   burn_in_steps=10)
     with pytest.raises(ValueError):
         SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0], thin=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            SimConfig(step_size=bad, n_steps=10, initial_point=[0.0])
+        with pytest.raises(ValueError, match="perturbation_scale must be"):
+            SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0],
+                      perturbation_scale=bad)
 
 
 def test_zero_observable_gives_zero_running_mean():
@@ -107,21 +105,11 @@ def test_single_step_matches_step_em():
     traj = simulate(u, c, coord1, cfg)
     # the documented stream: Philox keyed by the seed, standard normals
     noise = Generator(Philox(key=11)).standard_normal((1, 2))
-    expected = step_em(np.array([0.4, -0.2]), u, c, k=1.0, dt=0.05,
+    expected = em_step(np.array([0.4, -0.2]), u, c, k=1.0, dt=0.05,
                        noise=noise[0])
     assert traj.states.shape == (2, 2)
     np.testing.assert_array_equal(traj.states[0], [0.4, -0.2])
     np.testing.assert_allclose(traj.states[1], expected, rtol=1e-15)
-
-
-def test_step_em_leaves_its_noise_alone():
-    # the simulator's step writes over its noise; step_em hands it a copy
-    u = torus_cosine(2, 1.0)
-    noise = np.array([0.5, 7.0])
-    out = step_em(np.array([6.2, 0.05]), u, make_qgradu_drift(ROT, u), k=1.0,
-                  dt=0.25, noise=noise)
-    np.testing.assert_array_equal(noise, [0.5, 7.0])
-    assert not np.shares_memory(out, noise)
 
 
 def test_simulate_is_deterministic():

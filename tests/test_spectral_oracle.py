@@ -48,8 +48,6 @@ from irrlangevin.observables import observable_vector, parse_observable
 from irrlangevin.spectral_oracle import (
     EIGENVALUE_MERGE_TOL,
     DiscretizedSystem,
-    GaussianLinear,
-    TorusGrid,
     asymptotic_variances,
     discretize_gaussian_linear,
     discretize_torus,
@@ -359,7 +357,7 @@ def _quadrature_coefficients(sys, func, poly_degree):
     n_nodes = (poly_degree + basis_degree) // 2 + 1
     nodes, wts = np.polynomial.hermite_e.hermegauss(n_nodes)
     wts = wts / np.sqrt(2.0 * np.pi)
-    dim = sys.backend.dim
+    dim = len(idxs[0])
     node_idx = [g.ravel() for g in np.meshgrid(*([np.arange(n_nodes)] * dim),
                                                indexing="ij")]
     pts = np.stack([nodes[ni] for ni in node_idx], axis=-1)
@@ -559,7 +557,7 @@ def test_m_operator_rejects_indefinite_restriction():
     pi = np.full(3, 1.0 / 3.0)
     sys = DiscretizedSystem(
         n=3, pi_weights=pi, l_matrix=csr_array(l_bad),
-        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        s_matrix=csr_array((3, 3)),
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
@@ -951,7 +949,7 @@ def _zero_operator_system():
     # hand-built defective system: L = 0 and S = 0 on three uniform states
     return DiscretizedSystem(
         n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array((3, 3)),
-        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        s_matrix=csr_array((3, 3)),
         const_vec=np.ones(3),
     )
 
@@ -980,7 +978,7 @@ def test_negative_definite_energy_operator_is_a_defect(entry):
     lap = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
     sys = DiscretizedSystem(
         n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array(-lap),
-        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        s_matrix=csr_array((3, 3)),
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="not positive definite"):
@@ -1073,7 +1071,7 @@ def test_non_finite_solution_is_a_defect():
                                [0.0, -1.0, 1.0]])
     sys = DiscretizedSystem(
         n=3, pi_weights=np.full(3, 1.0 / 3.0), l_matrix=csr_array(l_tiny),
-        s_matrix=csr_array((3, 3)), backend=TorusGrid(1, 3, 1.0),
+        s_matrix=csr_array((3, 3)),
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="singular"):
