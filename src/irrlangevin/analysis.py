@@ -11,8 +11,9 @@ which is non-increasing in the drift scale k, tends to twice the mass at
 y = 0 (the kernel component of g), and equals the reversible value exactly
 when the drift operator annihilates L^{-1} f.  The atoms come from the SVD
 of F^{-T} A_E F^{-1}, with F the sparse factor of the grounded energy
-matrix L_E = F^T F and A_E the grounded A, whose right singular vectors v_j
-the system caches as Z_j = F^{-1} v_j (:mod:`irrlangevin.spectral_oracle`).
+matrix L_E = F^T F and A_E the grounded A, whose right singular vectors
+the system caches as the Householder panels of their QR, in half an array
+(:mod:`irrlangevin.spectral_oracle`).
 ``worst_case`` caches nothing of its own: before it allocates anything
 else it takes the kernel of the restricted A, and only the kernel, from the
 zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection

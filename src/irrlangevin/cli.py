@@ -239,6 +239,8 @@ def _drift_from_args(args, u: Potential, scale: float = 1.0) -> DriftField:
         return zero_drift(u.dim)
     if args.q is None:
         raise ValueError("--drift qgradu requires --q")
+    if not np.isfinite(scale):
+        raise ValueError(f"--k must be finite, got {scale!r}")
     q = _parse_q(args.q, u.dim)
     return make_qgradu_drift(scale * q, u)
 

@@ -79,8 +79,8 @@ def _batches(traj: Trajectory, f: Observable | ObservableFn,
     total = len(values) * traj.step_size
     if batch_length is None:
         batch_length = float(np.sqrt(total))
-    if batch_length <= 0:
-        raise ValueError("batch_length must be positive")
+    if not (np.isfinite(batch_length) and batch_length > 0):
+        raise ValueError(f"batch_length must be positive and finite, got {batch_length!r}")
     if total < MIN_BATCHES * batch_length:
         raise ValueError(
             f"horizon {total:g} too short for batch length {batch_length:g}: "

@@ -296,6 +296,8 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
         cov_arr = np.eye(dim)
     else:
         cov_arr = np.asarray(cov, dtype=float)
+        if not np.all(np.isfinite(cov_arr)):
+            raise ValueError(f"cov must be finite, got {cov_arr.tolist()}")
         if cov_arr.ndim == 0:
             cov_arr = float(cov_arr) * np.eye(dim)
         elif cov_arr.ndim == 1:
@@ -361,6 +363,8 @@ def torus_cosine(dim: int, amplitude: float | Sequence[float] = 1.0) -> Potentia
     energy depending on the first coordinate only.
     """
     amp = np.broadcast_to(np.asarray(amplitude, dtype=float), (dim,)).copy()
+    if not np.all(np.isfinite(amp)):
+        raise ValueError(f"amplitude must be finite, got {amp.tolist()}")
 
     def _eval(x):
         x = np.asarray(x, dtype=float)

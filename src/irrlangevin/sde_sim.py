@@ -90,6 +90,9 @@ class SimConfig:
                              f"finite, got {self.perturbation_scale!r}")
         if self.thin < 1:
             raise ValueError("thin must be a positive integer")
+        if not np.all(np.isfinite(self.initial_point)):
+            raise ValueError("initial_point must be finite, got "
+                             f"{np.asarray(self.initial_point, dtype=float).tolist()}")
 
 
 @dataclass

@@ -60,15 +60,15 @@ sparse, and the diagonal sqrt(degree) on the Hermite basis.
 and a zero or negative pivot refuses it as it refuses the spectral chain.
 The chain fills m = F^{-T} A_E F^{-1} a block of columns at a time by
 these solves, reduces it to a skew-tridiagonal T = Q^T m Q
-(``_skew_tridiagonal``), keeps only Q's reflectors, packed into half an
-array, while it takes the SVD of a bidiagonal matrix of half the size
-(``_bidiagonal_svd``), then forms Q in a fresh array, F^{-1} Q over it,
-and the singular vectors (``_rotate_columns``).  A system
-caches what the chain yields: the singular values, one dense array
-Z = F^{-1} [right singular vectors of m], so the masses of the atoms are
-(Z^T b)^2 with b = (pi f)[keep], and max |m + m^T| of m as the solves left
-it, which the acceptance matrix reads as its antisymmetry check.  It also
-caches the sparse factor and the O(n) eigenvalues of the restricted L.
+(``_skew_tridiagonal``), keeps Q's reflectors as compact-WY panels in half
+an array while it takes the SVD of a bidiagonal matrix of half the size
+(``_bidiagonal_svd``), applies them to the singular vectors, and keeps the
+Householder QR of that basis O in panels of half an array (``_skew_svd``).
+A system caches what the chain yields: the singular values, those panels,
+so the masses of the atoms are the squares of O^T F^{-T} b with
+b = (pi f)[keep], and max |m + m^T| of m as the solves left it, which the
+acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
+formed.  It also caches the sparse factor and the O(n) eigenvalues of L.
 ``worst_case`` and ``generator_gaps`` fill dense (n - 1) x (n - 1)
 restrictions, a block of columns at a time in O(n nnz) and without a dense
 basis.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes
@@ -105,12 +105,13 @@ Array = np.ndarray
 # The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
 # growth at n = 4096, by glibc's mmap threshold).  The spectral route,
 # worst_case's restrictions and generator_gaps stay dense: at n = 4096
-# variance_report (with generator_gaps) grows RSS by 319 MB and worst_case
-# by 164 MB, so about 0.93 GB and 0.48 GB at this cap (extrapolated by n^2,
+# variance_report (with generator_gaps) grows RSS by 253 MB and worst_case
+# by 164 MB, so about 0.74 GB and 0.48 GB at this cap (extrapolated by n^2,
 # not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
+_PANEL = 32  # reflectors per compact-WY panel of the cached singular basis
 
 
 @dataclass
@@ -334,30 +335,11 @@ class DiscretizedSystem:
         return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
 
     @cached_property
-    def _weight_vectors(self) -> tuple[Array, Array, float]:
-        """(s, Z, residual): the singular values of M, Z = F^{-1} [v_1 ... v_N]
-        with v_j the right singular vectors of m = F^{-T} A_E F^{-1} in
-        :func:`_bidiagonal_svd`'s order, and max |m + m^T| before m is made
-        antisymmetric.
-
-        m = O^T pi M O with O pi-orthonormal.  The mass of f on v_j is
-        (v_j . F^{-T} b)^2 = (Z_j . b)^2 with b = E^T pi f, and A E Z_j
-        vanishes where s_j does.  Only Q's reflectors, packed into half an
-        array, are alive while B's SVD runs; Q is formed in a fresh array
-        afterwards and Z over it, the only dense array kept.
-        """
-        m = self._congruence()
-        residual = _symmetrize(m, -1.0)
-        h, tau, e = _skew_tridiagonal(m)
-        packed = _pack_reflectors(h)
-        del m, h
-        s, u, vt = _bidiagonal_svd(e)
-        z = _unpack_reflectors(packed, len(s))
-        del packed
-        z = _hessenberg_q(z, tau)
-        for j, k in _blocks(len(z)):
-            z[:, j:k] = self._energy_factor.solve(z[:, j:k])
-        return s, _rotate_columns(z, u, vt), residual
+    def _weight_vectors(self) -> tuple[Array, tuple[Array, list], float]:
+        """:func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O, with O
+        pi-orthonormal: M's singular values, the panels of H with O^T =
+        H diag(signs), about half an (n - 1)^2 array, and m's residual."""
+        return _skew_svd(self._congruence())
 
     @cached_property
     def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
@@ -443,22 +425,21 @@ class DiscretizedSystem:
     def spectral_weight(self, fr: Array) -> SpectralMeasure:
         """Atoms of the spectral weight of g = V fr under iM.
 
-        The masses are taken as (Z_j . b)^2 against the cached columns of
-        ``_weight_vectors``, with b = (pi f)[keep] the grounded coordinates
-        of the state vector f of ``fr``, so V itself is never formed.
+        The masses are the squares of H (signs F^{-T} b), with b = (pi f)[keep]
+        the grounded coordinates of the state vector f of ``fr``: one sparse
+        solve, then the cached panels of ``_weight_vectors``, so V itself
+        is never formed.
 
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
-        from scipy.linalg import blas
-
-        s, z, _ = self._weight_vectors
-        b = (self.pi_weights * self.from_mean_zero(fr))[self._energy_factor.keep]
-        order = np.argsort(s, kind="stable")
-        locs, mass = _merge_atoms(s[order],
-                                  (blas.dgemv(1.0, z, b, trans=1) ** 2)[order])
+        s, (signs, panels), _ = self._weight_vectors
+        factor = self._energy_factor
+        b = (self.pi_weights * self.from_mean_zero(fr))[factor.keep]
+        x = _apply_panels(panels, (signs * factor.solve_t(b))[:, None])[:, 0]
+        locs, mass = _merge_atoms(s, x**2)
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
         return SpectralMeasure(
@@ -552,17 +533,6 @@ def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:
     return h, tau, (np.diagonal(h, -1) - np.diagonal(h, 1)) / 2.0
 
 
-def _hessenberg_q(h: Array, tau: Array) -> Array:
-    """Q of :func:`_skew_tridiagonal`, formed over ``h`` by ``dorghr``."""
-    from scipy.linalg import lapack
-
-    if len(h) < 2:
-        h[...] = np.eye(len(h))
-        return h
-    return lapack.dorghr(h, tau, lwork=int(lapack.dorghr_lwork(len(h))[0]),
-                         overwrite_a=True)[0]
-
-
 def _hessenberg_q_times(h: Array, tau: Array, y: Array) -> Array:
     """Q y for the few columns of ``y``, Q = diag(1, Q') left as the
     reflectors of :func:`_skew_tridiagonal`: ``dormqr`` reads Q' from h[1:,
@@ -580,24 +550,6 @@ def _hessenberg_q_times(h: Array, tau: Array, y: Array) -> Array:
                                                 lwork)[0]])
 
 
-def _pack_reflectors(h: Array) -> Array:
-    """The Householder vectors that :func:`_skew_tridiagonal` left below
-    h's subdiagonal, column after column in one buffer of
-    (N - 1)(N - 2) / 2 entries."""
-    return np.concatenate([np.zeros(0)] + [h[i + 2:, i] for i in range(len(h) - 2)])
-
-
-def _unpack_reflectors(packed: Array, size: int) -> Array:
-    """A Fortran-ordered (size, size) array holding ``packed`` below its
-    subdiagonal, where :func:`_hessenberg_q` reads the reflectors."""
-    h = np.zeros((size, size), order="F")
-    start = 0
-    for i in range(size - 2):
-        h[i + 2:, i] = packed[start:start + size - 2 - i]
-        start += size - 2 - i
-    return h
-
-
 def _bidiagonal_svd(e: Array) -> tuple[Array, Array, Array]:
     """(s, U, Vt): the singular values of the (N, N) skew-tridiagonal T with
     subdiagonal ``e``, and the factors of B = U diag(s) Vt (U full).
@@ -605,8 +557,8 @@ def _bidiagonal_svd(e: Array) -> tuple[Array, Array, Array]:
     Permuted to even then odd coordinates, T = [[0, B], [-B^T, 0]] with the
     ceil(N/2) x floor(N/2) bidiagonal B = T[0::2, 1::2], so T's right
     singular vectors hold U in their even rows and columns and Vt^T in
-    their odd ones (:func:`_rotate_columns`).  The singular values are s at
-    the odd columns and [s, 0 if N is odd] at the even ones.
+    their odd ones (:func:`_skew_svd`).  The singular values are s at the
+    odd columns and [s, 0 if N is odd] at the even ones.
     """
     import scipy.linalg
 
@@ -623,19 +575,94 @@ def _bidiagonal_svd(e: Array) -> tuple[Array, Array, Array]:
     return values, u, vt
 
 
-def _rotate_columns(q: Array, u: Array, vt: Array) -> Array:
-    """``q`` with its even columns times U and its odd columns times Vt^T,
-    in place, a block of rows at a time by ``dgemm``: for q = Q of
-    :func:`_skew_tridiagonal` these are the right singular vectors of m."""
-    from scipy.linalg import blas
+def _wy_panels(a: Array, tau: Array, first: int) -> list[tuple[int, Array]]:
+    """[(r, block), ...]: the reflectors I - tau_i v_i v_i^T that LAPACK left
+    in ``a``, v_i being 1 in row first + i over a[first + i + 1:, i], in
+    compact-WY panels (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989).  Reflectors j to k - 1, acting from row r = first + j on, are
+    I - V T V^T; their panel is a Fortran-ordered (N - r, k - j) block of one
+    buffer of about N^2 / 2 entries, V below its implied unit diagonal and
+    the triangular T, built as ``dlarft`` builds it, above."""
+    size = len(a)
+    bounds = [(j, min(j + _PANEL, len(tau))) for j in range(0, len(tau), _PANEL)]
+    buffer = np.empty(sum((size - first - j) * (k - j) for j, k in bounds))
+    panels, start = [], 0
+    for j, k in bounds:
+        block = buffer[start:start + (size - first - j) * (k - j)].reshape(
+            (size - first - j, k - j), order="F")
+        start += block.size
+        block[...] = a[first + j:, j:k]
+        top, rest = np.tril(block[:k - j], -1), block[k - j:]
+        np.fill_diagonal(top, 1.0)
+        gram, t = top.T @ top + rest.T @ rest, np.zeros((k - j, k - j))
+        for i in range(k - j):
+            t[:i, i] = -tau[j + i] * (t[:i, :i] @ gram[:i, i])
+            t[i, i] = tau[j + i]
+        upper = np.triu_indices(k - j)
+        block[upper] = t[upper]
+        panels.append((first + j, block))
+    return panels
 
-    if len(q) < 2:
-        return q
-    even, odd = q[:, 0::2], q[:, 1::2]
-    for j, k in _blocks(len(q)):
-        even[j:k] = blas.dgemm(1.0, even[j:k], u)
-        odd[j:k] = blas.dgemm(1.0, odd[j:k], vt, trans_b=True)
-    return q
+
+def _apply_panels(panels: list[tuple[int, Array]], c: Array,
+                  right: bool = False) -> Array:
+    """H c for one column ``c``, or c H^T for a Fortran-ordered ``c`` with
+    ``right``, in place, H the product of the reflectors of the panels: each
+    goes to ``dgemqrt`` with the contiguous slice of c from its row r on."""
+    from scipy.linalg import lapack
+
+    side, trans = ("R", "T") if right else ("L", "N")
+    for row, block in panels[::-1]:
+        lapack.dgemqrt(block, block[:block.shape[1]],
+                       c[:, row:] if right else c[row:], side=side,
+                       trans=trans, overwrite_c=1)
+    return c
+
+
+def _interleave_columns(a: Array, half: int) -> None:
+    """Columns c_0 ... c_{half - 1}, d_0, d_1, ... of ``a`` moved in place to
+    c_0, d_0, c_1, d_1, ..., along the cycles of that permutation."""
+    dest = np.concatenate([np.arange(0, a.shape[1], 2), np.arange(1, a.shape[1], 2)])
+    todo = dest != np.arange(a.shape[1])
+    for start in np.flatnonzero(todo):
+        carry, k = a[:, start].copy(), dest[start]
+        while todo[k]:
+            carry, a[:, k] = a[:, k].copy(), carry
+            todo[k], k = False, dest[k]
+
+
+def _skew_svd(m: Array) -> tuple[Array, tuple[Array, list], float]:
+    """(s, (signs, panels), residual): the singular values of the (N, N)
+    ``m``, ascending, the QR O^T = H diag(signs) of a right singular basis
+    O = Q W in that order, H as :func:`_wy_panels`, and max |m + m^T| before
+    m is made antisymmetric.  W holds U in its even rows and Vt^T in its odd
+    ones (:func:`_bidiagonal_svd`).  Q's panels are packed before B's SVD,
+    and m is freed then if it was handed over with no other reference; W^T
+    is filled even coordinates first, so U and Vt each touch half of it,
+    then multiplied by Q^T in place, which leaves O^T for ``dgeqrf``."""
+    from scipy.linalg import lapack
+
+    residual = _symmetrize(m, -1.0)
+    h, tau, e = _skew_tridiagonal(m)
+    del m
+    q = _wy_panels(h, tau[:len(h) - 2], 1)
+    del h
+    s, u, vt = _bidiagonal_svd(e)
+    half, order = len(u), np.argsort(s, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(s))
+    o_t = np.zeros((len(s), len(s)), order="F")
+    o_t[rank[0::2], :half] = u.T  # the even coordinates first: half of o_t
+    del u
+    o_t[rank[1::2], half:] = vt
+    del vt
+    _interleave_columns(o_t, half)
+    _apply_panels(q, o_t, right=True)
+    del q
+    o_t, tau, _, _ = lapack.dgeqrf(o_t, overwrite_a=1,
+                                  lwork=int(lapack.dgeqrf_lwork(*o_t.shape)[0]))
+    signs = np.copysign(1.0, np.diagonal(o_t))
+    return s[order], (signs, _wy_panels(o_t, tau, 0)), residual
 
 
 def _skew_kernel(m: Array) -> Array:
@@ -719,7 +746,7 @@ def discretize_torus(u: Potential, c: DriftField,
     S = (R - D^{-1} R^T D) / 2, with R the centered differences of C.grad
     and D = diag(pi); A = P S P is the projected, pi-antisymmetrized R.  The
     relative norm of the symmetric part that the antisymmetrization
-    discards is kept as ``antisym_correction`` (an O(spacing^2)
+    discards is kept as ``antisym_correction`` (an O(spacing)
     discretization diagnostic for weighted-divergence-free fields).  Memory
     is O(n): no n x n array is formed.
     """

@@ -223,6 +223,16 @@ def test_divergence_exits_3(tmp_path, capsys):
       "hermite", "--degree", "2", "--k-values", "0,nan"], "k_values"),
     (["sample", "--dt", "nan", "--n-steps", "10", "--burn-in", "0"],
      "step_size"),
+    (["check-assumptions", "--potential", "gaussian", "--dim", "2", "--cov",
+      "nan"], "cov"),
+    (["sample", "--initial", "nan,0", "--n-steps", "10", "--burn-in", "0"],
+     "initial_point"),
+    (["spectral-report", "--drift", "qgradu", "--q", "0,1,-1,0", "--k", "nan"],
+     "--k"),
+    (["spectral-report", "--potential", "torus_cosine", "--amplitude", "nan"],
+     "amplitude"),
+    (["estimate-variance", "--n-steps", "2000", "--burn-in", "0",
+      "--batch-length", "nan"], "batch_length"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, and not a divergence at step 0

@@ -88,6 +88,9 @@ def test_batch_means_minimum_horizon_error():
     traj = make_traj(np.arange(100.0))
     with pytest.raises(ValueError, match="at least 20 batches"):
         batch_means(traj, coord1, batch_length=50.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            batch_means(traj, coord1, batch_length=bad)
 
 
 def test_batch_means_rejects_thinned_trajectory():

@@ -37,6 +37,12 @@ def test_catalog_derivatives_match_finite_differences(factory, kwargs):
 def test_catalog_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown potential"):
         make_potential("lennard_jones")
+    # a non-finite parameter is refused where it enters, by name
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="cov must be finite"):
+            make_potential("gaussian", dim=2, cov=bad)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            make_potential("torus_cosine", dim=2, amplitude=(1.0, bad))
 
 
 def test_make_potential_dispatches():

@@ -87,6 +87,8 @@ def test_simconfig_validation():
         with pytest.raises(ValueError, match="perturbation_scale must be"):
             SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0],
                       perturbation_scale=bad)
+        with pytest.raises(ValueError, match="initial_point must be finite"):
+            SimConfig(step_size=0.1, n_steps=10, initial_point=[bad, 0.0])
 
 
 def test_zero_observable_gives_zero_running_mean():
