@@ -309,14 +309,13 @@ def run_c8(tol: Mapping[str, float]) -> list[CriterionRow]:
 
 def run_c9(tol: Mapping[str, float]) -> list[CriterionRow]:
     u = gaussian_potential(2)
-    c = make_qgradu_drift(ROT, u)
     estimates = {}
-    for k, target in ((0.0, 2.0), (1.0, 1.0)):
+    for k in (0.0, 1.0):
         cfg = SimConfig(step_size=0.005, n_steps=202_000,
                         initial_point=[0.0, 0.0], burn_in_steps=2_000,
-                        seed=MC_SEED_BANK[k], perturbation_scale=k)
-        estimates[k] = replicated_clt(u, c, lambda x: x[..., 0], cfg,
-                                      n_chains=100)
+                        seed=MC_SEED_BANK[k])
+        estimates[k] = replicated_clt(u, make_qgradu_drift(k * ROT, u),
+                                      lambda x: x[..., 0], cfg, n_chains=100)
     rows = []
     for k, target in ((0.0, 2.0), (1.0, 1.0)):
         rel = abs(estimates[k].point_estimate - target) / target

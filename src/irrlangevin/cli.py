@@ -90,12 +90,13 @@ def _add_potential_args(sp):
                     help="torus cosine amplitude: scalar or one value per axis")
 
 
-def _add_drift_args(sp):
+def _add_drift_args(sp, scale: bool = True):
     sp.add_argument("--drift", default="none", choices=["none", "qgradu"])
     sp.add_argument("--q", default=None,
                     help="row-major antisymmetric matrix entries, e.g. 0,1,-1,0")
-    sp.add_argument("--k", type=float, default=1.0,
-                    help="drift scale multiplying C")
+    if scale:
+        sp.add_argument("--k", type=float, default=1.0,
+                        help="drift scale multiplying C")
 
 
 def _add_backend_args(sp):
@@ -170,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the spectral atoms as CSV (location, weight)")
     _add_output_arg(sp, "spectral.json")
 
-    sp = sub.add_parser("sweep-k",
+    # no abbreviations here, or --k would silently mean --k-values
+    sp = sub.add_parser("sweep-k", allow_abbrev=False,
                         help="variance versus drift scale from one decomposition")
     _add_potential_args(sp)
-    _add_drift_args(sp)
+    _add_drift_args(sp, scale=False)  # the scales are --k-values
     sp.add_argument("--observable", default="x1")
     _add_backend_args(sp)
     sp.add_argument("--k-values", default="0,1,2,4",
@@ -234,13 +236,13 @@ def _potential_from_args(args) -> Potential:
     return make_potential(args.potential, **params)
 
 
-def _drift_from_args(args, u: Potential, scale: float = 1.0) -> DriftField:
+def _drift_from_args(args, u: Potential, scale: float) -> DriftField:
+    if not np.isfinite(scale):
+        raise ValueError(f"--k must be finite, got {scale!r}")
     if args.drift == "none":
         return zero_drift(u.dim)
     if args.q is None:
         raise ValueError("--drift qgradu requires --q")
-    if not np.isfinite(scale):
-        raise ValueError(f"--k must be finite, got {scale!r}")
     q = _parse_q(args.q, u.dim)
     return make_qgradu_drift(scale * q, u)
 
@@ -259,8 +261,7 @@ def _system_from_args(args, u: Potential, scale: float):
     c = _drift_from_args(args, u, scale=scale)
     if backend == "torus":
         return discretize_torus(u, c, args.points_per_axis), backend
-    q = np.zeros((u.dim, u.dim)) if c.q is None else c.q
-    return discretize_gaussian_linear(q, u.dim, args.degree), backend
+    return discretize_gaussian_linear(c.q, u.dim, args.degree), backend
 
 
 def _config_from_args(args, output: str) -> dict:
@@ -297,8 +298,7 @@ def _sim_config_from_args(args, u: Potential) -> SimConfig:
             raise ValueError(f"--initial needs {u.dim} coordinates")
     return SimConfig(step_size=args.dt, n_steps=args.n_steps,
                      initial_point=initial, burn_in_steps=args.burn_in,
-                     seed=args.seed, perturbation_scale=args.k,
-                     thin=args.thin)
+                     seed=args.seed, thin=args.thin)
 
 
 # --- output helpers ------------------------------------------------------------
@@ -345,7 +345,7 @@ def _cmd_check_assumptions(args, u: Potential) -> dict:
 
 
 def _cmd_sample(args, u: Potential) -> dict:
-    c = _drift_from_args(args, u)
+    c = _drift_from_args(args, u, scale=args.k)
     obs = parse_observable(args.observable, u.dim)
     cfg = _sim_config_from_args(args, u)
     traj = simulate(u, c, obs.fn, cfg)
@@ -362,7 +362,7 @@ def _cmd_sample(args, u: Potential) -> dict:
 
 
 def _cmd_estimate_variance(args, u: Potential) -> dict:
-    c = _drift_from_args(args, u)
+    c = _drift_from_args(args, u, scale=args.k)
     obs = parse_observable(args.observable, u.dim)
     cfg = _sim_config_from_args(args, u)
     if args.method == "replicated-clt":

@@ -8,16 +8,12 @@ class DivergenceError(RuntimeError):
     the seed of the offending chain, and the last finite state.
     """
 
-    def __init__(self, step_index, seed, state, message=None):
+    def __init__(self, step_index, seed, state):
         self.step_index = step_index
         self.seed = seed
         self.state = state
-        if message is None:
-            message = (
-                f"trajectory diverged at step {step_index} (seed {seed}); "
-                f"last finite state {state}"
-            )
-        super().__init__(message)
+        super().__init__(f"trajectory diverged at step {step_index} "
+                         f"(seed {seed}); last finite state {state}")
 
 
 class DiscretizationDefectError(RuntimeError):

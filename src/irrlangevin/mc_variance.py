@@ -26,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from .model import DriftField, Potential
-from .observables import Observable
 from .sde_sim import ObservableFn, SimConfig, Trajectory, chain_time_averages
 
 Array = np.ndarray
@@ -60,18 +59,16 @@ class VarianceEstimate:
             raise ValueError("stderr must be finite")
 
 
-def _left_endpoint_values(traj: Trajectory,
-                          f: Observable | ObservableFn) -> Array:
+def _left_endpoint_values(traj: Trajectory, f: ObservableFn) -> Array:
     if traj.thin != 1:
         raise ValueError(
             "batch estimators need an unthinned trajectory (thin == 1); "
             f"got thin={traj.thin}"
         )
-    f = f.fn if isinstance(f, Observable) else f
     return np.asarray(f(traj.states[:-1]), dtype=float)
 
 
-def _batches(traj: Trajectory, f: Observable | ObservableFn,
+def _batches(traj: Trajectory, f: ObservableFn,
              batch_length: float | None) -> tuple[Array, float, int]:
     """(f's left-endpoint values, horizon, steps per batch), checked to hold
     ``MIN_BATCHES`` batches; ``batch_length`` defaults to sqrt(horizon)."""
@@ -90,7 +87,7 @@ def _batches(traj: Trajectory, f: Observable | ObservableFn,
     return values, total, max(int(round(batch_length / traj.step_size)), 1)
 
 
-def batch_means(traj: Trajectory, f: Observable | ObservableFn,
+def batch_means(traj: Trajectory, f: ObservableFn,
                 batch_length: float | None = None) -> VarianceEstimate:
     """Non-overlapping batch-means estimate from a single trajectory.
 
@@ -119,7 +116,7 @@ def batch_means(traj: Trajectory, f: Observable | ObservableFn,
     )
 
 
-def overlapping_batch_means(traj: Trajectory, f: Observable | ObservableFn,
+def overlapping_batch_means(traj: Trajectory, f: ObservableFn,
                             batch_length: float | None = None) -> VarianceEstimate:
     """Overlapping variant: every window of the batch length is a batch.
 
@@ -173,9 +170,8 @@ def _normality_diagnostics(averages: Array) -> dict:
     }
 
 
-def replicated_clt(u: Potential, c: DriftField, f: Observable | ObservableFn,
-                   cfg: SimConfig, n_chains: int,
-                   check_bias: bool = False) -> VarianceEstimate:
+def replicated_clt(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
+                   n_chains: int, check_bias: bool = False) -> VarianceEstimate:
     """Across-chain estimate from ``n_chains`` independent replicas.
 
     Chains are seeded ``cfg.seed, cfg.seed + 1, ...``.  The estimate is the

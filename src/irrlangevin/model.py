@@ -45,7 +45,8 @@ class SpaceKind(Enum):
 
 
 class DriftKind(Enum):
-    ZERO = "zero"
+    """Q grad U, the reversible case Q = 0 included, or any other field."""
+
     QGRADU = "qgradu"
     CUSTOM = "custom"
 
@@ -79,13 +80,14 @@ class Potential:
 
 @dataclass
 class DriftField:
-    """Perturbation drift C with its analytic divergence.
+    """Perturbation drift C with its analytic divergence and its scale: the
+    paper's k Q grad U is ``make_qgradu_drift(k * q, u)``.
 
     For ``kind == DriftKind.QGRADU`` the stored ``q`` is exactly
-    antisymmetric and ``divergence`` returns exactly zero.  Such a drift
-    means Q grad U of the potential it is simulated with: the simulator
-    forms it from ``q`` and that potential's gradient, without calling
-    ``eval``.
+    antisymmetric, ``divergence`` returns exactly zero, and ``q = 0`` is the
+    reversible diffusion.  Such a drift means Q grad U of the potential it
+    is simulated with: the simulator forms it from ``q`` and that
+    potential's gradient, without calling ``eval``.
     """
 
     dim: int
@@ -140,6 +142,11 @@ def antisymmetric_matrix(q: Array, dim: int) -> Array:
     return q
 
 
+def _zero_divergence(x):
+    x = np.asarray(x, dtype=float)
+    return np.zeros(x.shape[:-1])
+
+
 def make_qgradu_drift(q: Array, u: Potential) -> DriftField:
     """Build the drift C(x) = Q grad U(x) for an antisymmetric matrix Q.
 
@@ -153,29 +160,21 @@ def make_qgradu_drift(q: Array, u: Potential) -> DriftField:
     def _eval(x, _q=q, _grad=u.grad):
         return _grad(x) @ _q.T
 
-    def _div(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return DriftField(
-        dim=u.dim, eval=_eval, divergence=_div, kind=DriftKind.QGRADU,
-        q=q, name=f"qgradu({u.name})",
-    )
+    return DriftField(dim=u.dim, eval=_eval, divergence=_zero_divergence,
+                      kind=DriftKind.QGRADU, q=q, name=f"qgradu({u.name})")
 
 
 def zero_drift(dim: int) -> DriftField:
-    """The trivial perturbation C = 0."""
+    """The trivial perturbation C = 0: Q grad U with Q = 0, for any U."""
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape)
 
-    def _div(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return DriftField(dim=dim, eval=_eval, divergence=_div,
-                      kind=DriftKind.ZERO, name="zero")
+    q = np.zeros((dim, dim))
+    q.setflags(write=False)
+    return DriftField(dim=dim, eval=_eval, divergence=_zero_divergence,
+                      kind=DriftKind.QGRADU, q=q, name="zero")
 
 
 def check_assumptions(u: Potential, c: DriftField,

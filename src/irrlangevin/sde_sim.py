@@ -2,17 +2,19 @@
 
 Integrates
 
-    dX_t = sqrt(2) dW_t - grad U(X_t) dt + k C(X_t) dt
+    dX_t = sqrt(2) dW_t - grad U(X_t) dt + C(X_t) dt
 
 and accumulates the time average (1/t) int_0^t f(X_s) ds by left-endpoint
 quadrature, the rule matching the weak order of the Euler-Maruyama scheme.
-No Metropolis correction is applied: the object of study is the
-continuous-time diffusion, and the discretization bias is controlled by
-step halving (see ``mc_variance.replicated_clt(check_bias=True)``).
+The drift C carries its own scale: the paper's k Q grad U is the field
+``make_qgradu_drift(k * q, u)``, and the reversible diffusion is Q = 0
+(``zero_drift``).  No Metropolis correction is applied: the object of study
+is the continuous-time diffusion, and the discretization bias is controlled
+by step halving (see ``mc_variance.replicated_clt(check_bias=True)``).
 
 Two paths run the same scheme.  When U has a constant Hessian H (a
-Gaussian target) and the drift is zero or Q grad U, the step is the affine
-map x -> x A + sqrt(2 dt) xi with A = I - dt H + k dt H Q^T (row vectors).
+Gaussian target) and the drift is Q grad U, the step is the affine map
+x -> x A + sqrt(2 dt) xi with A = I - dt H + dt H Q^T (row vectors).
 If the spectral radius of A is below 1, d is at most ``AFFINE_MAX_DIM`` and
 the horizon has at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain,
 chains then run one at a time along the time axis, in chunks of the fixed
@@ -46,7 +48,6 @@ from numpy.random import Generator, Philox
 
 from .errors import DivergenceError
 from .model import DriftField, DriftKind, Potential, SpaceKind
-from .observables import Observable
 
 Array = np.ndarray
 ObservableFn = Callable[[Array], Array]
@@ -73,7 +74,6 @@ class SimConfig:
     initial_point: Sequence[float]
     burn_in_steps: int = 0
     seed: int = 0
-    perturbation_scale: float = 1.0  # k, multiplies the drift field
     thin: int = 1  # store every thin-th state (quadrature still uses all steps)
 
     def __post_init__(self):
@@ -84,10 +84,6 @@ class SimConfig:
             raise ValueError("n_steps must be a positive integer")
         if not 0 <= self.burn_in_steps < self.n_steps:
             raise ValueError("burn_in_steps must satisfy 0 <= burn_in < n_steps")
-        if not (np.isfinite(self.perturbation_scale)
-                and self.perturbation_scale >= 0):
-            raise ValueError("perturbation_scale must be nonnegative and "
-                             f"finite, got {self.perturbation_scale!r}")
         if self.thin < 1:
             raise ValueError("thin must be a positive integer")
         if not np.all(np.isfinite(self.initial_point)):
@@ -121,8 +117,8 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _em_step(u: Potential, c: DriftField, k: float, dt: float):
-    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, k, dt.
+def _em_step(u: Potential, c: DriftField, dt: float):
+    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, dt.
 
     The map writes the next state, ``root * noise + (state + dt * drift)``,
     over ``noise`` and returns it.  That is the step's one addition with its
@@ -130,24 +126,25 @@ def _em_step(u: Potential, c: DriftField, k: float, dt: float):
     noise``, and no array is made for the state.  A caller that keeps its
     noise passes a copy.  A QGRADU drift is taken as Q grad U of this
     potential, so grad U is evaluated once per step: the drift
-    ``-grad U + k Q grad U`` is ``grad U @ (k Q^T - I)``.
+    ``-grad U + Q grad U`` is ``grad U @ (Q^T - I)``, and ``-grad U`` alone
+    when Q = 0.
     """
     on_torus = u.space_kind is SpaceKind.FLAT_TORUS
     grad = u.grad
     root = np.sqrt(2.0 * dt)
-    if k == 0.0 or c.kind is DriftKind.ZERO:
-        def drift(state):
-            return -grad(state)
-    elif c.kind is DriftKind.QGRADU:
-        fused = k * c.q.T - np.eye(u.dim)
-
-        def drift(state):
-            return grad(state) @ fused
-    else:
+    if c.kind is DriftKind.CUSTOM:
         ceval = c.eval
 
         def drift(state):
-            return -grad(state) + k * ceval(state)
+            return -grad(state) + ceval(state)
+    elif not np.any(c.q):
+        def drift(state):
+            return -grad(state)
+    else:
+        fused = c.q.T - np.eye(u.dim)
+
+        def drift(state):
+            return grad(state) @ fused
 
     def advance(state, noise):
         noise *= root
@@ -172,22 +169,19 @@ def _block_steps(n_chains: int, dim: int) -> int:
     return max(1, min(AFFINE_CHUNK_STEPS, budget))
 
 
-def _affine_powers(u: Potential, c: DriftField, k: float,
-                   dt: float) -> list[Array] | None:
+def _affine_powers(u: Potential, c: DriftField, dt: float) -> list[Array] | None:
     """``[A, A^2, A^4, ..., A^AFFINE_CHUNK_STEPS]``, if the step is affine.
 
     The Euler-Maruyama step is ``x -> x A + sqrt(2 dt) xi`` when U has a
-    constant Hessian H on R^d and the drift is zero or Q grad U:
-    ``A = I - dt H + k dt H Q^T`` (row vectors).  Returns None when it is
+    constant Hessian H on R^d and the drift is Q grad U:
+    ``A = I - dt H + dt H Q^T`` (row vectors).  Returns None when it is
     not, or when the spectral radius of ``A`` is not below 1.
     """
     h = u.constant_hessian
     if (h is None or u.space_kind is not SpaceKind.EUCLIDEAN
-            or c.kind not in (DriftKind.ZERO, DriftKind.QGRADU)):
+            or c.kind is not DriftKind.QGRADU):
         return None
-    a = np.eye(u.dim) - dt * h
-    if k != 0.0 and c.kind is DriftKind.QGRADU:
-        a += (k * dt) * (h @ c.q.T)
+    a = np.eye(u.dim) - dt * h + dt * (h @ c.q.T)
     squares = [a]  # A^(2^j) for j = 0, 1, ...
     with np.errstate(over="ignore", invalid="ignore"):
         # rho(A) < 1 exactly when some A^(2^j) has a norm below 1; squaring
@@ -203,7 +197,7 @@ def _affine_powers(u: Potential, c: DriftField, k: float,
 
 def _loop_chains(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
                  seeds: Sequence[int], *, dt: float, n_steps: int,
-                 burn_in: int, k: float, thin: int, path) -> Array:
+                 burn_in: int, thin: int, path) -> Array:
     """Advance the chains in lock-step, one step at a time; the general path.
 
     Returns each chain's sum of ``f`` over the post-burn-in left endpoints,
@@ -217,7 +211,7 @@ def _loop_chains(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
     and that chain's state before it.
     """
     rngs = [Generator(Philox(key=int(s))) for s in seeds]
-    advance = _em_step(u, c, k, dt)
+    advance = _em_step(u, c, dt)
     steps = min(n_steps, _block_steps(len(seeds), len(x0)))
     buf = np.empty((steps + 1, len(seeds), len(x0)))
     sums = np.empty((steps + 1, len(seeds)))
@@ -242,8 +236,8 @@ def _loop_chains(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
 
 def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
                    f: ObservableFn, x0: Array, seeds: Sequence[int], *,
-                   dt: float, n_steps: int, burn_in: int, k: float,
-                   thin: int, path) -> Array:
+                   dt: float, n_steps: int, burn_in: int, thin: int,
+                   path) -> Array:
     """The affine path: chains one at a time, ``AFFINE_CHUNK_STEPS`` at once.
 
     Same contract as :func:`_loop_chains`.  A chunk's rows are its entry
@@ -275,7 +269,7 @@ def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
                 chunk[1 << j:] += chunk[:-(1 << j)] @ power
             if not np.all(np.isfinite(chunk)):
                 return _loop_chains(u, c, f, x0, seeds, dt=dt,
-                                    n_steps=n_steps, burn_in=burn_in, k=k,
+                                    n_steps=n_steps, burn_in=burn_in,
                                     thin=thin, path=path)
             total = _fold(f, chunk, sums, total, start,
                           path if i == 0 else None, dt=dt, n_steps=n_steps,
@@ -332,12 +326,11 @@ def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
         running[j0] = sums[1]  # the window start records f itself
 
 
-def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn,
-                cfg: SimConfig, seeds: Sequence[int], store: bool = False):
+def _run_chains(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
+                seeds: Sequence[int], store: bool = False):
     """Run the chains of ``cfg`` on the affine path or the loop; behind the
     public API.
 
-    ``f`` is a callable or an :class:`Observable`, whose ``fn`` is taken.
     The chains start at ``cfg.initial_point`` with the streams of ``seeds``.
     Rejects a drift or an initial point whose dimension is not the
     potential's.
@@ -362,20 +355,18 @@ def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn,
     """
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
-    f = f.fn if isinstance(f, Observable) else f
     x0 = np.asarray(cfg.initial_point, dtype=float)
     if x0.shape != (u.dim,):
         raise ValueError(f"initial_point has shape {x0.shape}, expected ({u.dim},)")
     dt, n_steps, burn_in = cfg.step_size, cfg.n_steps, cfg.burn_in_steps
-    k = cfg.perturbation_scale
     rows = (n_steps - burn_in) // cfg.thin + 1
     path = ((np.empty((rows, u.dim)), np.empty(rows), np.empty(rows))
             if store else None)
-    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, k=k, thin=cfg.thin,
+    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, thin=cfg.thin,
                   path=path)
     affine = (u.dim <= AFFINE_MAX_DIM
               and n_steps >= AFFINE_MIN_STEPS_PER_CHAIN * len(seeds))
-    powers = _affine_powers(u, c, k, dt) if affine else None
+    powers = _affine_powers(u, c, dt) if affine else None
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow is detected per block or chunk and located on the loop's rows
         if powers is None:
@@ -385,27 +376,23 @@ def _run_chains(u: Potential, c: DriftField, f: Observable | ObservableFn,
     return fsum / (n_steps - burn_in), (n_steps - burn_in) * dt, path
 
 
-def simulate(u: Potential, c: DriftField, f: Observable | ObservableFn,
+def simulate(u: Potential, c: DriftField, f: ObservableFn,
              cfg: SimConfig) -> Trajectory:
     """Run one chain and return its recorded trajectory.
 
     Deterministic given ``cfg`` (including the seed): identical configs give
     bit-identical trajectories.
     """
-    try:
-        _, total_time, (states, times, running) = _run_chains(
-            u, c, f, cfg, [cfg.seed], store=True)
-    except DivergenceError as err:
-        raise DivergenceError(err.step_index, cfg.seed, err.state) from None
+    _, total_time, (states, times, running) = _run_chains(
+        u, c, f, cfg, [cfg.seed], store=True)
     return Trajectory(times=times, states=states,
                       observable_running_mean=running,
                       step_size=cfg.step_size, thin=cfg.thin, seed=cfg.seed,
                       total_time=total_time)
 
 
-def chain_time_averages(u: Potential, c: DriftField,
-                        f: Observable | ObservableFn, cfg: SimConfig,
-                        n_chains: int) -> tuple[Array, float]:
+def chain_time_averages(u: Potential, c: DriftField, f: ObservableFn,
+                        cfg: SimConfig, n_chains: int) -> tuple[Array, float]:
     """Time averages of ``f`` for ``n_chains`` chains seeded seed, seed+1, ...
 
     Chains are advanced in lock-step (or, on the affine path, one after

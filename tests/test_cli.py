@@ -233,6 +233,8 @@ def test_divergence_exits_3(tmp_path, capsys):
      "amplitude"),
     (["estimate-variance", "--n-steps", "2000", "--burn-in", "0",
       "--batch-length", "nan"], "batch_length"),
+    (["check-assumptions", "--drift", "none", "--k", "nan"], "--k"),
+    (["worst-case", "--drift", "none", "--k", "inf"], "--k"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, and not a divergence at step 0
@@ -309,6 +311,29 @@ def test_benchmark_tolerances_not_settable_from_command_line(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C2",
                         "--override-tolerance", "C2_value=1"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_k_takes_its_scales_from_k_values_only(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run_command(["sweep-k", "--drift", "qgradu", "--q", "0,1,-1,0",
+                        "--backend", "hermite", "--degree", "2", "--k", "5",
+                        "--output", str(out)]) == 2
+    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_scale_is_the_reversed_rotation(tmp_path):
+    # k lives in the drift: -1 times Q is the drift of -Q at k = 1
+    reports = []
+    for q, k in (("0,1,-1,0", "-1"), ("0,-1,1,0", "1")):
+        out = tmp_path / f"k{k}.json"
+        assert run_command(["sample", "--drift", "qgradu", "--q", q, "--k", k,
+                            "--dt", "0.05", "--n-steps", "2000", "--burn-in",
+                            "100", "--seed", "17", "--output", str(out)]) == 0
+        reports.append(read_json(out))
+    scaled, reversed_ = reports
+    assert scaled["time_average"] == reversed_["time_average"]
+    assert scaled["final_state"] == reversed_["final_state"]
 
 
 ROTATION = ["--drift", "qgradu", "--q", "0,1,-1,0"]

@@ -1,27 +1,57 @@
-"""Every module-level import of the package is read by its own module."""
+"""Module-level imports: every one is read by its own module, and the
+sampler modules stay clear of the oracle's layers."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import irrlangevin
 
 SRC = Path(irrlangevin.__file__).parent
+# the oracle's layers and the front ends, none of which a sampler may load
+SAMPLER_FORBIDDEN = {"observables", "spectral_oracle", "analysis", "benchmark",
+                     "cli"}
 
 
-def _module_level_imports(tree: ast.Module):
-    """(name bound, line) of the imports outside any function or class,
-    those under a module-level ``if`` or ``try`` included."""
+def _module_level_import_nodes(tree: ast.Module):
+    """The imports outside any function or class, those under a
+    module-level ``if`` or ``try`` included."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.If, ast.Try)):
             stack += ast.iter_child_nodes(node)
-        elif isinstance(node, ast.Import):
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def _module_level_imports(tree: ast.Module):
+    """(name bound, line) of the module-level imports."""
+    for node in _module_level_import_nodes(tree):
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def _package_modules_imported(tree: ast.Module):
+    """(package module, line) of the module-level imports of this package,
+    absolute (``irrlangevin.x``) or relative (``.x``, ``from . import x``)."""
+    for node in _module_level_import_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            base = ("irrlangevin." * bool(node.level)
+                    + (node.module or "")).rstrip(".")
+            names = ([f"{base}.{alias.name}" for alias in node.names]
+                     if base == "irrlangevin" else [base])
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "irrlangevin" and len(parts) > 1:
+                yield parts[1], node.lineno
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -45,3 +75,15 @@ def test_every_module_level_import_is_read():
                    for name, line in _module_level_imports(tree)
                    if name not in read]
     assert not unused, f"imports nothing reads: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("name", ["sde_sim.py", "mc_variance.py"])
+def test_samplers_import_no_oracle_layer(name):
+    # the samplers take a callable f; importing observables would also load
+    # spectral_oracle, which observables imports
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{name}:{line} {module}"
+             for module, line in _package_modules_imported(tree)
+             if module in SAMPLER_FORBIDDEN]
+    assert not found, f"sampler imports an oracle layer: {found}"

@@ -19,15 +19,12 @@ from irrlangevin.mc_variance import (
 )
 from irrlangevin.model import (
     gaussian_potential,
-    make_potential,
     make_qgradu_drift,
     zero_drift,
 )
-from irrlangevin.observables import parse_observable
 from irrlangevin.sde_sim import (
     SimConfig,
     Trajectory,
-    chain_time_averages,
     simulate,
 )
 
@@ -144,12 +141,12 @@ def test_replicated_two_chain_formula():
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
     cfg = SimConfig(step_size=0.05, n_steps=1000, initial_point=[0.1, 0.0],
-                    burn_in_steps=100, seed=55, perturbation_scale=1.0)
+                    burn_in_steps=100, seed=55)
     est = replicated_clt(u, c, coord1, cfg, n_chains=2)
     a = [simulate(u, c, coord1,
                   SimConfig(step_size=0.05, n_steps=1000,
                             initial_point=[0.1, 0.0], burn_in_steps=100,
-                            seed=55 + i, perturbation_scale=1.0)
+                            seed=55 + i)
                   ).observable_running_mean[-1] for i in range(2)]
     T = 0.05 * 900
     assert est.point_estimate == pytest.approx(T * (a[0] - a[1]) ** 2 / 2.0,
@@ -163,8 +160,7 @@ def test_replicated_gaussian_benchmark_k1():
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
     cfg = SimConfig(step_size=0.005, n_steps=202_000,
-                    initial_point=[0.0, 0.0], burn_in_steps=2_000, seed=901,
-                    perturbation_scale=1.0)
+                    initial_point=[0.0, 0.0], burn_in_steps=2_000, seed=901)
     est = replicated_clt(u, c, coord1, cfg, n_chains=100)
     assert est.point_estimate == pytest.approx(1.0, rel=0.25)
     assert est.diagnostics["normality_meaningful"] is True
@@ -184,7 +180,7 @@ def test_methods_agree_on_seed_bank():
         bm = batch_means(traj, coord1)
         cfg_clt = SimConfig(step_size=0.01, n_steps=16_000,
                             initial_point=[0.0, 0.0], burn_in_steps=1_000,
-                            seed=8000 + 37 * rep, perturbation_scale=1.0)
+                            seed=8000 + 37 * rep)
         clt = replicated_clt(u, c, coord1, cfg_clt, n_chains=40)
         combined = 2.0 * np.hypot(bm.stderr, clt.stderr)
         if abs(bm.point_estimate - clt.point_estimate) <= combined:
@@ -195,13 +191,13 @@ def test_methods_agree_on_seed_bank():
 def test_variance_decreases_with_drift_scale():
     # k = 0, 1, 2 -> targets 2, 1, 0.4; ordering beyond combined stderr
     u = gaussian_potential(2)
-    c = make_qgradu_drift(ROT, u)
     results = []
     for i, k in enumerate([0.0, 1.0, 2.0]):
         cfg = SimConfig(step_size=0.01, n_steps=32_000,
                         initial_point=[0.0, 0.0], burn_in_steps=2_000,
-                        seed=6100 + i, perturbation_scale=k)
-        results.append(replicated_clt(u, c, coord1, cfg, n_chains=64))
+                        seed=6100 + i)
+        results.append(replicated_clt(u, make_qgradu_drift(k * ROT, u),
+                                      coord1, cfg, n_chains=64))
     for lo, hi in [(1, 0), (2, 1)]:
         gap = results[hi].point_estimate - results[lo].point_estimate
         assert gap > np.hypot(results[hi].stderr, results[lo].stderr)
@@ -245,26 +241,3 @@ def test_bias_flag_matches_its_definition():
     assert est.bias_flagged == (moved > est.stderr)
     unchecked = replicated_clt(u, zero_drift(2), coord1, cfg, n_chains=8)
     assert unchecked.bias_flagged is None
-
-
-@pytest.mark.parametrize("potential, spec", [("gaussian", "x1"),
-                                             ("torus_cosine", "cos1")])
-def test_observable_and_its_fn_give_the_same_bits(potential, spec):
-    # every sampler entry point takes parse_observable's dataclass as well
-    # as its callable; the Gaussian runs on the affine path, the torus on
-    # the loop
-    u = make_potential(potential, dim=2)
-    c = make_qgradu_drift(ROT, u)
-    obs = parse_observable(spec, 2)
-    cfg = SimConfig(step_size=0.05, n_steps=8_200, initial_point=[0.5, 0.5],
-                    burn_in_steps=100, seed=9)
-    runs = []
-    for f in (obs, obs.fn):
-        traj = simulate(u, c, f, cfg)
-        runs.append((traj.states, traj.observable_running_mean,
-                     chain_time_averages(u, c, f, cfg, 3)[0],
-                     batch_means(traj, f).point_estimate,
-                     overlapping_batch_means(traj, f).point_estimate,
-                     replicated_clt(u, c, f, cfg, 8).point_estimate))
-    for dataclass_out, fn_out in zip(*runs):
-        np.testing.assert_array_equal(dataclass_out, fn_out)

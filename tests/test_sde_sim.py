@@ -38,23 +38,22 @@ def coord1(x):
     return np.asarray(x)[..., 0]
 
 
-def em_step(x, u, c, k, dt, noise):
+def em_step(x, u, c, dt, noise):
     """One step of the simulator's Euler-Maruyama map, on a copy of ``noise``."""
-    return sde_sim._em_step(u, c, k, dt)(np.asarray(x, dtype=float),
-                                         np.array(noise, dtype=float))
+    return sde_sim._em_step(u, c, dt)(np.asarray(x, dtype=float),
+                                      np.array(noise, dtype=float))
 
 
 def test_step_em_fixed_point():
     u = gaussian_potential(2)
     x = np.zeros(2)  # grad U(0) = 0
-    out = em_step(x, u, zero_drift(2), k=0.0, dt=0.1, noise=np.zeros(2))
+    out = em_step(x, u, zero_drift(2), dt=0.1, noise=np.zeros(2))
     np.testing.assert_array_equal(out, x)
 
 
 def test_step_em_deterministic_euler_1d():
     u = gaussian_potential(1)
-    out = em_step(np.array([1.0]), u, zero_drift(1), k=0.0, dt=0.1,
-                  noise=np.zeros(1))
+    out = em_step(np.array([1.0]), u, zero_drift(1), dt=0.1, noise=np.zeros(1))
     assert out[0] == pytest.approx(0.9, abs=1e-15)
 
 
@@ -62,13 +61,13 @@ def test_step_em_with_skew_drift():
     # drift at (1,0) is -x + Qx = (-1, -1), so one step of 0.1 lands (0.9, -0.1)
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
-    out = em_step(np.array([1.0, 0.0]), u, c, k=1.0, dt=0.1, noise=np.zeros(2))
+    out = em_step(np.array([1.0, 0.0]), u, c, dt=0.1, noise=np.zeros(2))
     np.testing.assert_allclose(out, [0.9, -0.1], atol=1e-15)
 
 
 def test_step_em_wraps_torus_coordinates():
     u = torus_cosine(2, 0.0)
-    out = em_step(np.array([6.2, 0.05]), u, zero_drift(2), k=0.0, dt=0.25,
+    out = em_step(np.array([6.2, 0.05]), u, zero_drift(2), dt=0.25,
                   noise=np.array([1.0, -1.0]))
     assert np.all((out >= 0.0) & (out < 2 * np.pi))
 
@@ -84,9 +83,6 @@ def test_simconfig_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
             SimConfig(step_size=bad, n_steps=10, initial_point=[0.0])
-        with pytest.raises(ValueError, match="perturbation_scale must be"):
-            SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0],
-                      perturbation_scale=bad)
         with pytest.raises(ValueError, match="initial_point must be finite"):
             SimConfig(step_size=0.1, n_steps=10, initial_point=[bad, 0.0])
 
@@ -103,12 +99,11 @@ def test_single_step_matches_step_em():
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
     cfg = SimConfig(step_size=0.05, n_steps=1, initial_point=[0.4, -0.2],
-                    seed=11, perturbation_scale=1.0)
+                    seed=11)
     traj = simulate(u, c, coord1, cfg)
     # the documented stream: Philox keyed by the seed, standard normals
     noise = Generator(Philox(key=11)).standard_normal((1, 2))
-    expected = em_step(np.array([0.4, -0.2]), u, c, k=1.0, dt=0.05,
-                       noise=noise[0])
+    expected = em_step(np.array([0.4, -0.2]), u, c, dt=0.05, noise=noise[0])
     assert traj.states.shape == (2, 2)
     np.testing.assert_array_equal(traj.states[0], [0.4, -0.2])
     np.testing.assert_allclose(traj.states[1], expected, rtol=1e-15)
@@ -116,9 +111,9 @@ def test_single_step_matches_step_em():
 
 def test_simulate_is_deterministic():
     u = gaussian_potential(2)
-    c = make_qgradu_drift(ROT, u)
+    c = make_qgradu_drift(2.0 * ROT, u)
     cfg = SimConfig(step_size=0.02, n_steps=500, initial_point=[0.0, 0.0],
-                    burn_in_steps=50, seed=123, perturbation_scale=2.0)
+                    burn_in_steps=50, seed=123)
     t1 = simulate(u, c, coord1, cfg)
     t2 = simulate(u, c, coord1, cfg)
     np.testing.assert_array_equal(t1.states, t2.states)
@@ -127,15 +122,17 @@ def test_simulate_is_deterministic():
                                   t2.observable_running_mean)
 
 
-def test_zero_drift_scale_equivariance():
-    u = gaussian_potential(2)
-    cfg0 = SimConfig(step_size=0.02, n_steps=300, initial_point=[1.0, 1.0],
-                     seed=5, perturbation_scale=0.0)
-    cfg3 = SimConfig(step_size=0.02, n_steps=300, initial_point=[1.0, 1.0],
-                     seed=5, perturbation_scale=3.0)
-    t0 = simulate(u, zero_drift(2), coord1, cfg0)
-    t3 = simulate(u, zero_drift(2), coord1, cfg3)
-    np.testing.assert_array_equal(t0.states, t3.states)
+@pytest.mark.parametrize("u", [torus_cosine(2, 1.0), gaussian_potential(2)],
+                         ids=["torus-loop", "gaussian-affine"])
+def test_zero_scaled_rotation_is_the_zero_drift(u):
+    # k = 0 is Q = 0: a zero-scaled rotation runs the reversible chain's bits
+    cfg = SimConfig(step_size=0.02, n_steps=300, initial_point=[1.0, 1.0],
+                    seed=5)
+    scaled = simulate(u, make_qgradu_drift(0 * ROT, u), coord1, cfg)
+    zero = simulate(u, zero_drift(2), coord1, cfg)
+    np.testing.assert_array_equal(scaled.states, zero.states)
+    np.testing.assert_array_equal(scaled.observable_running_mean,
+                                  zero.observable_running_mean)
 
 
 def test_torus_states_stay_wrapped():
@@ -350,13 +347,13 @@ def test_chain_time_averages_match_single_runs():
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
     cfg = SimConfig(step_size=0.05, n_steps=2_000, initial_point=[0.2, 0.1],
-                    burn_in_steps=100, seed=60, perturbation_scale=1.0)
+                    burn_in_steps=100, seed=60)
     averages, total = chain_time_averages(u, c, coord1, cfg, n_chains=3)
     assert total == pytest.approx(95.0)
     for i in range(3):
         solo_cfg = SimConfig(step_size=0.05, n_steps=2_000,
                              initial_point=[0.2, 0.1], burn_in_steps=100,
-                             seed=60 + i, perturbation_scale=1.0)
+                             seed=60 + i)
         solo = simulate(u, c, coord1, solo_cfg)
         np.testing.assert_allclose(averages[i],
                                    solo.observable_running_mean[-1],
@@ -407,7 +404,7 @@ def test_trajectory_csv_export(tmp_path):
     np.testing.assert_allclose(data[:, 1:3], traj.states)
 
 
-# --- the affine path (constant Hessian, zero or Q grad U drift) ---------------
+# --- the affine path (constant Hessian, Q grad U drift) -----------------------
 
 
 def _loop_and_affine(monkeypatch, run):
@@ -452,12 +449,12 @@ CHUNK = sde_sim.AFFINE_CHUNK_STEPS
 ], ids=["zero-drift", "k1", "k2-thin3", "anisotropic-cov", "5d-random-q"])
 def test_affine_path_matches_the_loop(monkeypatch, u, q, k, thin):
     # burn-in ends inside the second chunk; the horizon crosses two bounds
-    c = zero_drift(u.dim) if q is None else make_qgradu_drift(q, u)
-    assert sde_sim._affine_powers(u, c, k, 0.01) is not None
+    c = zero_drift(u.dim) if q is None else make_qgradu_drift(k * q, u)
+    assert sde_sim._affine_powers(u, c, 0.01) is not None
     x0 = np.linspace(1.0, -0.5, u.dim)
     cfg = SimConfig(step_size=0.01, n_steps=2 * CHUNK + 300,
                     initial_point=x0, burn_in_steps=CHUNK + 100, seed=31,
-                    perturbation_scale=k, thin=thin)
+                    thin=thin)
 
     def energy(x):
         return np.sum(x * x, axis=-1)
@@ -494,7 +491,7 @@ def test_affine_chunk_boundary_keeps_the_stream_increments():
 def test_unstable_affine_map_falls_back_to_the_loop(monkeypatch):
     # inv cov 1e4 with dt 0.1: A = -999 I has spectral radius above 1
     u = gaussian_potential(2, cov=1e-4)
-    assert sde_sim._affine_powers(u, zero_drift(2), 0.0, 0.1) is None
+    assert sde_sim._affine_powers(u, zero_drift(2), 0.1) is None
     cfg = SimConfig(step_size=0.1, n_steps=500, initial_point=[1.0, 1.0],
                     seed=44)
 
@@ -512,10 +509,10 @@ def test_affine_chunk_that_overflows_is_replayed_on_the_loop(monkeypatch):
     # A = [[0.99, -0.05], [5, 0]] is stable (spectral radius 0.5), but its
     # first step from (0, 1e308) overflows; the loop then locates it
     u = gaussian_potential(2, cov=[1.0, 0.01])
-    c = make_qgradu_drift(ROT, u)
-    assert sde_sim._affine_powers(u, c, 5.0, 0.01) is not None
+    c = make_qgradu_drift(5.0 * ROT, u)
+    assert sde_sim._affine_powers(u, c, 0.01) is not None
     cfg = SimConfig(step_size=0.01, n_steps=50, initial_point=[0.0, 1e308],
-                    seed=12, perturbation_scale=5.0)
+                    seed=12)
 
     def diverge():
         with pytest.raises(DivergenceError) as err:
@@ -554,7 +551,7 @@ def test_chains_that_diverge_apart_report_the_earliest_step(monkeypatch):
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)
     cfg = SimConfig(step_size=0.01, n_steps=1000, initial_point=[0.5, -0.5],
-                    seed=70, perturbation_scale=1.0)
+                    seed=70)
 
     def diverge():
         with pytest.raises(DivergenceError) as err:
@@ -621,23 +618,23 @@ def test_loop_evaluates_grad_once_per_step():
 
     u = replace(torus, grad=grad)
     cfg = SimConfig(step_size=0.05, n_steps=200, initial_point=[0.1, 6.0],
-                    seed=21, perturbation_scale=2.0)
-    chain_time_averages(u, make_qgradu_drift(ROT, u), coord1, cfg, n_chains=4)
+                    seed=21)
+    chain_time_averages(u, make_qgradu_drift(2.0 * ROT, u), coord1, cfg,
+                        n_chains=4)
     assert len(calls) == 200
 
 
 # --- the loop's blocks against a step-by-step reference -----------------------
 
 
-def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, k, thin,
-                   path):
+def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, thin, path):
     """The loop as it ran before its blocks were folded, kept as a reference:
     ``f`` and the record on every step, and a diverged block replayed step by
     step from a copy of its entry state.  ``advance`` writes its step over
     the noise it is given, so the first pass hands it copies and the block
     stays intact for the replay."""
     x = np.tile(x0, (len(seeds), 1))
-    advance = sde_sim._em_step(u, c, k, dt)
+    advance = sde_sim._em_step(u, c, dt)
     fsum = np.zeros(len(seeds))
     rngs = [sde_sim.Generator(sde_sim.Philox(key=int(s))) for s in seeds]
     steps = sde_sim._block_steps(len(seeds), len(x0))
@@ -677,21 +674,22 @@ def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, k, thin,
     return fsum
 
 
-def _swirl():
-    """A custom (not Q grad U) 2-d drift, so the loop calls its ``eval``."""
+def _swirl(k):
+    """A custom (not Q grad U) 2-d drift of scale k, so the loop calls its
+    ``eval``."""
     def drift(x):
-        return np.sin(x[..., ::-1]) * np.array([1.0, -1.0])
+        return np.sin(x[..., ::-1]) * np.array([k, -k])
 
     return DriftField(dim=2, eval=drift, kind=DriftKind.CUSTOM,
                       divergence=lambda x: np.zeros(np.shape(x)[:-1]))
 
 
-LOOP_CASES = {
-    "torus": (torus_cosine(2, 1.0), lambda u: make_qgradu_drift(ROT, u),
+LOOP_CASES = {  # (potential, the drift of scale k, initial point)
+    "torus": (torus_cosine(2, 1.0), lambda u, k: make_qgradu_drift(k * ROT, u),
               [0.1, 6.0]),
-    "double-well": (double_well_2d(), lambda u: make_qgradu_drift(ROT, u),
-                    [1.0, 0.0]),
-    "custom-drift": (double_well_2d(), lambda u: _swirl(), [0.5, -0.5]),
+    "double-well": (double_well_2d(),
+                    lambda u, k: make_qgradu_drift(k * ROT, u), [1.0, 0.0]),
+    "custom-drift": (double_well_2d(), lambda u, k: _swirl(k), [0.5, -0.5]),
 }
 
 
@@ -704,7 +702,6 @@ def _wavy(x):
 def test_loop_matches_the_per_step_loop(monkeypatch, case, thin):
     # burn-in ends inside the third 7-step block; 5 chains in lock-step
     u, drift, x0 = LOOP_CASES[case]
-    c = drift(u)
     runs = []
     for loop in (sde_sim._loop_chains, _per_step_loop):
         monkeypatch.setattr(sde_sim, "_loop_chains", loop)
@@ -712,9 +709,9 @@ def test_loop_matches_the_per_step_loop(monkeypatch, case, thin):
                        7 * 8 * (6 * 2 + 5), 7 * 8 * (2 * 2 + 1)):
             monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES", bytes_)
             for k in (0.0, 1.0, 2.0):
+                c = drift(u, k)
                 cfg = SimConfig(step_size=0.05, n_steps=101, initial_point=x0,
-                                burn_in_steps=17, seed=40,
-                                perturbation_scale=k, thin=thin)
+                                burn_in_steps=17, seed=40, thin=thin)
                 runs.append((simulate(u, c, _wavy, cfg),
                              chain_time_averages(u, c, _wavy, cfg, 5)[0]))
         monkeypatch.undo()
@@ -737,7 +734,7 @@ def test_loop_divergence_matches_the_per_step_loop(monkeypatch):
                         lambda key: _PoisonedStream(key, bad_step[key], 2))
     u = torus_cosine(2, 1.0)
     cfg = SimConfig(step_size=0.05, n_steps=60, initial_point=[0.1, 6.0],
-                    seed=70, perturbation_scale=1.0)
+                    seed=70)
     errors = []
     for loop in (sde_sim._loop_chains, _per_step_loop):
         monkeypatch.setattr(sde_sim, "_loop_chains", loop)
@@ -762,7 +759,7 @@ def test_loop_evaluates_f_once_per_noise_block(monkeypatch):
     assert sde_sim._block_steps(4, 2) == 7
     u = torus_cosine(2, 1.0)
     cfg = SimConfig(step_size=0.05, n_steps=50, initial_point=[0.1, 6.0],
-                    burn_in_steps=3, seed=21, perturbation_scale=1.0)
+                    burn_in_steps=3, seed=21)
     chain_time_averages(u, make_qgradu_drift(ROT, u), f, cfg, n_chains=4)
     assert len(calls) == 8
     assert sum(shape[0] for shape in calls) == 47

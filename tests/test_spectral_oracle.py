@@ -1586,7 +1586,7 @@ def test_sampler_loads_no_scipy_module():
         "from irrlangevin import *; "
         "u = make_potential('torus_cosine', dim=2); "
         "c = make_qgradu_drift(np.array([[0.0, 1.0], [-1.0, 0.0]]), u); "
-        "f = parse_observable('cos1', 2); "
+        "f = parse_observable('cos1', 2).fn; "
         "cfg = SimConfig(step_size=0.05, n_steps=8_200, "
         "initial_point=[0.5, 0.5], burn_in_steps=100, seed=3); "
         "traj = simulate(u, c, f, cfg); batch_means(traj, f); "
