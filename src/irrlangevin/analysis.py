@@ -14,14 +14,14 @@ of F^{-T} A_E F^{-1}, with F the sparse factor of the grounded energy
 matrix L_E = F^T F and A_E the grounded A, whose right singular vectors
 the system caches as the Householder panels of their QR, in half an array
 (:mod:`irrlangevin.spectral_oracle`).
-``worst_case`` caches nothing of its own: before it allocates anything
-else it takes the kernel of the restricted A, and only the kernel, from the
-zero window of its symmetric tridiagonal form (``_skew_kernel``: bisection
-and inverse iteration, no SVD, Q never formed); it reads L's eigenvalues and
-its lowest eigenspace from the system's cached tridiagonal reduction, and
-takes the top eigenvalue of the symmetrized resolvent off the intersection
-of the two by Lanczos, each product two solves with the cached bordered LU
-of L - S, so the resolvent is never formed.
+``worst_case`` caches nothing of its own: it reads L's eigenvalues and its
+lowest eigenspace from the system's cached tridiagonal reduction, finds the
+part of that eigenspace that the drift annihilates by the equality
+certificate's own rule, through one thin SVD of A on the eigenspace's few
+columns (so the kernel of A is never computed), and takes the top
+eigenvalue of the symmetrized resolvent off that intersection by Lanczos,
+each product two solves with the cached bordered LU of L - S, so the
+resolvent is never formed.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .spectral_oracle import (
     KERNEL_FLAG_RTOL,
     DiscretizedSystem,
     SpectralMeasure,
-    _skew_kernel,
 )
 
 Array = np.ndarray
 
 WEIGHT_RTOL = 1e-12  # atoms lighter than this share of the mass carry none
-ANGLE_TOL = 1e-8  # principal angles with smaller sines count as intersection
 
 
 @dataclass
@@ -67,9 +65,10 @@ class WorstCaseResult:
 
     ``sup_rev`` is 2 / lambda with lambda the smallest mean-zero eigenvalue
     of L.  ``sup_irr`` maximizes the quadratic form of the symmetrized
-    resolvent; ``strict`` records a genuine gap.  The principal angles
-    between the lambda-eigenspace of L and the numerical kernel of A are
-    kept so borderline intersection counts can be audited.
+    resolvent; ``strict`` records a genuine gap.  The equality residuals
+    |A v| / lambda along the right singular directions v of A on the
+    lambda-eigenspace of L, ascending, are kept so borderline intersection
+    counts can be audited.
     """
 
     sup_rev: float
@@ -78,8 +77,7 @@ class WorstCaseResult:
     kernel_intersection_dim: int
     lambda_min: float
     l_eigenspace_dim: int
-    a_kernel_dim: int
-    principal_angles: Array
+    eigenspace_residuals: Array
 
 
 @dataclass
@@ -132,32 +130,31 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
 
     For real f, sigma2_irr(f) = <(R + R*) f, f>_pi with R the inverse of the
     perturbed operator, so the supremum over unit-norm f is the largest
-    eigenvalue of R + R^T in mean-zero coordinates.  The intersection
-    dimension counts principal angles below ``ANGLE_TOL`` between the
-    numerical kernels of (L - lambda) and A; R + R^T is exactly 2 / lambda
-    on the intersection, and its largest eigenvalue on the complement is
-    found by Lanczos (ARPACK) from a fixed start vector.  A run that does
-    not converge raises :class:`DiscretizationDefectError`.
+    eigenvalue of R + R^T in mean-zero coordinates.  On the lowest
+    eigenspace of L, with orthonormal basis W, L^{-1} W = W / lambda, so
+    the equality certificate of W v is |A W v| / lambda; the right singular
+    directions of A W / lambda whose singular values pass
+    ``KERNEL_FLAG_RTOL`` span the intersection of that eigenspace with the
+    kernel of A.  R + R^T is exactly 2 / lambda there, and its largest
+    eigenvalue on the complement is found by Lanczos (ARPACK) from a fixed
+    start vector.  A run that does not converge raises
+    :class:`DiscretizationDefectError`.
     """
-    # the kernel of the restricted A comes first, while this function holds
-    # no other dense array
-    a_kernel = _skew_kernel(sys._restrict(sys.s_matrix, -1.0))
+    import scipy.linalg
 
     w, l_space = sys._l_spectrum
     lam = float(w[0])
     sup_rev = 2.0 / lam
 
-    if a_kernel.shape[1] == 0:
-        angles = np.asarray([])
-        intersection = 0
-    else:
-        angles = _principal_angles(l_space, a_kernel)
-        intersection = int(np.sum(np.sin(angles) <= ANGLE_TOL))
+    a_l = sys.to_mean_zero(sys.s_matrix @ sys.from_mean_zero(l_space)) / lam
+    _, residuals, vt = scipy.linalg.svd(a_l, full_matrices=False)
+    passing = residuals <= KERNEL_FLAG_RTOL
+    intersection = int(np.sum(passing))
 
     # (L - A) v = lam v on the intersection, so R + R^T is 2 / lam there
     # exactly; Lanczos runs on the orthogonal complement, which R + R^T
     # maps to itself
-    common = _common_vectors(l_space, a_kernel, intersection)
+    common = l_space @ vt[passing].T
     size = len(w)
 
     def project(x: Array) -> Array:
@@ -186,45 +183,8 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
         strict=bool(sup_rev - sup_irr > 1e-9),
         kernel_intersection_dim=intersection, lambda_min=lam,
         l_eigenspace_dim=int(l_space.shape[1]),
-        a_kernel_dim=int(a_kernel.shape[1]), principal_angles=angles,
+        eigenspace_residuals=residuals[::-1],
     )
-
-
-def _principal_angles(a: Array, b: Array) -> Array:
-    """Principal angles, descending, between the spans of the orthonormal
-    columns of ``a`` and ``b``.
-
-    Angles whose cosine squared is at least 1/2 come from their sines and
-    the others from their cosines (Bjorck & Golub), each matched to its own
-    angle, so an angle of 1e-12 is resolved; ``scipy.linalg.subspace_angles``
-    applies its mask in the opposite order, and where small and large angles
-    mix, takes a small one from its cosine, losing it below about 1.5e-8.
-    """
-    if a.shape[1] < b.shape[1]:
-        a, b = b, a
-    import scipy.linalg
-    from scipy.linalg import blas
-
-    cross = blas.dgemm(1.0, a, b, trans_a=True)
-    cos = scipy.linalg.svdvals(cross)[::-1]
-    sin = scipy.linalg.svdvals(blas.dgemm(-1.0, a, cross, beta=1.0, c=b))
-    return np.where(cos**2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
-                    np.arccos(np.clip(cos, -1.0, 1.0)))
-
-
-def _common_vectors(a: Array, b: Array, count: int) -> Array:
-    """Orthonormal columns spanning the ``count``-dimensional numerical
-    intersection of the spans of the orthonormal columns of ``a`` and
-    ``b``: the right singular vectors of the smallest sines, as in
-    :func:`_principal_angles`, mapped into the narrower basis."""
-    if count == 0:
-        return np.zeros((len(a), 0))
-    if a.shape[1] < b.shape[1]:
-        a, b = b, a
-    import scipy.linalg
-
-    vt = scipy.linalg.svd(b - a @ (a.T @ b), full_matrices=False)[2]
-    return b @ vt[b.shape[1] - count:].T
 
 
 def equality_certificate(sys: DiscretizedSystem, f: Array) -> EqualityCertificate:

@@ -240,6 +240,8 @@ def _drift_from_args(args, u: Potential, scale: float) -> DriftField:
     if not np.isfinite(scale):
         raise ValueError(f"--k must be finite, got {scale!r}")
     if args.drift == "none":
+        if args.q is not None:
+            raise ValueError("--q needs --drift qgradu; --drift none has no Q")
         return zero_drift(u.dim)
     if args.q is None:
         raise ValueError("--drift qgradu requires --q")
@@ -447,8 +449,7 @@ def _cmd_worst_case(args, u: Potential) -> dict:
         "kernel_intersection_dim": result.kernel_intersection_dim,
         "lambda_min": result.lambda_min,
         "l_eigenspace_dim": result.l_eigenspace_dim,
-        "a_kernel_dim": result.a_kernel_dim,
-        "principal_angles": result.principal_angles.tolist(),
+        "eigenspace_residuals": result.eigenspace_residuals.tolist(),
     }
 
 

@@ -69,11 +69,10 @@ so the masses of the atoms are the squares of O^T F^{-T} b with
 b = (pi f)[keep], and max |m + m^T| of m as the solves left it, which the
 acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
 formed.  It also caches the sparse factor and the O(n) eigenvalues of L.
-``worst_case`` and ``generator_gaps`` fill dense (n - 1) x (n - 1)
+The eigenvalues of L and ``generator_gaps`` fill dense (n - 1) x (n - 1)
 restrictions, a block of columns at a time in O(n nnz) and without a dense
-basis.  ``worst_case`` needs only the kernel of A: ``_skew_kernel`` takes
-it from the zero window of the symmetric tridiagonal form of T, with no
-SVD, and applies Q's reflectors to the kernel's few columns alone, and
+basis; A is never restricted densely.  ``worst_case`` reads L's lowest
+eigenspace from that cache and applies A to its few columns alone, and
 never forms the resolvent, whose transpose ``solve`` also applies.  Every
 dense LAPACK call and level-3 product is scipy's, and each LAPACK call
 overwrites its input, handed over as it is; ``scipy.linalg`` is imported
@@ -104,9 +103,9 @@ Array = np.ndarray
 
 # The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
 # growth at n = 4096, by glibc's mmap threshold).  The spectral route,
-# worst_case's restrictions and generator_gaps stay dense: at n = 4096
+# worst_case's restriction of L and generator_gaps stay dense: at n = 4096
 # variance_report (with generator_gaps) grows RSS by 253 MB and worst_case
-# by 164 MB, so about 0.74 GB and 0.48 GB at this cap (extrapolated by n^2,
+# by 153 MB, so about 0.74 GB and 0.45 GB at this cap (extrapolated by n^2,
 # not run).
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
@@ -535,8 +534,9 @@ def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:
 
 def _hessenberg_q_times(h: Array, tau: Array, y: Array) -> Array:
     """Q y for the few columns of ``y``, Q = diag(1, Q') left as the
-    reflectors of :func:`_skew_tridiagonal`: ``dormqr`` reads Q' from h[1:,
-    :N - 2], handed over uncopied as h's Fortran buffer from offset 1."""
+    reflectors of ``dsytrd`` (lower), stored as :func:`_skew_tridiagonal`
+    stores them: ``dormqr`` reads Q' from h[1:, :N - 2], handed over
+    uncopied as h's Fortran buffer from offset 1."""
     from scipy.linalg import lapack
 
     size = len(h)
@@ -583,6 +583,8 @@ def _wy_panels(a: Array, tau: Array, first: int) -> list[tuple[int, Array]]:
     I - V T V^T; their panel is a Fortran-ordered (N - r, k - j) block of one
     buffer of about N^2 / 2 entries, V below its implied unit diagonal and
     the triangular T, built as ``dlarft`` builds it, above."""
+    from scipy.linalg import blas
+
     size = len(a)
     bounds = [(j, min(j + _PANEL, len(tau))) for j in range(0, len(tau), _PANEL)]
     buffer = np.empty(sum((size - first - j) * (k - j) for j, k in bounds))
@@ -594,9 +596,14 @@ def _wy_panels(a: Array, tau: Array, first: int) -> list[tuple[int, Array]]:
         block[...] = a[first + j:, j:k]
         top, rest = np.tril(block[:k - j], -1), block[k - j:]
         np.fill_diagonal(top, 1.0)
-        gram, t = top.T @ top + rest.T @ rest, np.zeros((k - j, k - j))
+        # the lower triangle of V^T V, all that T reads; dsyrk refuses an
+        # empty rest
+        gram = blas.dsyrk(1.0, top, trans=1, lower=1)
+        if len(rest):
+            gram += blas.dsyrk(1.0, rest, trans=1, lower=1)
+        t = np.zeros((k - j, k - j))
         for i in range(k - j):
-            t[:i, i] = -tau[j + i] * (t[:i, :i] @ gram[:i, i])
+            t[:i, i] = -tau[j + i] * (t[:i, :i] @ gram[i, :i])
             t[i, i] = tau[j + i]
         upper = np.triu_indices(k - j)
         block[upper] = t[upper]
@@ -663,37 +670,6 @@ def _skew_svd(m: Array) -> tuple[Array, tuple[Array, list], float]:
                                   lwork=int(lapack.dgeqrf_lwork(*o_t.shape)[0]))
     signs = np.copysign(1.0, np.diagonal(o_t))
     return s[order], (signs, _wy_panels(o_t, tau, 0)), residual
-
-
-def _skew_kernel(m: Array) -> Array:
-    """Orthonormal columns spanning the numerical kernel of the real
-    antisymmetric (N, N) ``m``, which is overwritten.
-
-    With Q^T m Q = T skew-tridiagonal, the symmetric tridiagonal G with
-    zero diagonal and off-diagonal (-e_0, e_1, -e_2, e_3, ...) is D T with
-    D = diag(1, -1, 1, ...): G y = 0 exactly when T y = 0, and the
-    eigenvalues of G are m's singular values with both signs (the
-    Golub-Kahan form of B, interleaved).  The kernel is Q y over the
-    eigenvectors y of G with |lambda| <= 1e-10 lambda_max, the rcond rule
-    of ``scipy.linalg.null_space``, found by bisection and inverse iteration
-    (``dstebz``, ``dstein``); no SVD is taken and Q is never formed.  For
-    N < 2 or m = 0 the kernel is the whole space.
-    """
-    import scipy.linalg
-
-    h, tau, off = _skew_tridiagonal(m)
-    size = len(h)
-    if not np.any(off):
-        return np.eye(size)
-    off[0::2] *= -1.0  # G = D T
-    zero = np.zeros(size)
-    top = scipy.linalg.eigh_tridiagonal(
-        zero, off, eigvals_only=True, select="i",
-        select_range=(size - 1, size - 1))[0]
-    tol = 1e-10 * top
-    _, y = scipy.linalg.eigh_tridiagonal(  # the interval is (lo, hi]
-        zero, off, select="v", select_range=(np.nextafter(-tol, -np.inf), tol))
-    return _hessenberg_q_times(h, tau, y)
 
 
 # --- torus grid backend -----------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irrlangevin.analysis import (
-    _principal_angles,
     equality_certificate,
     sweep_k,
     worst_case,
@@ -12,6 +11,7 @@ from irrlangevin.analysis import (
 from irrlangevin.errors import DiscretizationDefectError
 from irrlangevin.model import make_qgradu_drift, torus_cosine, zero_drift
 from irrlangevin.spectral_oracle import (
+    KERNEL_FLAG_RTOL,
     discretize_gaussian_linear,
     discretize_torus,
     variance_report,
@@ -161,19 +161,15 @@ def test_worst_case_finds_exact_intersection_in_odd_dimension():
     res = worst_case(discretize_gaussian_linear(q - q.T, dim=3, degree=5))
     assert res.l_eigenspace_dim == 3
     assert res.kernel_intersection_dim == 1
-    assert np.min(res.principal_angles) <= 1e-12
-    assert np.max(res.principal_angles) == pytest.approx(np.pi / 2, abs=1e-12)
-
-
-def test_principal_angles_resolve_a_small_angle_beside_a_large_one():
-    # angles pi/2 and 1e-10; scipy.linalg.subspace_angles returns the small
-    # one as 0 here
-    e = np.eye(5)
-    t = 1e-10
-    b = np.stack([np.cos(t) * e[:, 0] + np.sin(t) * e[:, 4], e[:, 3]], axis=1)
-    for x, y in ((e[:, :3], b), (b, e[:, :3])):
-        np.testing.assert_allclose(_principal_angles(x, y), [np.pi / 2, t],
-                                   rtol=1e-12)
+    # |A v| / lambda along the singular directions: omega . x is annihilated
+    # to rounding, and A rotates the plane orthogonal to omega at the rate
+    # |omega| = 2.30 (read 2.3e-17, 2.30, 2.30)
+    low, mid, high = res.eigenspace_residuals
+    assert low <= 1e-15
+    assert mid == pytest.approx(high, rel=1e-12)
+    assert mid == pytest.approx(np.linalg.norm([q[0, 1] - q[1, 0],
+                                                q[0, 2] - q[2, 0],
+                                                q[1, 2] - q[2, 1]]), rel=1e-12)
 
 
 def test_worst_case_supremum_attained(torus_benchmark):
@@ -211,10 +207,32 @@ def test_worst_case_intersection_reported_not_asserted(torus_axis_sys):
     # energy lives there, the worst observable cannot be improved
     res = worst_case(torus_axis_sys)
     assert res.sup_irr <= res.sup_rev + 1e-10
-    assert res.a_kernel_dim >= 1
+    # A has a kernel here, and cos x1 certifies it
+    cos1 = np.cos(torus_axis_sys.points[:, 0])
+    assert equality_certificate(torus_axis_sys, cos1).equal
+    assert res.kernel_intersection_dim == int(
+        np.sum(res.eigenspace_residuals <= KERNEL_FLAG_RTOL))
     assert res.strict == (res.sup_rev - res.sup_irr > 1e-9)
     if res.kernel_intersection_dim == 0:
         assert res.strict
+
+
+@pytest.mark.parametrize("case", ["hermite_q", "axis"])
+def test_worst_case_intersection_is_the_equality_certificate(case, request):
+    # along each right singular direction v of A on L's lowest eigenspace,
+    # the observable W v passes equality_certificate exactly when its
+    # residual passes KERNEL_FLAG_RTOL, and the residual is the certificate's
+    sys = (_hermite_random_q(3, 5, 1) if case == "hermite_q"
+           else request.getfixturevalue("torus_axis_sys"))
+    res = worst_case(sys)
+    w, l_space = sys._l_spectrum
+    a_l = sys.to_mean_zero(sys.s_matrix @ sys.from_mean_zero(l_space)) / w[0]
+    _, _, vt = np.linalg.svd(a_l, full_matrices=False)
+    for v, residual in zip(vt, res.eigenspace_residuals[::-1]):
+        cert = equality_certificate(sys, sys.from_mean_zero(l_space @ v))
+        assert cert.equal == (residual <= KERNEL_FLAG_RTOL)
+        assert cert.residual == pytest.approx(residual, rel=1e-7, abs=1e-14)
+    assert res.kernel_intersection_dim == {"hermite_q": 1, "axis": 0}[case]
 
 
 def _dense_sup_irr(sys):

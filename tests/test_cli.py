@@ -177,6 +177,11 @@ def test_worst_case_report(tmp_path):
     assert payload["sup_irr"] == pytest.approx(1.0, abs=1e-9)
     assert payload["strict"] is True
     assert payload["kernel_intersection_dim"] == 0
+    # the rotation turns x1 into x2 and back: |A v| / lambda = 1 on both
+    assert payload["eigenspace_residuals"] == pytest.approx([1.0, 1.0],
+                                                            abs=1e-12)
+    assert "a_kernel_dim" not in payload
+    assert "principal_angles" not in payload
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -235,9 +240,13 @@ def test_divergence_exits_3(tmp_path, capsys):
       "--batch-length", "nan"], "batch_length"),
     (["check-assumptions", "--drift", "none", "--k", "nan"], "--k"),
     (["worst-case", "--drift", "none", "--k", "inf"], "--k"),
+    # --drift none has no Q to use, antisymmetric or not
+    (["sample", "--drift", "none", "--q", "0,1,-1,0", "--k", "3"], "--q"),
+    (["sample", "--drift", "none", "--q", "0,1,1,0", "--k", "3"], "--q"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
-    # not a silent NaN row, and not a divergence at step 0
+    # not a silent NaN row, not a divergence at step 0, and not an input
+    # that the run ignores
     out = tmp_path / "out"
     assert run_command([*argv, "--output", str(out)]) == 2
     assert named in capsys.readouterr().err
