@@ -26,6 +26,7 @@ import numpy as np
 from .analysis import KSweepResult, equality_certificate, sweep_k, worst_case
 from .mc_variance import replicated_clt
 from .model import gaussian_potential, make_qgradu_drift, torus_cosine
+from .observables import observable_vector, parse_observable
 from .sde_sim import SimConfig
 from .spectral_oracle import (
     asymptotic_variances,
@@ -97,12 +98,6 @@ def gaussian_benchmark_system(k: float, degree: int = 6):
     return discretize_gaussian_linear(k * ROT, dim=2, degree=degree)
 
 
-def gaussian_x1(sys) -> np.ndarray:
-    f = np.zeros(sys.n)
-    f[sys.multi_indices.index((1, 0))] = 1.0
-    return f
-
-
 def _backends():
     return [("torus 32x32, U = cos x1 + cos x2", torus_benchmark_system(1.0)),
             ("gaussian-linear dim 2 degree 6", gaussian_benchmark_system(1.0))]
@@ -142,7 +137,7 @@ def run_c2(tol: Mapping[str, float]) -> list[CriterionRow]:
     rows = []
     for k in (0.0, 1.0, 2.0, 4.0):
         sys = gaussian_benchmark_system(k)
-        rep = variance_report(sys, gaussian_x1(sys))
+        rep = variance_report(sys, observable_vector(sys, parse_observable("x1", 2)))
         target = 2.0 / (1.0 + k**2)
         err_rev = abs(rep.sigma2_rev - 2.0)
         err_irr = abs(rep.sigma2_irr - target)
@@ -221,7 +216,7 @@ def run_c5(tol: Mapping[str, float]) -> list[CriterionRow]:
             "C5", f"torus f = L({label}) kernel flag",
             "kernel_flag is true", float(flag), 1.0, flag))
     sys_ou = gaussian_benchmark_system(1.0)
-    f = gaussian_x1(sys_ou)
+    f = observable_vector(sys_ou, parse_observable("x1", 2))
     rev, irr = asymptotic_variances(sys_ou, f)
     gap, flag = rev - irr, equality_certificate(sys_ou, f).equal
     rows.append(CriterionRow(
@@ -260,8 +255,8 @@ def _sweep_rows(tol, case, builder, f, ks,
 
 def run_c6(tol: Mapping[str, float]) -> list[CriterionRow]:
     ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    rows, res = _sweep_rows(tol, "gaussian f = x1", gaussian_benchmark_system,
-                            gaussian_x1(gaussian_benchmark_system(1.0)), ks)
+    f = observable_vector(gaussian_benchmark_system(1.0), parse_observable("x1", 2))
+    rows, res = _sweep_rows(tol, "gaussian f = x1", gaussian_benchmark_system, f, ks)
     rows.append(CriterionRow(
         "C6", "gaussian limit is zero", "|limit_prediction| <= tol",
         abs(res.limit_prediction), tol["C6_limit"],

@@ -179,8 +179,10 @@ def replicated_clt(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
     centered at the cross-chain mean.  A diverging chain raises
     DivergenceError carrying its seed.  With ``check_bias`` the run is
     repeated at half the step size and the estimate is flagged when it moves
-    by more than one standard error.
+    by more than one standard error.  It needs at least two chains.
     """
+    if n_chains < 2:
+        raise ValueError(f"n_chains must be at least 2, got {n_chains}")
     averages, total_time = chain_time_averages(u, c, f, cfg, n_chains)
     estimate, stderr, center, diags = _clt_reduce(averages, total_time)
     out = VarianceEstimate(
@@ -206,11 +208,10 @@ def _clt_reduce(averages: Array, total_time: float):
     Associative and order-insensitive up to floating-point reassociation
     (relative tolerance about 1e-12 under permutations of the chains).
     """
-    n = len(averages)
     center = float(averages.mean())
-    if n < 2 or np.ptp(averages) == 0.0:
+    if np.ptp(averages) == 0.0:
         estimate = 0.0
     else:
         estimate = float(total_time * np.var(averages, ddof=1))
-    stderr = estimate * np.sqrt(2.0 / max(n - 1, 1))
+    stderr = estimate * np.sqrt(2.0 / (len(averages) - 1))
     return estimate, float(stderr), center, _normality_diagnostics(averages)

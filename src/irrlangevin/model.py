@@ -291,8 +291,7 @@ def validate_drift(c: DriftField, probes: Array) -> None:
 def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
     """Gaussian energy U(x) = x . inv(cov) x / 2, so pi = N(0, cov)."""
     if cov is None:
-        inv_cov = np.eye(dim)
-        cov_arr = np.eye(dim)
+        inv_cov = cov_arr = np.eye(dim)
     else:
         cov_arr = np.asarray(cov, dtype=float)
         if not np.all(np.isfinite(cov_arr)):
@@ -303,6 +302,13 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
             cov_arr = np.diag(cov_arr)
         if cov_arr.shape != (dim, dim):
             raise ValueError(f"cov has shape {cov_arr.shape}, expected ({dim}, {dim})")
+        if not np.array_equal(cov_arr, cov_arr.T):
+            raise ValueError(f"cov must be symmetric, got {cov_arr.tolist()}")
+        try:
+            np.linalg.cholesky(cov_arr)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"cov must be positive definite, got {cov_arr.tolist()}") from None
         inv_cov = np.linalg.inv(cov_arr)
         inv_cov = (inv_cov + inv_cov.T) / 2.0
     inv_cov.setflags(write=False)
@@ -328,8 +334,8 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
 def double_well_2d(barrier: float = 1.0) -> Potential:
     """Two-well energy U(x) = b (x1^2 - 1)^2 + x2^2 / 2 on R^2."""
     b = float(barrier)
-    if b <= 0:
-        raise ValueError("barrier must be positive")
+    if not (np.isfinite(b) and b > 0):
+        raise ValueError(f"barrier must be positive and finite, got {b!r}")
 
     def _eval(x):
         x = np.asarray(x, dtype=float)

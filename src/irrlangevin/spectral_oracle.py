@@ -4,7 +4,7 @@ Two discretizations realize the operator triple (L, A, pi) on a finite
 state space, with L the energy operator of the reversible dynamics, A the
 skew drift operator, and pi the stationary weights:
 
-* a flat-torus grid (dim 1 or 2), where L is a weighted-graph Laplacian
+* a flat-torus grid in any dimension, where L is a weighted-graph Laplacian
   with geometric-mean edge conductances e^{-(U_i+U_j)/2} -- symmetric in
   the pi-inner product by construction -- and A comes from centered
   differences of C.grad, projected to annihilate constants and
@@ -714,7 +714,7 @@ def _sym_part_ratio(r, adj, pi: Array) -> float:
 
 def discretize_torus(u: Potential, c: DriftField,
                      points_per_axis: int) -> DiscretizedSystem:
-    """Sparse grid realization of (L, A, pi) on the flat torus, dim 1 or 2.
+    """Sparse grid realization of (L, A, pi) on the flat torus, any dimension.
 
     The Laplacian part uses edge conductances e^{-(U_i+U_j)/2} between axis
     neighbors scaled by spacing^-2 and divided by the node weight, which
@@ -723,13 +723,11 @@ def discretize_torus(u: Potential, c: DriftField,
     and D = diag(pi); A = P S P is the projected, pi-antisymmetrized R.  The
     relative norm of the symmetric part that the antisymmetrization
     discards is kept as ``antisym_correction`` (an O(spacing)
-    discretization diagnostic for weighted-divergence-free fields).  Memory
-    is O(n): no n x n array is formed.
+    discretization diagnostic for weighted-divergence-free fields).  Built axis
+    by axis in any dimension, in O(n) memory: no n x n array is formed.
     """
     if u.space_kind is not SpaceKind.FLAT_TORUS:
         raise ValueError("discretize_torus needs a flat-torus potential")
-    if u.dim not in (1, 2):
-        raise ValueError(f"torus grid supports dim 1 or 2, got {u.dim}")
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
     if points_per_axis < 8:

@@ -28,10 +28,10 @@ from irrlangevin import benchmark as bench
 from irrlangevin.benchmark import (
     TOLERANCES,
     gaussian_benchmark_system,
-    gaussian_x1,
     run_benchmark,
     torus_benchmark_system,
 )
+from irrlangevin.observables import observable_vector, parse_observable
 from irrlangevin.spectral_oracle import variance_report
 
 
@@ -58,7 +58,7 @@ def test_c02_closed_form_rotation_benchmark():
     # anchor the matrix against the hand derivation, independently
     for k in (0.0, 1.0, 2.0, 4.0):
         sys = gaussian_benchmark_system(k)
-        rep = variance_report(sys, gaussian_x1(sys))
+        rep = variance_report(sys, observable_vector(sys, parse_observable("x1", 2)))
         assert rep.sigma2_rev == pytest.approx(2.0, abs=1e-9)
         assert rep.sigma2_irr == pytest.approx(2.0 / (1.0 + k**2), abs=1e-9)
 

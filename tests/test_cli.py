@@ -243,10 +243,23 @@ def test_divergence_exits_3(tmp_path, capsys):
     # --drift none has no Q to use, antisymmetric or not
     (["sample", "--drift", "none", "--q", "0,1,-1,0", "--k", "3"], "--q"),
     (["sample", "--drift", "none", "--q", "0,1,1,0", "--k", "3"], "--q"),
+    # targets that are not probability measures, and one chain
+    (["check-assumptions", "--potential", "double_well_2d", "--barrier",
+      "nan"], "barrier"),
+    (["sample", "--potential", "double_well_2d", "--barrier", "inf",
+      "--n-steps", "10", "--burn-in", "0"], "barrier"),
+    (["check-assumptions", "--cov", "-1"], "cov"),
+    (["estimate-variance", "--cov", "-1", "--method", "replicated-clt",
+      "--n-chains", "4", "--n-steps", "2000", "--burn-in", "0"], "cov"),
+    (["check-assumptions", "--cov", "1,2,2,1"], "cov"),
+    (["sample", "--cov", "1,0.5,0,1", "--n-steps", "10", "--burn-in", "0"],
+     "cov"),
+    (["estimate-variance", "--method", "replicated-clt", "--n-chains", "1",
+      "--n-steps", "200", "--burn-in", "0"], "n_chains"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
-    # not a silent NaN row, not a divergence at step 0, and not an input
-    # that the run ignores
+    # not a silent NaN row, not a divergence at step 0, not an input that
+    # the run ignores, and not a report on a target that is no measure
     out = tmp_path / "out"
     assert run_command([*argv, "--output", str(out)]) == 2
     assert named in capsys.readouterr().err
@@ -270,6 +283,39 @@ def test_memory_guard_exits_2(capsys):
     ])
     assert code == 2
     assert "memory guard" in capsys.readouterr().err
+
+
+TORUS_3D = ["--potential", "torus_cosine", "--dim", "3", "--drift", "qgradu",
+            "--q", "0,1,0,-1,0,1,0,-1,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral-report", "--observable", "cos1"],
+    ["sweep-k", "--observable", "cos1"],
+    ["worst-case"],
+], ids=lambda argv: argv[0])
+def test_3d_torus_commands_rerun_byte_identically(argv, tmp_path):
+    outputs = [tmp_path / "first", tmp_path / "second"]
+    for out in outputs:
+        assert run_command([*argv, *TORUS_3D, "--points-per-axis", "8",
+                            "--output", str(out)]) == 0
+    first, second = (out.read_text() for out in outputs)
+    assert first.replace(str(outputs[0]), str(outputs[1])) == second
+    if argv[0] == "worst-case":
+        assert read_json(outputs[0])["strict"] is True
+    if argv[0] == "spectral-report":
+        payload = read_json(outputs[0])
+        assert payload["n"] == 512
+        assert payload["sigma2_irr"] < payload["sigma2_rev"]
+
+
+def test_3d_torus_memory_guard_exits_2(tmp_path, capsys):
+    # 20^3 = 8000 nodes: refused before the grid is built
+    out = tmp_path / "out"
+    assert run_command(["spectral-report", *TORUS_3D, "--observable", "cos1",
+                        "--points-per-axis", "20", "--output", str(out)]) == 2
+    assert "memory guard" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fourier_observable_rejected_on_hermite(capsys):

@@ -137,6 +137,15 @@ def test_replicated_zero_observable_degenerate():
     assert est.diagnostics["degenerate"] is True
 
 
+def test_replicated_refuses_one_chain():
+    # one chain has no across-chain variance to report
+    cfg = SimConfig(step_size=0.05, n_steps=100, initial_point=[0.0, 0.0],
+                    seed=10)
+    with pytest.raises(ValueError, match="n_chains"):
+        replicated_clt(gaussian_potential(2), zero_drift(2), coord1, cfg,
+                       n_chains=1)
+
+
 def test_replicated_two_chain_formula():
     u = gaussian_potential(2)
     c = make_qgradu_drift(ROT, u)

@@ -45,6 +45,22 @@ def test_catalog_rejects_unknown_name():
             make_potential("torus_cosine", dim=2, amplitude=(1.0, bad))
 
 
+def test_catalog_refuses_targets_that_are_not_probability_measures():
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="barrier"):
+            double_well_2d(barrier=bad)
+    for cov, rule in ((-1.0, "positive definite"),
+                      ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+                      ([[1.0, 0.5], [0.0, 1.0]], "symmetric")):
+        with pytest.raises(ValueError, match=f"cov must be {rule}"):
+            gaussian_potential(2, cov)
+    # a valid covariance keeps the bits of its symmetrized inverse
+    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+    inv = np.linalg.inv(cov)
+    assert np.array_equal(gaussian_potential(2, cov).constant_hessian,
+                          (inv + inv.T) / 2.0)
+
+
 def test_make_potential_dispatches():
     u = make_potential("torus_cosine", dim=2, amplitude=1.0)
     assert u.space_kind is SpaceKind.FLAT_TORUS

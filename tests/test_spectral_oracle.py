@@ -35,6 +35,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from irrlangevin.analysis import equality_certificate, sweep_k, worst_case
+from irrlangevin.benchmark import OBSERVABLE_SEED, TOLERANCES
 from irrlangevin.errors import DiscretizationDefectError
 from irrlangevin.model import (
     DriftField,
@@ -66,6 +67,7 @@ from irrlangevin.spectral_oracle import (
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+Q3_CHAIN = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 def exp_u_field_1d():
@@ -194,13 +196,49 @@ def test_torus_guards():
     with pytest.raises(ValueError, match="memory guard"):
         discretize_torus(u, c, 141)  # 19881 nodes, about 32 GB dense
     u3 = torus_cosine(3, 1.0)
-    q3 = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="dim 1 or 2"):
-        discretize_torus(u3, make_qgradu_drift(q3, u3), 8)
+    with pytest.raises(ValueError, match="memory guard"):
+        discretize_torus(u3, make_qgradu_drift(Q3_CHAIN, u3), 20)  # 8000 nodes
     from irrlangevin.model import gaussian_potential
     g = gaussian_potential(2)
     with pytest.raises(ValueError, match="flat-torus"):
         discretize_torus(g, make_qgradu_drift(ROT, g), 8)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_3d_grid_of_a_1d_potential_gives_the_1d_variance(m):
+    # U = cos x1 with Q rotating (x1, x2): C = sin(x1) e2, so L^{-1} cos x1,
+    # a function of x1 alone, is the 1-d grid's solution and lies in the
+    # kernel of A
+    q = np.zeros((3, 3))
+    q[:2, :2] = ROT
+    u3 = torus_cosine(3, (1.0, 0.0, 0.0))
+    sys3 = discretize_torus(u3, make_qgradu_drift(q, u3), m)
+    rep3 = variance_report(sys3, observable_vector(sys3, parse_observable("cos1", 3)))
+    u1 = torus_cosine(1, 1.0)
+    sys1 = discretize_torus(u1, zero_drift(1), m)
+    rep1 = variance_report(sys1, observable_vector(sys1, parse_observable("cos1", 1)))
+    assert rep3.sigma2_rev == pytest.approx(rep1.sigma2_rev, rel=1e-13, abs=0.0)
+    assert rep3.kernel_flag
+    assert rep3.sigma2_irr == pytest.approx(rep3.sigma2_rev, rel=1e-13, abs=0.0)
+
+
+def test_coupled_3d_grid_passes_the_release_gates():
+    # U = cos x1 + cos x2 + cos x3 with Q coupling (x1, x2) and (x2, x3),
+    # checked by the gates of C1, C3, C7 and C8 at their pinned tolerances
+    u = torus_cosine(3, 1.0)
+    sys = discretize_torus(u, make_qgradu_drift(Q3_CHAIN, u), 8)
+    assert sys.n == 512
+    rng = np.random.default_rng(OBSERVABLE_SEED)
+    reports = [variance_report(sys, rng.standard_normal(sys.n))
+               for _ in range(20)]
+    slack = max(r.sigma2_irr - r.sigma2_rev for r in reports)
+    assert slack <= TOLERANCES["C1_slack"]
+    assert max(r.route_discrepancy for r in reports) <= TOLERANCES["C3_route"]
+    gap_l, min_real = generator_gaps(sys)
+    assert gap_l - min_real <= TOLERANCES["C8_gap"]
+    res = worst_case(sys)
+    assert res.kernel_intersection_dim == 0 and res.strict
+    assert res.sup_rev - res.sup_irr > TOLERANCES["C7_margin"]
 
 
 def test_antisym_correction_reported(torus_sys):
