@@ -166,24 +166,27 @@ def _max_abs(x) -> float:
 
 def _structure_residuals(sys) -> list[tuple[str, float]]:
     """C4's residuals for one system, with no dense A: D A = P^T (D S) P
-    (D = diag(pi)) on the stencil, F^T F of the cached factor F against the
-    grounded L_E, and F^-T A F^-1 as the spectral chain formed it."""
+    (D = diag(pi)) on the stencil, F^T F of each block's cached factor F
+    against its grounded L_E, and F^-T A F^-1 as the spectral chain formed
+    it, the largest over the blocks, as on the block-diagonal whole."""
     pi, const = sys.pi_weights, sys.const_vec
     pi_l = pi[:, None] * sys.l_matrix
     pi_s = pi[:, None] * sys.s_matrix
     a_const = sys.center(sys.s_matrix @ sys.center(const)[0])[0]
-    fac = sys._energy_factor
-    energy = pi_l.tocsr()[fac.keep][:, fac.keep]
-    inverse = np.argsort(fac.perm)
-    f = fac.triangular.U
-    ftf = f.T @ f - energy[inverse][:, inverse]
+    ftf, scale = 0.0, 0.0
+    for block, fac in zip(sys._blocks, sys._energy_factors):
+        energy = block.grounded_energy()[1]
+        inverse = np.argsort(fac.perm)
+        f = fac.triangular.U
+        ftf = max(ftf, _max_abs(f.T @ f - energy[inverse][:, inverse]))
+        scale = max(scale, _max_abs(energy))
     return [
         ("pi-symmetry of L", _max_abs(pi_l - pi_l.T)),
         ("pi-antisymmetry of A", _max_abs(pi_s + pi_s.T)),
         ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
         ("A annihilates constants", _max_abs(a_const)),
-        ("grounded L = F^T F", _max_abs(ftf) / _max_abs(energy)),
-        ("F^-T A F^-1 antisymmetric", sys._weight_vectors[2]),
+        ("grounded L = F^T F", ftf / scale),
+        ("F^-T A F^-1 antisymmetric", max(w[2] for w in sys._weight_vectors)),
     ]
 
 

@@ -74,8 +74,7 @@ class Potential:
     constant_hessian: Array | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        _check_dim(self.dim)
 
 
 @dataclass
@@ -98,8 +97,7 @@ class DriftField:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        _check_dim(self.dim)
 
 
 @dataclass
@@ -130,6 +128,11 @@ class AssumptionReport:
     a5_ratio: float
     a6_trend: bool | None
     probe_points: Array
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim}")
 
 
 def antisymmetric_matrix(q: Array, dim: int) -> Array:
@@ -290,6 +293,7 @@ def validate_drift(c: DriftField, probes: Array) -> None:
 
 def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
     """Gaussian energy U(x) = x . inv(cov) x / 2, so pi = N(0, cov)."""
+    _check_dim(dim)
     if cov is None:
         inv_cov = cov_arr = np.eye(dim)
     else:
@@ -367,6 +371,7 @@ def torus_cosine(dim: int, amplitude: float | Sequence[float] = 1.0) -> Potentia
     a zero entry switches that axis off, e.g. ``amplitude=(1, 0)`` gives an
     energy depending on the first coordinate only.
     """
+    _check_dim(dim)
     amp = np.broadcast_to(np.asarray(amplitude, dtype=float), (dim,)).copy()
     if not np.all(np.isfinite(amp)):
         raise ValueError(f"amplitude must be finite, got {amp.tolist()}")

@@ -45,32 +45,51 @@ construction alone.
 Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private,
-and every sparse solve is a ``SuperLU.solve`` on one of two cached
-factors.  A is never formed densely.  ``solve`` takes the bordered LU of
-L - S (``_lc_factor``).  Every solve with L grounds one state g with
-(pi c)_g != 0: E = P J projects the unit vectors of the other states onto
-the mean-zero subspace, so L_E = E^T pi L E = (pi L)[keep, keep] (L
-annihilates constants) and A_E = E^T pi A E is the same restriction of
-pi S plus two rank-one terms.  SuperLU factors L_E = P^T L D L^T P with
-diagonal pivots (``_energy_factor``); its U = D L^T becomes
-F = D^{1/2} L^T in place, and SuperLU's factor of the triangular F, whose
-L is the identity, makes the solves with F = D^{1/2} L^T P and F^T.  F is
-sparse, and the diagonal sqrt(degree) on the Hermite basis.
-``kernel_residual`` solves L h = f as h = E F^{-1} F^{-T} (pi f)[keep],
-and a zero or negative pivot refuses it as it refuses the spectral chain.
-The chain fills m = F^{-T} A_E F^{-1} a block of columns at a time by
-these solves, reduces it to a skew-tridiagonal T = Q^T m Q
-(``_skew_tridiagonal``), keeps Q's reflectors as compact-WY panels in half
-an array while it takes the SVD of a bidiagonal matrix of half the size
-(``_bidiagonal_svd``), applies them to the singular vectors, and keeps the
-Householder QR of that basis O in panels of half an array (``_skew_svd``).
-A system caches what the chain yields: the singular values, those panels,
-so the masses of the atoms are the squares of O^T F^{-T} b with
-b = (pi f)[keep], and max |m + m^T| of m as the solves left it, which the
-acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
-formed.  It also caches the sparse factor and the O(n) eigenvalues of L.
-The eigenvalues of L and ``generator_gaps`` fill dense (n - 1) x (n - 1)
-restrictions, a block of columns at a time in O(n nnz) and without a dense
+and every sparse solve is a ``SuperLU.solve`` on a cached factor.  A is
+never formed densely.  ``solve`` takes the bordered LU of L - S
+(``_lc_factor``) on the whole state space.
+
+Every other step runs one invariant block at a time (``_blocks``): a
+subspace that L and S map to themselves, with coordinates of its own
+(:class:`_Block`).  The Hermite degree shells are blocks as they stand.
+On a torus grid whose pi, L and S commute with the inversion x -> -x (an
+even U with an odd drift, such as Q grad U), the blocks are the even and
+the odd functions, in the pi-orthonormal parity coordinates
+sqrt(pi_j) (f_j +- f_{-j}) / sqrt(2) of the mirror pairs, and
+sqrt(pi_j) f_j at the fixed nodes; ``discretize_torus`` makes the
+commutation exact where it holds to rounding.  Anything else is one block,
+the states themselves.  The mean-zero coordinates are the blocks' in
+turn; only the block that holds the constants drops one, by a Householder
+reflector applied in O(n).  So L, A, the factor of L and everything dense
+below are block-diagonal with structural zeros, and each block runs the
+chain alone: the cached atoms and eigenvalues are the union over the
+blocks, and a dense step holds one block's arrays at a time.
+
+Every solve with L grounds one coordinate g of the block with the
+constants, with (w c)_g != 0: E = P J projects that block's other unit
+vectors onto the mean-zero subspace, so L_E = E^T pi L E = (w L)[keep, keep]
+(L annihilates constants) and A_E = E^T pi A E is the same restriction of
+w S plus two rank-one terms; every other block keeps all its
+coordinates.  SuperLU factors each L_E = P^T L D L^T P with diagonal
+pivots (``_energy_factors``); its U = D L^T becomes F = D^{1/2} L^T in
+place, and SuperLU's factor of the triangular F, whose L is the identity,
+makes the solves with F = D^{1/2} L^T P and F^T.  F is sparse, and the
+diagonal sqrt(degree) on the Hermite basis.  ``kernel_residual`` solves
+L h = f as h = E F^{-1} F^{-T} (w f)[keep], and a zero or negative pivot
+refuses it as it refuses the spectral chain.  The chain fills
+m = F^{-T} A_E F^{-1} a block of columns at a time by these solves,
+reduces it to a skew-tridiagonal T = Q^T m Q (``_skew_tridiagonal``),
+keeps Q's reflectors as compact-WY panels in half an array while it takes
+the SVD of a bidiagonal matrix of half the size (``_bidiagonal_svd``),
+applies them to the singular vectors, and keeps the Householder QR of that
+basis O in panels of half an array (``_skew_svd``).  A system caches what
+each block's chain yields (``_weight_vectors``): the singular values,
+those panels, so the masses of the atoms are the squares of O^T F^{-T} b
+with b = (w f)[keep], and max |m + m^T| of m as the solves left it, which
+the acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
+formed.  It also caches the sparse factors and the O(n) eigenvalues of L.
+The eigenvalues of L and ``generator_gaps`` fill each block's dense
+restriction, a block of columns at a time in O(n nnz) and without a dense
 basis; A is never restricted densely.  ``worst_case`` reads L's lowest
 eigenspace from that cache and applies A to its few columns alone, and
 never forms the resolvent, whose transpose ``solve`` also applies.  Every
@@ -103,14 +122,18 @@ Array = np.ndarray
 
 # The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
 # growth at n = 4096, by glibc's mmap threshold).  The spectral route,
-# worst_case's restriction of L and generator_gaps stay dense: at n = 4096
-# variance_report (with generator_gaps) grows RSS by 253 MB and worst_case
-# by 153 MB, so about 0.74 GB and 0.45 GB at this cap (extrapolated by n^2,
-# not run).
+# worst_case's restriction of L and generator_gaps stay dense, one block at
+# a time: at n = 4096 in two parity blocks variance_report (with
+# generator_gaps) grows RSS by 96 MB and worst_case by 46 MB, so about
+# 0.28 GB and 0.14 GB at this cap (extrapolated by n^2, not run); as one
+# block they grew it by 265 MB and 161 MB.
 MAX_STATES = 7000
 EIGENVALUE_MERGE_TOL = 1e-9  # absolute; degenerate clusters pool their weights
 KERNEL_FLAG_RTOL = 1e-9
 _PANEL = 32  # reflectors per compact-WY panel of the cached singular basis
+# pi, L and S of a torus grid that commute with x -> -x to this relative
+# rounding are made to commute exactly (measured: 5e-16 on L at m = 24 to 40)
+_MIRROR_RTOL = 1e-12
 
 
 @dataclass
@@ -149,14 +172,14 @@ class VarianceReport:
 
 @dataclass(frozen=True)
 class _EnergyFactor:
-    """F = D^{1/2} L^T P with F^T F = P^T L D L^T P = L_E on the grounded
-    states, and P x = x[argsort(perm)].
+    """F = D^{1/2} L^T P with F^T F = P^T L D L^T P = L_E on one block's
+    kept coordinates, and P x = x[argsort(perm)].
 
     ``triangular`` is SuperLU's factor of the upper triangular F itself,
     whose L is the identity and whose U is F, so both solves are SuperLU's.
     """
 
-    keep: Array  # every state but the grounded one
+    keep: Array  # every coordinate of the block but the grounded one
     perm: Array
     triangular: scipy.sparse.linalg.SuperLU
 
@@ -169,6 +192,244 @@ class _EnergyFactor:
         y = np.empty_like(x)
         y[self.perm] = x
         return self.triangular.solve(y, trans="T")
+
+
+@dataclass
+class _Block:
+    """One invariant block: functions that L and S map to themselves, in
+    coordinates of their own.
+
+    Coordinate k stands for the function that is 1 at state ``rep[k]`` and
+    ``sign`` at ``mir[k]`` (one state where the two are equal, or when
+    ``mir`` is None), so x holds a block function's values at ``rep``.  In
+    them <x, y>_pi = sum_k w_k x_k y_k with w = ``weights``, pi at ``rep``
+    doubled where ``mir`` differs; ``l_matrix`` and ``s_matrix`` are L and S,
+    ``const`` the coordinates of the constant function if the block holds
+    it, else None, and ``order`` SuperLU's column order for the grounded
+    factor.  Mean-zero coordinates are sqrt(w) x, less their first after the
+    reflector sending e_1 to -sqrt(w) const where the block holds the
+    constants; they are the system's from ``offset`` on.
+    """
+
+    rep: Array
+    mir: Array | None
+    sign: float
+    weights: Array
+    const: Array | None
+    l_matrix: scipy.sparse.sparray
+    s_matrix: scipy.sparse.sparray
+    order: str
+    offset: int
+
+    @property
+    def size(self) -> int:
+        """The number of mean-zero coordinates."""
+        return len(self.rep) - (self.const is not None)
+
+    def gather(self, f: Array) -> Array:
+        """Coordinates of the part in this block of the state vector(s) ``f``."""
+        if self.mir is None:
+            return f[self.rep]
+        return 0.5 * f[self.rep] + (0.5 * self.sign) * f[self.mir]
+
+    def scatter_add(self, x: Array, out: Array) -> None:
+        """Add the state vector(s) with coordinates ``x`` to ``out``."""
+        out[self.rep] += x
+        if self.mir is not None:
+            moved = self.mir != self.rep
+            out[self.mir[moved]] += self.sign * x[moved]
+
+    @cached_property
+    def _householder(self) -> tuple[Array, Array | None, float]:
+        """(sqrt(w), v, beta) of the reflector sending e_1 to -sqrt(w) const,
+        v None where the block does not hold the constants.
+
+        In the isometric coordinates x -> sqrt(w) x the mean-zero subspace is
+        the orthogonal complement of the unit vector u = sqrt(w) const, which
+        the reflector maps onto span(e_2, ...).  u_1 > 0 on both backends, so
+        v = u + e_1 is cancellation-free.
+        """
+        root = np.sqrt(self.weights)
+        if self.const is None:
+            return root, None, 0.0
+        v = root * self.const
+        v[0] += 1.0
+        return root, v, 2.0 / (v @ v)
+
+    def to_mean_zero(self, x: Array) -> Array:
+        """Mean-zero coordinates of the (k,) or (k, j) block coordinates ``x``."""
+        root, v, beta = self._householder
+        y = (root * np.asarray(x).T).T
+        if v is None:
+            return y
+        y -= np.multiply.outer(v, beta * (v @ y))
+        return y[1:]
+
+    def from_mean_zero(self, coords: Array) -> Array:
+        """Block coordinates with the given mean-zero coordinates."""
+        root, v, beta = self._householder
+        x = np.asarray(coords)
+        if v is not None:
+            x = np.concatenate([np.zeros((1,) + x.shape[1:]), x])
+            x -= np.multiply.outer(v, beta * (v @ x))
+        return (x.T / root).T
+
+    def center(self, x: Array) -> Array:
+        """``x`` less its pi-mean."""
+        if self.const is None:
+            return x
+        return x - float(np.sum(self.weights * self.const * x)) * self.const
+
+    def restrict(self, op, sign: float) -> Array:
+        """The block operator ``op`` compressed to the mean-zero coordinates,
+        in O(n nnz).
+
+        One Fortran-ordered array is filled a block of columns at a time,
+        column j being the mean-zero coordinates of ``op`` applied to basis
+        vector j, so the dense basis is never formed.  It is then made
+        exactly symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) in
+        place, or left as it is (``sign`` = 0).
+        """
+        size = self.size
+        out = _by_column_blocks(size, lambda j, k: self.to_mean_zero(
+            op @ self.from_mean_zero(np.eye(size, k - j, -j))))
+        if sign:
+            _symmetrize(out, sign)
+        return out
+
+    def grounded_energy(self) -> tuple[Array, scipy.sparse.sparray]:
+        """(keep, L_E): the kept coordinates and the grounded energy matrix
+        L_E = (w L)[keep, keep].
+
+        The grounded coordinate g has the largest w const^2, which keeps the
+        Gram matrix of E furthest from singular; a block without the
+        constants keeps every coordinate, since there E = I.
+        """
+        import scipy.sparse
+
+        keep = np.arange(len(self.rep))
+        if self.const is not None:
+            keep = np.delete(keep, np.argmax(self.weights * self.const**2))
+        pi_l = scipy.sparse.diags_array(self.weights) @ self.l_matrix
+        return keep, pi_l.tocsr()[keep][:, keep]
+
+    def energy_factor(self) -> _EnergyFactor | None:
+        """Sparse F = D^{1/2} L^T P of the grounded L_E, None on a zero,
+        negative or off-diagonal pivot.
+
+        SuperLU takes its pivots on the diagonal (``SymmetricMode`` with
+        ``diag_pivot_thresh`` 0), so its row order is its column order and
+        U = D L^T; its rows are scaled by D^{-1/2} in place, the diagonal set
+        to sqrt(D) exactly, and the result factored again in its own order
+        with diagonal pivots, which adds no entry.
+        """
+        from scipy.sparse.linalg import splu
+
+        keep, energy = self.grounded_energy()
+        on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        try:
+            lu = splu(energy.tocsc(), permc_spec=self.order, **on_diagonal)
+        except RuntimeError:  # how SuperLU reports a zero pivot
+            return None
+        f = lu.U
+        d = f.diagonal()
+        if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
+            return None
+        perm = lu.perm_c.copy()  # perm_c is a view that keeps lu alive
+        del lu  # SuperLU's factors of L_E go before those of F are made
+        root = np.sqrt(d, out=d)
+        f.data /= root[f.indices]
+        f.setdiag(root)
+        return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
+
+    def congruence(self, factor: _EnergyFactor) -> Array:
+        """m = F^{-T} A_E F^{-1} as the sparse solves leave it, filled a block
+        of columns at a time.
+
+        A_E = E^T pi A E = K + w t^T - t w^T, with K the grounded rows and
+        columns of the antisymmetric part X of w S, t = X const and
+        w = w const on the kept coordinates, and A_E = K in a block without
+        the constants; X is exactly antisymmetric, so m is antisymmetric up
+        to the rounding of the solves.
+        """
+        import scipy.sparse
+
+        keep = factor.keep
+        pi_s = scipy.sparse.diags_array(self.weights) @ self.s_matrix
+        pi_s = ((pi_s - pi_s.T) / 2.0).tocsr()
+        k_mat = pi_s[keep][:, keep]
+        if self.const is not None:
+            t = (pi_s @ self.const)[keep]
+            w = (self.weights * self.const)[keep]
+        size = self.size
+
+        def columns(j: int, k: int) -> Array:
+            x = factor.solve(np.eye(size, k - j, -j))
+            y = k_mat @ x
+            if self.const is not None:
+                y += np.outer(w, t @ x)
+                y -= np.outer(t, w @ x)
+            del x
+            return factor.solve_t(y)
+
+        return _by_column_blocks(size, columns)
+
+    def l_eigen(self) -> tuple[Array, Array | None]:
+        """(w, y): the restricted L's eigenvalues, ascending, and orthonormal
+        eigenvectors of their lowest cluster, those within 1e-8 max(w[0], 1)
+        of w[0], in mean-zero coordinates; y is None when w[0] <= 0.
+
+        ``dsytrd`` overwrites the restriction with T = Q^T L Q tridiagonal,
+        keeping Q as reflectors where ``dgehrd`` keeps them; ``dsterf`` gives
+        T's eigenvalues, ``dstebz`` and ``dstein`` the cluster's vectors,
+        mapped back by :func:`_hessenberg_q_times`.
+        """
+        import scipy.linalg
+        from scipy.linalg import lapack
+
+        h, d, e, tau, _ = lapack.dsytrd(
+            self.restrict(self.l_matrix, 1.0), lower=1, overwrite_a=1,
+            lwork=int(lapack.dsytrd_lwork(self.size, lower=1)[0]))
+        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+                                          lapack_driver="sterf")
+        if w[0] <= 0.0:
+            return w, None
+        dim = int(np.sum(np.abs(w - w[0]) <= _cluster_tol(w[0])))
+        _, y = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                             select_range=(0, dim - 1))
+        return w, _hessenberg_q_times(h, tau, y)
+
+
+def _cluster_tol(lowest: float) -> float:
+    """The width of the lowest eigenvalue cluster of L."""
+    return 1e-8 * max(lowest, 1.0)
+
+
+def _fold(op, rep: Array, mir: Array | None, sign: float):
+    """The block operator of ``op`` (see :class:`_Block`): column k is ``op``
+    applied to block function k, read at ``rep``, one sparse product."""
+    import scipy.sparse
+
+    n, size = op.shape[0], len(rep)
+    if mir is None:
+        return op if size == n else op.tocsr()[rep][:, rep]
+    moved = np.flatnonzero(mir != rep)
+    functions = scipy.sparse.csr_array(
+        (np.concatenate([np.ones(size), np.full(len(moved), sign)]),
+         (np.concatenate([rep, mir[moved]]),
+          np.concatenate([np.arange(size), moved]))), shape=(n, size))
+    return (op @ functions).tocsr()[rep]
+
+
+def _grid_mirror(dim: int, m: int) -> Array:
+    """The index of the node -x for every node x of the m^dim torus grid."""
+    flip = -np.arange(m) % m
+    return np.arange(m**dim).reshape((m,) * dim)[np.ix_(*[flip] * dim)].ravel()
+
+
+def _mirrored(op, mirror: Array):
+    """R op R^T for the permutation R of ``mirror``, a sparse array."""
+    return op.tocsr()[mirror][:, mirror]
 
 
 @dataclass
@@ -186,7 +447,8 @@ class DiscretizedSystem:
     that subspace, so the solves use S itself and A is never densified.
     A torus system carries its grid nodes ``points`` and a Hermite system
     its ``multi_indices``; the nodes also tell the factorizations to order
-    the states by minimum degree.  Treat instances as immutable; derived
+    the states by minimum degree.  The dense steps run one invariant block
+    at a time (``_blocks``).  Treat instances as immutable; derived
     factorizations are cached on first use and shared by all operations.
     """
 
@@ -199,146 +461,104 @@ class DiscretizedSystem:
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
-    # -- dense matrices, built per call ------------------------------------
-
-    def _restrict(self, op, sign: float) -> Array:
-        """``op`` compressed to the mean-zero basis, in O(n nnz).
-
-        One Fortran-ordered array is filled a block of columns at a time,
-        column j being the mean-zero coordinates of ``op`` applied to basis
-        vector j, so the dense basis is never formed.  It is then made
-        exactly symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) in
-        place, or left as it is (``sign`` = 0).
-        """
-        size = self.n - 1
-        out = _by_column_blocks(size, lambda j, k: self.to_mean_zero(
-            op @ self.from_mean_zero(np.eye(size, k - j, -j))))
-        if sign:
-            _symmetrize(out, sign)
-        return out
-
-    def _congruence(self) -> Array:
-        """m = F^{-T} A_E F^{-1} as the sparse solves leave it, filled a block
-        of columns at a time.
-
-        A_E = E^T pi A E = K + w t^T - t w^T, with K the grounded rows and
-        columns of the antisymmetric part X of pi S, t = X c and w = pi c
-        on the kept states; X is exactly antisymmetric, so m is antisymmetric
-        up to the rounding of the solves.
-        """
-        import scipy.sparse
-
-        factor = self._energy_factor
-        keep = factor.keep
-        pi_s = scipy.sparse.diags_array(self.pi_weights) @ self.s_matrix
-        pi_s = ((pi_s - pi_s.T) / 2.0).tocsr()
-        t = (pi_s @ self.const_vec)[keep]
-        w = (self.pi_weights * self.const_vec)[keep]
-        k_mat = pi_s[keep][:, keep]
-        size = self.n - 1
-
-        def columns(j: int, k: int) -> Array:
-            x = factor.solve(np.eye(size, k - j, -j))
-            y = k_mat @ x
-            y += np.outer(w, t @ x)
-            y -= np.outer(t, w @ x)
-            del x
-            return factor.solve_t(y)
-
-        return _by_column_blocks(size, columns)
-
     # -- cached factorizations -------------------------------------------
+
+    @cached_property
+    def _blocks(self) -> tuple[_Block, ...]:
+        """The invariant blocks that the dense steps run on one at a time,
+        each with at least one mean-zero coordinate, in coordinate order.
+
+        A Hermite basis whose L and S have no entry between two degree
+        shells is cut into its shells.  A torus grid whose pi, constants, L
+        and S commute exactly with the inversion x -> -x is cut into its
+        even and odd functions: the even block holds each fixed node and
+        one node of each mirror pair, the odd block one node of each pair.
+        Anything else is one block, the states themselves.
+        """
+        index = np.arange(self.n)
+        groups = [(index, None, 1.0)]
+        if self.multi_indices is not None:
+            degree = np.array([sum(a) for a in self.multi_indices])
+            if all(np.array_equal(degree[op.row], degree[op.col])
+                   for op in (self.l_matrix.tocoo(), self.s_matrix.tocoo())):
+                groups = [(np.flatnonzero(degree == d), None, 1.0)
+                          for d in np.unique(degree)]
+        elif self.points is not None:
+            dim = self.points.shape[1]
+            mirror = _grid_mirror(dim, round(self.n ** (1.0 / dim)))
+            if (len(mirror) == self.n
+                    and np.array_equal(self.pi_weights[mirror], self.pi_weights)
+                    and np.array_equal(self.const_vec[mirror], self.const_vec)
+                    and all((_mirrored(op, mirror) != op).nnz == 0
+                            for op in (self.l_matrix, self.s_matrix))):
+                even = np.flatnonzero(index <= mirror)
+                odd = np.flatnonzero(index < mirror)
+                groups = [(even, mirror[even], 1.0), (odd, mirror[odd], -1.0)]
+        order = "NATURAL" if self.points is None else "MMD_AT_PLUS_A"
+        blocks, offset = [], 0
+        for rep, mir, sign in groups:
+            if mir is None:
+                weights = self.pi_weights[rep]
+                const = self.const_vec[rep]
+            else:
+                weights = self.pi_weights[rep] * np.where(mir == rep, 1.0, 2.0)
+                const = 0.5 * self.const_vec[rep] + (0.5 * sign) * self.const_vec[mir]
+            block = _Block(rep, mir, sign, weights, const if np.any(const) else None,
+                           _fold(self.l_matrix, rep, mir, sign),
+                           _fold(self.s_matrix, rep, mir, sign), order, offset)
+            if block.size:
+                blocks.append(block)
+                offset += block.size
+        return tuple(blocks)
 
     @cached_property
     def _l_spectrum(self) -> tuple[Array, Array]:
         """(w, vectors): the restricted L's eigenvalues, ascending and checked
         positive, and orthonormal eigenvectors of its lowest cluster, those
-        within 1e-8 max(w[0], 1) of w[0].
+        within 1e-8 max(w[0], 1) of w[0], in mean-zero coordinates.
 
-        ``dsytrd`` overwrites the restriction with T = Q^T L Q tridiagonal,
-        keeping Q as reflectors where ``dgehrd`` keeps them; ``dsterf`` gives
-        T's eigenvalues, ``dstebz`` and ``dstein`` the cluster's vectors,
-        mapped back by :func:`_hessenberg_q_times`.  A failed check raises on
-        every access, since nothing is cached then.
+        Each block's ``dsytrd`` runs in turn (:meth:`_Block.l_eigen`); the
+        eigenvalues are their union, and the cluster's vectors those of the
+        blocks' own lowest clusters that fall within it.  A failed check
+        raises on every access, since nothing is cached then.
         """
-        import scipy.linalg
-        from scipy.linalg import lapack
-
-        size = self.n - 1
-        h, d, e, tau, _ = lapack.dsytrd(
-            self._restrict(self.l_matrix, 1.0), lower=1, overwrite_a=1,
-            lwork=int(lapack.dsytrd_lwork(size, lower=1)[0]))
-        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
-                                          lapack_driver="sterf")
+        parts = [block.l_eigen() for block in self._blocks]
+        w = np.sort(np.concatenate([part[0] for part in parts]))
         if w[0] <= 0.0:
             raise _not_positive_definite(w[0])
-        dim = int(np.sum(np.abs(w - w[0]) <= 1e-8 * max(w[0], 1.0)))
-        _, y = scipy.linalg.eigh_tridiagonal(d, e, select="i",
-                                             select_range=(0, dim - 1))
-        return w, _hessenberg_q_times(h, tau, y)
+        dims = [int(np.sum(np.abs(wb[:y.shape[1]] - w[0]) <= _cluster_tol(w[0])))
+                for wb, y in parts]
+        vectors = np.zeros((self.n - 1, sum(dims)))
+        col = 0
+        for block, (_, y), dim in zip(self._blocks, parts, dims):
+            vectors[block.offset:block.offset + block.size, col:col + dim] = y[:, :dim]
+            col += dim
+        return w, vectors
 
     @cached_property
-    def _householder(self) -> tuple[Array, Array, float]:
-        """(sqrt(pi), v, beta) of the reflector sending e_1 to -sqrt(pi) c.
+    def _energy_factors(self) -> tuple[_EnergyFactor, ...]:
+        """Each block's sparse F = D^{1/2} L^T P of its grounded energy
+        matrix L_E (:meth:`_Block.energy_factor`).
 
-        In the isometric coordinates f -> sqrt(pi) f the mean-zero subspace
-        is the orthogonal complement of the unit vector u = sqrt(pi) c, which
-        the reflector maps onto span(e_2, ..., e_n).  u_1 > 0 on both
-        backends, so v = u + e_1 is cancellation-free.  In the Hermite basis
-        v = 2 e_1, and the map is exactly "drop coordinate 0".
-        """
-        root = np.sqrt(self.pi_weights)
-        v = root * self.const_vec
-        v[0] += 1.0
-        return root, v, 2.0 / (v @ v)
-
-    @cached_property
-    def _energy_factor(self) -> _EnergyFactor:
-        """Sparse F = D^{1/2} L^T P of the grounded energy matrix L_E.
-
-        The grounded state g has the largest pi c^2, which keeps the Gram
-        matrix of E furthest from singular; on the Hermite basis g = 0.
-        SuperLU takes its pivots on the diagonal (``SymmetricMode`` with
-        ``diag_pivot_thresh`` 0), so its row order is its column order and
-        U = D L^T; its rows are scaled by D^{-1/2} in place, the diagonal set
-        to sqrt(D) exactly, and the result factored again in its own order
-        with diagonal pivots, which adds no entry.  The torus orders by
-        minimum degree on the pattern, as the bordered LU does; the Hermite
-        L_E is diagonal and keeps its order, so there F = sqrt(D).  A zero,
-        negative or off-diagonal pivot raises
+        The torus orders by minimum degree on the pattern, as the bordered LU
+        does; the Hermite L_E is diagonal and keeps its order, so there
+        F = sqrt(D).  A zero, negative or off-diagonal pivot raises
         :class:`DiscretizationDefectError` with the smallest eigenvalue of
         the restricted L.
         """
-        import scipy.sparse
-        from scipy.sparse.linalg import splu
-
-        keep = np.delete(np.arange(self.n),
-                         np.argmax(self.pi_weights * self.const_vec**2))
-        pi_l = scipy.sparse.diags_array(self.pi_weights) @ self.l_matrix
-        energy = pi_l.tocsr()[keep][:, keep].tocsc()
-        order = "NATURAL" if self.points is None else "MMD_AT_PLUS_A"
-        on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-        try:
-            lu = splu(energy, permc_spec=order, **on_diagonal)
-        except RuntimeError as exc:  # how SuperLU reports a zero pivot
-            raise _not_positive_definite(self._l_spectrum[0][0]) from exc
-        f = lu.U
-        d = f.diagonal()
-        if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        factors = tuple(block.energy_factor() for block in self._blocks)
+        if any(factor is None for factor in factors):
             raise _not_positive_definite(self._l_spectrum[0][0])
-        perm = lu.perm_c.copy()  # perm_c is a view that keeps lu alive
-        del lu  # SuperLU's factors of L_E go before those of F are made
-        root = np.sqrt(d, out=d)
-        f.data /= root[f.indices]
-        f.setdiag(root)
-        return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
+        return factors
 
     @cached_property
-    def _weight_vectors(self) -> tuple[Array, tuple[Array, list], float]:
-        """:func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O, with O
-        pi-orthonormal: M's singular values, the panels of H with O^T =
-        H diag(signs), about half an (n - 1)^2 array, and m's residual."""
-        return _skew_svd(self._congruence())
+    def _weight_vectors(self) -> tuple[tuple[Array, tuple[Array, list], float], ...]:
+        """Each block's :func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O,
+        with O pi-orthonormal: M's singular values, the panels of H with
+        O^T = H diag(signs), about half a block's array, and m's residual;
+        one block's chain runs at a time."""
+        return tuple(_skew_svd(block.congruence(factor))
+                     for block, factor in zip(self._blocks, self._energy_factors))
 
     @cached_property
     def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
@@ -407,38 +627,51 @@ class DiscretizedSystem:
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
         """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev.
 
-        h = E x, centred, with x = F^{-1} F^{-T} (pi f)[keep] by two SuperLU
-        solves with the grounded factor's triangular F; a non-finite x raises
-        :class:`DiscretizationDefectError`."""
-        factor, h = self._energy_factor, np.zeros(self.n)
-        b = (self.pi_weights * self.from_mean_zero(fr))[factor.keep, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            h[factor.keep] = factor.solve(factor.solve_t(b))[:, 0]
-        if not np.all(np.isfinite(h)):
-            raise DiscretizationDefectError("restricted energy operator is singular")
-        h = self.center(h)[0]
-        a_h = float(np.linalg.norm(self.to_mean_zero(self.s_matrix @ h)))
+        Block by block, h = E x, centred, with x = F^{-1} F^{-T} (w f)[keep]
+        by two SuperLU solves with the grounded factor's triangular F; a
+        non-finite x raises :class:`DiscretizationDefectError`."""
+        h_parts, a_parts = [], []
+        for block, factor in zip(self._blocks, self._energy_factors):
+            h = np.zeros(len(block.rep))
+            f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
+            b = (block.weights * f)[factor.keep, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                h[factor.keep] = factor.solve(factor.solve_t(b))[:, 0]
+            if not np.all(np.isfinite(h)):
+                raise DiscretizationDefectError(
+                    "restricted energy operator is singular")
+            h = block.center(h)
+            h_parts.append(block.to_mean_zero(h))
+            a_parts.append(block.to_mean_zero(block.s_matrix @ h))
+        a_h = float(np.linalg.norm(np.concatenate(a_parts)))
         fr_norm = float(np.linalg.norm(fr))
-        return self.to_mean_zero(h), a_h / max(fr_norm, 1e-300)
+        return np.concatenate(h_parts), a_h / max(fr_norm, 1e-300)
 
     def spectral_weight(self, fr: Array) -> SpectralMeasure:
         """Atoms of the spectral weight of g = V fr under iM.
 
-        The masses are the squares of H (signs F^{-T} b), with b = (pi f)[keep]
-        the grounded coordinates of the state vector f of ``fr``: one sparse
-        solve, then the cached panels of ``_weight_vectors``, so V itself
-        is never formed.
+        In each block the masses are the squares of H (signs F^{-T} b), with
+        b = (w f)[keep] the grounded coordinates of the block's part f of
+        ``fr``: one sparse solve, then the cached panels of
+        ``_weight_vectors``, so V itself is never formed.  The atoms are the
+        union over the blocks.
 
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
         singular vectors, split evenly between atoms at -s and +s; the
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
-        s, (signs, panels), _ = self._weight_vectors
-        factor = self._energy_factor
-        b = (self.pi_weights * self.from_mean_zero(fr))[factor.keep]
-        x = _apply_panels(panels, (signs * factor.solve_t(b))[:, None])[:, 0]
-        locs, mass = _merge_atoms(s, x**2)
+        values, masses = [], []
+        for block, factor, (s, (signs, panels), _) in zip(
+                self._blocks, self._energy_factors, self._weight_vectors):
+            f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
+            b = (block.weights * f)[factor.keep]
+            x = _apply_panels(panels, (signs * factor.solve_t(b))[:, None])[:, 0]
+            values.append(s)
+            masses.append(x**2)
+        values = np.concatenate(values)
+        order = np.argsort(values, kind="stable")
+        locs, mass = _merge_atoms(values[order], np.concatenate(masses)[order])
         k = int(locs[0] <= EIGENVALUE_MERGE_TOL)  # 1 when there is a zero cluster
         pos, half = locs[k:], mass[k:] / 2.0
         return SpectralMeasure(
@@ -457,19 +690,20 @@ class DiscretizedSystem:
         return np.asarray(f, dtype=float) - shift * self.const_vec, shift
 
     def to_mean_zero(self, f: Array) -> Array:
-        """Mean-zero coordinates of a centered (n,) or (n, k) ``f``, in O(n k)."""
-        root, v, beta = self._householder
-        x = (root * np.asarray(f).T).T
-        x -= np.multiply.outer(v, beta * (v @ x))
-        return x[1:]
+        """Mean-zero coordinates of a centered (n,) or (n, k) ``f``, in O(n k):
+        each block's in turn."""
+        f = np.asarray(f)
+        return np.concatenate([block.to_mean_zero(block.gather(f))
+                               for block in self._blocks])
 
     def from_mean_zero(self, coords: Array) -> Array:
         """State vector(s) with the given mean-zero coordinates, in O(n k)."""
-        root, v, beta = self._householder
         coords = np.asarray(coords)
-        x = np.concatenate([np.zeros((1,) + coords.shape[1:]), coords])
-        x -= np.multiply.outer(v, beta * (v @ x))
-        return (x.T / root).T
+        out = np.zeros((self.n,) + coords.shape[1:])
+        for block in self._blocks:
+            block.scatter_add(block.from_mean_zero(
+                coords[block.offset:block.offset + block.size]), out)
+        return out
 
 
 # --- dense helpers -------------------------------------------------------------
@@ -725,6 +959,12 @@ def discretize_torus(u: Potential, c: DriftField,
     discards is kept as ``antisym_correction`` (an O(spacing)
     discretization diagnostic for weighted-divergence-free fields).  Built axis
     by axis in any dimension, in O(n) memory: no n x n array is formed.
+
+    Where pi, L and S commute with the grid inversion x -> -x up to
+    rounding (``_MIRROR_RTOL``, relative to each one's largest entry), as
+    for an even U with an odd C, each is replaced by the mean of itself and
+    its mirror image, which commutes exactly; the system then splits into
+    its even and odd functions (:class:`DiscretizedSystem`).
     """
     if u.space_kind is not SpaceKind.FLAT_TORUS:
         raise ValueError("discretize_torus needs a flat-torus potential")
@@ -770,12 +1010,26 @@ def discretize_torus(u: Potential, c: DriftField,
     adj = scipy.sparse.coo_array(((vals * pi[rows]) / pi[cols], (cols, rows)),
                                  shape=(n, n))  # D^{-1} R^T D
     s_matrix = ((r_mat - adj) / 2.0).tocsr()
+    correction = _sym_part_ratio(r_mat, adj, pi)
+
+    mirror = _grid_mirror(u.dim, m)
+    ops = (l_matrix, s_matrix)
+    mirrored = [_mirrored(op, mirror) for op in ops]
+    gaps = [_relative_gap(pi[mirror], pi)]
+    gaps += [_relative_gap(x, op) for x, op in zip(mirrored, ops)]
+    if max(gaps) <= _MIRROR_RTOL:
+        pi = (pi + pi[mirror]) / 2.0
+        l_matrix, s_matrix = (((op + x) / 2.0).tocsr() for op, x in zip(ops, mirrored))
 
     return DiscretizedSystem(
         n=n, pi_weights=pi, l_matrix=l_matrix, s_matrix=s_matrix,
-        const_vec=np.ones(n), points=points,
-        antisym_correction=_sym_part_ratio(r_mat, adj, pi),
+        const_vec=np.ones(n), points=points, antisym_correction=correction,
     )
+
+
+def _relative_gap(a, b) -> float:
+    """max |a - b| / max |b| for two arrays, or sparse arrays, of one shape."""
+    return float(abs(a - b).max()) / max(float(abs(b).max()), 1e-300)
 
 
 # --- Gaussian / Hermite-Galerkin backend -------------------------------------
@@ -923,11 +1177,14 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     """(smallest eigenvalue of L, min real part of spec(L - A)), mean-zero.
 
     The perturbed real part can only move up: a perturbed eigenpair
-    (mu, v) satisfies Re mu = <v, L v>/|v|^2 >= min eig(L).
+    (mu, v) satisfies Re mu = <v, L v>/|v|^2 >= min eig(L).  L - A maps
+    each block to itself, so its spectrum is the union of the blocks'.
     """
     import scipy.linalg
 
     lam = float(sys._l_spectrum[0][0])
-    eigs = scipy.linalg.eigvals(sys._restrict(sys.l_matrix - sys.s_matrix, 0.0),
-                                overwrite_a=True)
-    return lam, float(eigs.real.min())
+    min_real = min(
+        float(scipy.linalg.eigvals(block.restrict(block.l_matrix - block.s_matrix, 0.0),
+                                   overwrite_a=True).real.min())
+        for block in sys._blocks)
+    return lam, min_real

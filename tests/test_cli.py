@@ -256,6 +256,11 @@ def test_divergence_exits_3(tmp_path, capsys):
      "cov"),
     (["estimate-variance", "--method", "replicated-clt", "--n-chains", "1",
       "--n-steps", "200", "--burn-in", "0"], "n_chains"),
+    # a dimension that is not positive, refused before numpy sees it
+    (["check-assumptions", "--dim", "-1", "--drift", "none"],
+     "dim must be a positive integer"),
+    (["check-assumptions", "--potential", "torus_cosine", "--dim", "-1",
+      "--drift", "none"], "dim must be a positive integer"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that
