@@ -22,8 +22,10 @@ the asymptotic variance of a centered observable f is computed by two
 independent routes:
 
 * resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
-  sparse LU of L - S bordered by the mean-zero constraint (O(n) memory),
-  its columns ordered by minimum degree on a system with grid nodes;
+  sparse LU of L - S in the coordinates of the invariant blocks below,
+  bordered by the mean-zero constraint in the block that holds the
+  constants (O(n) memory), its columns ordered by minimum degree on a
+  system with grid nodes;
 * spectral: with V = L^{-1/2} and the real antisymmetric M = V A V,
   expand g = V f in the singular vectors of M and return
   2 sum_j w_j / (1 + y_j^2), where the atoms (y_j, w_j) form the spectral
@@ -46,16 +48,15 @@ Every analysis goes through one solve path, the methods ``reduce``,
 ``solve``, ``kernel_residual`` and ``spectral_weight`` of
 :class:`DiscretizedSystem`; the factorizations behind them stay private,
 and every sparse solve is a ``SuperLU.solve`` on a cached factor.  A is
-never formed densely.  ``solve`` takes the bordered LU of L - S
-(``_lc_factor``) on the whole state space.
+never formed densely.
 
-Every other step runs one invariant block at a time (``_blocks``): a
-subspace that L and S map to themselves, with coordinates of its own
-(:class:`_Block`).  The Hermite degree shells are blocks as they stand.
-On a torus grid whose pi, L and S commute with the inversion x -> -x (an
-even U with an odd drift, such as Q grad U), the blocks are the even and
-the odd functions, in the pi-orthonormal parity coordinates
-sqrt(pi_j) (f_j +- f_{-j}) / sqrt(2) of the mirror pairs, and
+Every step works in the coordinates of the invariant blocks
+(``_blocks``), each a subspace that L and S map to themselves, with
+coordinates of its own (:class:`_Block`).  The Hermite degree shells are
+blocks as they stand.  On a torus grid whose pi, L and S commute with the
+inversion x -> -x (an even U with an odd drift, such as Q grad U), the
+blocks are the even and the odd functions, in the pi-orthonormal parity
+coordinates sqrt(pi_j) (f_j +- f_{-j}) / sqrt(2) of the mirror pairs, and
 sqrt(pi_j) f_j at the fixed nodes; ``discretize_torus`` makes the
 commutation exact where it holds to rounding.  Anything else is one block,
 the states themselves.  The mean-zero coordinates are the blocks' in
@@ -63,7 +64,10 @@ turn; only the block that holds the constants drops one, by a Householder
 reflector applied in O(n).  So L, A, the factor of L and everything dense
 below are block-diagonal with structural zeros, and each block runs the
 chain alone: the cached atoms and eigenvalues are the union over the
-blocks, and a dense step holds one block's arrays at a time.
+blocks, and a dense step holds one block's arrays at a time.  ``solve``
+takes one bordered LU (``_lc_factor``) of the blocks' L - S stacked on the
+diagonal, so it stays in the blocks' coordinates and its factors have no
+entry between two blocks.
 
 Every solve with L grounds one coordinate g of the block with the
 constants, with (w c)_g != 0: E = P J projects that block's other unit
@@ -120,7 +124,7 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
-# The build and the sparse solves are O(n) (3 MB and 6.3 to 8.3 MB of RSS
+# The build and the sparse solves are O(n) (3.5 MB and 4.7 to 5.4 MB of RSS
 # growth at n = 4096, by glibc's mmap threshold).  The spectral route,
 # worst_case's restriction of L and generator_gaps stay dense, one block at
 # a time: at n = 4096 in two parity blocks variance_report (with
@@ -374,10 +378,11 @@ class _Block:
 
         return _by_column_blocks(size, columns)
 
-    def l_eigen(self) -> tuple[Array, Array | None]:
+    def l_eigen(self, ceiling: float) -> tuple[Array, Array | None]:
         """(w, y): the restricted L's eigenvalues, ascending, and orthonormal
         eigenvectors of their lowest cluster, those within 1e-8 max(w[0], 1)
-        of w[0], in mean-zero coordinates; y is None when w[0] <= 0.
+        of w[0], in mean-zero coordinates; y is None when w[0] <= 0 or
+        w[0] > ``ceiling``, above which no vector is kept.
 
         ``dsytrd`` overwrites the restriction with T = Q^T L Q tridiagonal,
         keeping Q as reflectors where ``dgehrd`` keeps them; ``dsterf`` gives
@@ -392,7 +397,7 @@ class _Block:
             lwork=int(lapack.dsytrd_lwork(self.size, lower=1)[0]))
         w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
                                           lapack_driver="sterf")
-        if w[0] <= 0.0:
+        if not 0.0 < w[0] <= ceiling:
             return w, None
         dim = int(np.sum(np.abs(w - w[0]) <= _cluster_tol(w[0])))
         _, y = scipy.linalg.eigh_tridiagonal(d, e, select="i",
@@ -448,8 +453,12 @@ class DiscretizedSystem:
     A torus system carries its grid nodes ``points`` and a Hermite system
     its ``multi_indices``; the nodes also tell the factorizations to order
     the states by minimum degree.  The dense steps run one invariant block
-    at a time (``_blocks``).  Treat instances as immutable; derived
-    factorizations are cached on first use and shared by all operations.
+    at a time (``_blocks``), and the sparse solves in the blocks'
+    coordinates: the LU of L - S (``_lc_factor``) stacks the blocks'
+    folded L - S, so at torus m = 64 in two parity blocks its L + U hold
+    141,344 entries against 218,566 on the whole state space (-35 %).
+    Treat instances as immutable; derived factorizations are cached on
+    first use and shared by all operations.
     """
 
     n: int
@@ -519,20 +528,30 @@ class DiscretizedSystem:
 
         Each block's ``dsytrd`` runs in turn (:meth:`_Block.l_eigen`); the
         eigenvalues are their union, and the cluster's vectors those of the
-        blocks' own lowest clusters that fall within it.  A failed check
-        raises on every access, since nothing is cached then.
+        blocks' own lowest clusters that fall within it.  A block forms its
+        cluster's vectors only if its lowest eigenvalue is within the
+        cluster's width of the lowest one so far, since no other can fall
+        within it (Hermite d=5 degree 8 forms the 5 of its first shell, not
+        the 1,286 of all eight).  A failed check raises on every access,
+        since nothing is cached then.
         """
-        parts = [block.l_eigen() for block in self._blocks]
+        parts, lowest = [], np.inf
+        for block in self._blocks:
+            parts.append(block.l_eigen(lowest + _cluster_tol(lowest)))
+            lowest = min(lowest, parts[-1][0][0])
         w = np.sort(np.concatenate([part[0] for part in parts]))
         if w[0] <= 0.0:
             raise _not_positive_definite(w[0])
-        dims = [int(np.sum(np.abs(wb[:y.shape[1]] - w[0]) <= _cluster_tol(w[0])))
+        dims = [0 if y is None else
+                int(np.sum(np.abs(wb[:y.shape[1]] - w[0]) <= _cluster_tol(w[0])))
                 for wb, y in parts]
         vectors = np.zeros((self.n - 1, sum(dims)))
         col = 0
         for block, (_, y), dim in zip(self._blocks, parts, dims):
-            vectors[block.offset:block.offset + block.size, col:col + dim] = y[:, :dim]
-            col += dim
+            if dim:
+                vectors[block.offset:block.offset + block.size,
+                        col:col + dim] = y[:, :dim]
+                col += dim
         return w, vectors
 
     @cached_property
@@ -562,35 +581,60 @@ class DiscretizedSystem:
 
     @cached_property
     def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
-        """Sparse LU of the bordered system [[L - S, c], [(pi c)^T, 0]].
+        """Sparse LU of L - S in the blocks' coordinates, bordered by the
+        mean-zero constraint in the block that holds the constants.
 
-        Its solution for [f; 0], f centered, is the h with (pi c)^T h = 0 and
-        (L - S) h - f a multiple of c, which is (L - A)^{-1} f on the
-        mean-zero subspace: there P S P and S differ only by a multiple of c,
-        which the border absorbs.  An exactly singular factor raises
-        :class:`DiscretizationDefectError`.
+        The matrix stacks each block's l_matrix - s_matrix on the diagonal,
+        the blocks' coordinates one after another in block order; the block
+        with constant coordinates c adds the column c and the row (w c)^T.
+        Its solution for [f; 0], f centered, is in that block the x with
+        (w c)^T x = 0 and (L - S) x - f a multiple of c, which is
+        (L - A)^{-1} f on the mean-zero subspace: there P S P and S differ
+        only by a multiple of c, which the border absorbs; every other block
+        is mean-zero as it stands.  No entry couples two blocks, so none is
+        filled in between: at torus m = 32, 40 and 64 in two parity blocks
+        L + U hold 26,678, 45,996 and 141,344 entries against 40,390, 71,158
+        and 218,566 for the same LU on the whole state space, and the
+        Hermite shells, or a torus that is one block, factor as before.  An
+        exactly singular factor raises :class:`DiscretizationDefectError`.
 
         On a torus grid the columns are ordered by SuperLU's minimum degree
         on the pattern of B^T + B (B the bordered matrix), which cut the fill
-        by 34 to 47 % against COLAMD (m = 16 to 83); the Hermite basis keeps
-        COLAMD, since there minimum degree took 3 to 7 times as long.
+        by 34 to 47 % against COLAMD on the whole state space (m = 16 to 83);
+        the Hermite basis keeps COLAMD, since there minimum degree took 3 to
+        7 times as long.
         """
         import scipy.sparse
         from scipy.sparse.linalg import splu
 
-        const, pi, n = self.const_vec, self.pi_weights, self.n
-        coo = (self.l_matrix - self.s_matrix).tocoo()
-        border = np.arange(n)
+        sizes = [len(block.rep) for block in self._blocks]
+        n = sum(sizes)
+        data, rows, cols = [], [], []
+        for block, start in zip(self._blocks, np.cumsum([0] + sizes)):
+            coo = (block.l_matrix - block.s_matrix).tocoo()
+            data.append(coo.data)
+            rows.append(coo.row + start)
+            cols.append(coo.col + start)
+            if block.const is not None:
+                border = start + np.arange(len(block.rep))
+                data += [block.const, block.weights * block.const]
+                rows += [border, np.full(len(border), n)]
+                cols += [np.full(len(border), n), border]
+        size = n + self._border
         bordered = scipy.sparse.csc_array(
-            (np.concatenate([coo.data, const, pi * const]),
-             (np.concatenate([coo.row, border, np.full(n, n)]),
-              np.concatenate([coo.col, np.full(n, n), border]))),
-            shape=(n + 1, n + 1))
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size))
         order = "COLAMD" if self.points is None else "MMD_AT_PLUS_A"
         try:
             return splu(bordered, permc_spec=order)
         except RuntimeError as exc:  # how SuperLU reports a zero pivot
             raise _perturbed_singular() from exc
+
+    @cached_property
+    def _border(self) -> int:
+        """1 when a block holds the constants, so ``_lc_factor`` is
+        bordered, else 0 (a Hermite basis drops its degree-0 shell)."""
+        return int(any(block.const is not None for block in self._blocks))
 
     # -- the solve path ----------------------------------------------------
 
@@ -610,19 +654,28 @@ class DiscretizedSystem:
         """(L - A)^{-1} rhs in mean-zero coordinates, or with ``adjoint`` its
         transpose (L + A)^{-1} rhs; ``rhs`` a vector or matrix.
 
-        One solve with the bordered LU, whose non-finite result is a defect;
-        (L - S)^T = pi (L + S) pi^{-1}, so the adjoint is a transposed solve
-        for [pi f; 0], divided by pi."""
-        f = self.from_mean_zero(rhs)
-        if adjoint:
-            f = (self.pi_weights * f.T).T
-        padded = np.concatenate([f, np.zeros((1,) + f.shape[1:])])
-        h = self._lc_factor.solve(padded, trans="T" if adjoint else "N")[:self.n]
-        if adjoint:
-            h = (h.T / self.pi_weights).T
-        if not np.all(np.isfinite(h)):
-            raise _perturbed_singular()
-        return self.to_mean_zero(h)
+        One solve with the bordered LU in the blocks' coordinates
+        (``_lc_factor``), whose non-finite result is a defect: each block's
+        part of ``rhs`` in its coordinates, stacked, padded by the border's
+        zero.  In a block (L - S)^T = w (L + S) w^{-1}, so the adjoint is a
+        transposed solve for the parts times w, divided by w."""
+        rhs = np.asarray(rhs)
+        parts = []
+        for block in self._blocks:
+            x = block.from_mean_zero(rhs[block.offset:block.offset + block.size])
+            parts.append((block.weights * x.T).T if adjoint else x)
+        parts.append(np.zeros((self._border,) + rhs.shape[1:]))
+        h = self._lc_factor.solve(np.concatenate(parts),
+                                  trans="T" if adjoint else "N")
+        out = []
+        for block, x in zip(self._blocks, np.split(
+                h, np.cumsum([len(block.rep) for block in self._blocks]))):
+            if adjoint:
+                x = (x.T / block.weights).T
+            if not np.all(np.isfinite(x)):
+                raise _perturbed_singular()
+            out.append(block.to_mean_zero(x))
+        return np.concatenate(out)
 
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
         """(h = L^{-1} fr, |A h| / |fr|); zero exactly when sigma2_irr = sigma2_rev.

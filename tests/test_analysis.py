@@ -323,6 +323,7 @@ def test_adjoint_solve_is_the_transpose(case, torus_benchmark):
 
 
 def test_adjoint_solve_keeps_the_finiteness_check():
+    # the stub has only solve: solve sizes the border from the blocks
     class NanFactor:
         def solve(self, b, trans="N"):
             return np.full_like(b, np.nan)

@@ -1123,8 +1123,9 @@ def test_negative_definite_energy_operator_is_a_defect(entry):
 
 
 def test_variance_report_factors_l_once(monkeypatch):
-    # one sparse LU of L - S for the resolvent and, in each of the two
-    # parity blocks, one L D L^T of the grounded L for every solve with L,
+    # one sparse LU of L - S for the resolvent, on both parity blocks'
+    # coordinates and the border together (n + 1 of them), and, in each of
+    # the two blocks, one L D L^T of the grounded L for every solve with L,
     # the chain's included; the only other factorization is SuperLU's of
     # each block's triangular F, in its own order
     import scipy.sparse
@@ -1559,6 +1560,50 @@ def test_hermite_shells_are_the_blocks():
     assert got.sup_rev == ref.sup_rev
 
 
+@pytest.mark.parametrize("case", ["one-block torus", "parity torus",
+                                  "hermite shells"])
+def test_resolvent_solve_matches_the_dense_reference(case):
+    # the bordered LU in block coordinates solves (L - A) h = f and, with
+    # adjoint, (L - A)^T h = f on the mean-zero subspace: a torus whose
+    # drift is not odd is one block, an odd drift on an even U splits into
+    # parity blocks with the border in the even one, and the Hermite shells
+    # drop the degree-0 shell and with it the border
+    u = torus_cosine(2, 1.0)
+    if case == "one-block torus":
+        sys = discretize_torus(u, _flux_drift(u, (1.0, np.sqrt(2.0))), 12)
+    elif case == "parity torus":
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), 13)
+    else:
+        q = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.3], [0.5, -0.3, 0.0]])
+        sys = discretize_gaussian_linear(q, 3, 5)
+    blocks = len(sys._blocks)
+    assert blocks == {"one-block torus": 1, "parity torus": 2,
+                      "hermite shells": 5}[case]
+    size = sys.n - 1 if case == "hermite shells" else sys.n + 1
+    assert sys._lc_factor.shape == (size, size)
+    basis = _mean_zero_basis(sys)
+    resolvent = basis.T @ (sys.pi_weights[:, None]
+                           * ((sys.l_matrix - _dense_a(sys)) @ basis))
+    rhs = np.random.default_rng(5).standard_normal((sys.n - 1, 3))
+    for adjoint, dense in ((False, resolvent), (True, resolvent.T)):
+        expected = np.linalg.solve(dense, rhs)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(sys.solve(rhs, adjoint=adjoint), expected,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(sys.solve(rhs[:, 0], adjoint=adjoint),
+                                   expected[:, 0], rtol=0, atol=1e-12 * scale)
+
+
+def test_resolvent_factor_fills_no_entry_between_blocks():
+    # at torus m = 32 in two parity blocks L + U of the bordered LU hold
+    # 26,678 entries; the same LU on the whole state space held 40,390
+    from irrlangevin.benchmark import torus_benchmark_system
+
+    sys = torus_benchmark_system(1.0, 32)
+    assert len(sys._blocks) == 2 and sys._lc_factor.shape == (sys.n + 1,) * 2
+    assert sys._lc_factor.L.nnz + sys._lc_factor.U.nnz <= 27_000
+
+
 def test_scipy_modules_of_the_sparse_route():
     # discretize_torus and asymptotic_variances load no scipy module beyond
     # those that scipy.sparse, scipy.sparse.linalg and scipy.linalg load
@@ -1616,14 +1661,44 @@ def test_torus_build_allocates_no_n_by_n_array():
 def test_resolvent_route_memory_at_n_4096():
     # the dense construction peaked at 1343 MB traced here; the sparse
     # build, the bordered LU of L - S and the grounded L D L^T of L at 7.7 MB
+    # with the imports traced; with the imports outside the trace, the LU
+    # on the whole state space and the parity blocks' factors of L at 3.83
+    # MB, and the LU in the blocks' coordinates at 3.77 MB
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
+    small = discretize_torus(u, c, 8)  # imports land outside the trace
+    asymptotic_variances(small, np.cos(small.points[:, 0]))
 
     def run():
         sys = discretize_torus(u, c, 64)
         asymptotic_variances(sys, np.cos(sys.points[:, 0]))
 
-    assert _traced_peak_bytes(run) <= 16e6
+    assert _traced_peak_bytes(run) <= 3.95e6
+
+
+def test_l_spectrum_forms_only_the_lowest_cluster():
+    # every Hermite shell is degenerate (L = degree I), so each block's own
+    # lowest cluster is the whole shell: d=5 degree 8 formed all 1,286
+    # eigenvectors to keep the 5 of the first shell, and traced 4.74
+    # arrays of the largest shell (495 functions).  A block past the lowest
+    # cluster so far forms none: the kept vectors are the first shell's
+    # own, the eigenvalues the union of every block's, and the trace stays
+    # near one restriction of the largest shell (1.23)
+    import scipy.linalg  # noqa: F401 -- imports land outside the trace
+
+    q = np.diag(np.ones(4), 1)
+    sys = discretize_gaussian_linear(q - q.T, dim=5, degree=8)
+    blocks = sys._blocks
+    largest = max(block.size for block in blocks)
+    peak = _traced_peak_bytes(lambda: sys._l_spectrum)
+    w, vectors = sys._l_spectrum
+    assert vectors.shape == (sys.n - 1, 5)
+    own = [block.l_eigen(np.inf) for block in blocks]
+    np.testing.assert_array_equal(w, np.sort(np.concatenate([p[0] for p in own])))
+    np.testing.assert_array_equal(vectors[:blocks[0].size], own[0][1])
+    assert not np.any(vectors[blocks[0].size:])
+    assert sum(p[1].shape[1] for p in own) == sys.n - 1
+    assert peak <= 1.6 * 8 * largest**2
 
 
 def test_spectral_route_memory_at_m_32():
@@ -1740,8 +1815,9 @@ def test_dense_chain_peak_rss_at_m_32(op):
     # only A applied to L's lowest eigenspace, by 1.44 to 1.45 against 1.95
     # to 1.96, the restriction of L being the peak; with every dense step
     # run one parity block at a time, the report by 1.70 to 1.73 and
-    # worst_case by 0.83 to 0.85
-    assert _peak_rss_growth(op) <= {"report": 1.80, "worst_case": 0.89}[op]
+    # worst_case by 0.83 to 0.85; with the LU of L - S in the blocks'
+    # coordinates, by 1.66 to 1.69 and 0.77 to 0.82
+    assert _peak_rss_growth(op) <= {"report": 1.77, "worst_case": 0.86}[op]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -1759,8 +1835,10 @@ def test_release_gate_peak_rss_at_m_32(criteria):
     # Householder panels of half an array, the three by 3.07 to 3.09 and C1
     # by 3.00 to 3.02 against 3.07; with every dense step run one invariant
     # block at a time, C5 by 0.66, the three by 1.65 to 1.68 and C1 by 1.74
-    # to 1.76
-    bound = {"C5": 0.69, "C4,C5,C7": 1.75, "C1": 1.84}[criteria]
+    # to 1.76; with the LU of L - S in the blocks' coordinates, C5 by 0.57
+    # to 0.60 against 0.64 to 0.67, the three by 1.62 to 1.64 and C1 by 1.68
+    # to 1.71
+    bound = {"C5": 0.625, "C4,C5,C7": 1.72, "C1": 1.80}[criteria]
     assert _peak_rss_growth(criteria) <= bound
 
 
