@@ -369,10 +369,13 @@ def run_benchmark(only: Sequence[str] | None = None,
                   ) -> tuple[list[CriterionRow], bool]:
     """Run the acceptance matrix, or the criteria in ``only``, at ``TOLERANCES``.
 
-    Returns (rows, all_passed).
+    Returns (rows, all_passed).  An empty ``only`` raises ``ValueError``,
+    since a gate that runs no criterion would pass having checked nothing.
     """
     tol = dict(TOLERANCES)
     names = list(CRITERIA) if only is None else list(only)
+    if not names:
+        raise ValueError(f"no criteria named; available {list(CRITERIA)}")
     unknown = [n for n in names if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}; available {list(CRITERIA)}")

@@ -455,7 +455,7 @@ def _cmd_worst_case(args, u: Potential) -> dict:
 
 def _cmd_reproduce_benchmark(args, output: str) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [tok.strip() for tok in args.only.split(",") if tok.strip()]
     rows, passed = bench.run_benchmark(only=only)
     print(bench.format_table(rows))

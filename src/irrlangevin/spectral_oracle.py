@@ -15,7 +15,9 @@ skew drift operator, and pi the stationary weights:
   observables inside the span.
 
 Both store L and a pi-antisymmetric drift stencil S as ``scipy.sparse``
-arrays in O(n) memory; the drift operator is A = P S P, with P the
+arrays in O(n) memory, with int32 indices, SuperLU's own index type, from
+the stencil on: every array derived from them keeps it, and no
+factorization copies them.  The drift operator is A = P S P, with P the
 pi-orthogonal projection onto the mean-zero subspace, and the rank-one
 parts that P adds vanish in every quantity taken on that subspace.  On it,
 the asymptotic variance of a centered observable f is computed by two
@@ -124,8 +126,9 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
-# The build and the sparse solves are O(n) (3.5 MB and 4.7 to 5.4 MB of RSS
-# growth at n = 4096, by glibc's mmap threshold).  The spectral route,
+# The build and the sparse solves are O(n), with int32 sparse indices (at
+# n = 4096 the build grows RSS by 2.5 to 2.7 MB, and build and solves by 7.5
+# to 9.3 MB, by glibc's mmap threshold).  The spectral route,
 # worst_case's restriction of L and generator_gaps stay dense, one block at
 # a time: at n = 4096 in two parity blocks variance_report (with
 # generator_gaps) grows RSS by 96 MB and worst_case by 46 MB, so about
@@ -421,8 +424,9 @@ def _fold(op, rep: Array, mir: Array | None, sign: float):
     moved = np.flatnonzero(mir != rep)
     functions = scipy.sparse.csr_array(
         (np.concatenate([np.ones(size), np.full(len(moved), sign)]),
-         (np.concatenate([rep, mir[moved]]),
-          np.concatenate([np.arange(size), moved]))), shape=(n, size))
+         (np.concatenate([rep, mir[moved]], dtype=np.int32),
+          np.concatenate([np.arange(size), moved], dtype=np.int32))),
+        shape=(n, size))
     return (op @ functions).tocsr()[rep]
 
 
@@ -446,10 +450,14 @@ class DiscretizedSystem:
     function 1 (the all-ones vector on the grid; the first basis vector in
     the Galerkin backend), normalized so <1, 1>_pi = 1.  ``l_matrix`` is L
     and ``s_matrix`` a pi-antisymmetric stencil S of the drift, both
-    ``scipy.sparse`` arrays.  The drift operator is A = P S P with
-    P = I - c (pi c)^T, the pi-orthogonal projection onto the mean-zero
-    subspace; the rank-one parts of P S P vanish in every quantity taken on
-    that subspace, so the solves use S itself and A is never densified.
+    ``scipy.sparse`` arrays with int32 indices, SuperLU's own index type, as
+    the discretizers build them: a stored entry costs 12 bytes, and the
+    folded blocks, the grounded L_E and the bordered L - S keep the type, so
+    ``splu`` factors them without copying an index.  The drift operator is
+    A = P S P with P = I - c (pi c)^T, the pi-orthogonal projection onto the
+    mean-zero subspace; the rank-one parts of P S P vanish in every quantity
+    taken on that subspace, so the solves use S itself and A is never
+    densified.
     A torus system carries its grid nodes ``points`` and a Hermite system
     its ``multi_indices``; the nodes also tell the factorizations to order
     the states by minimum degree.  The dense steps run one invariant block
@@ -622,7 +630,8 @@ class DiscretizedSystem:
                 cols += [np.full(len(border), n), border]
         size = n + self._border
         bordered = scipy.sparse.csc_array(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate(data), (np.concatenate(rows, dtype=np.int32),
+                                    np.concatenate(cols, dtype=np.int32))),
             shape=(size, size))
         order = "COLAMD" if self.points is None else "MMD_AT_PLUS_A"
         try:
@@ -975,7 +984,7 @@ def _torus_nodes(dim: int, m: int) -> tuple[Array, Array]:
     axes = [np.arange(m) * h] * dim
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    index = np.arange(m**dim).reshape((m,) * dim)
+    index = np.arange(m**dim, dtype=np.int32).reshape((m,) * dim)
     return points, index
 
 
@@ -1154,7 +1163,9 @@ def discretize_gaussian_linear(q: Array, dim: int, degree: int) -> DiscretizedSy
                     rows.append(row)
                     cols.append(col)
                     vals.append(q[i, j] * np.sqrt(beta[i] * (beta[j] + 1)))
-    s_matrix = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    s_matrix = scipy.sparse.coo_array(
+        (vals, (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
+        shape=(n, n)).tocsr()
     l_matrix = scipy.sparse.diags_array(
         np.array([float(sum(alpha)) for alpha in idxs]), format="csr")
 

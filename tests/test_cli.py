@@ -367,6 +367,22 @@ def test_benchmark_rejects_unknown_names(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C99"]) == 2
 
 
+def test_benchmark_refuses_to_check_nothing():
+    # a gate that ran no criterion used to pass: "0/0 checks passed"
+    with pytest.raises(ValueError, match="no criteria"):
+        bench.run_benchmark(only=[])
+
+
+@pytest.mark.parametrize("only", [",", " , ", ""])
+def test_benchmark_with_no_criterion_names_exits_2(only, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = run_command(["reproduce-benchmark", "--only", only,
+                        "--output", str(out)])
+    assert code == 2
+    assert "no criteria" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_tolerances_not_settable_from_command_line(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C2",
                         "--override-tolerance", "C2_value=1"]) == 2

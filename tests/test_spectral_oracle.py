@@ -1604,6 +1604,49 @@ def test_resolvent_factor_fills_no_entry_between_blocks():
     assert sys._lc_factor.L.nnz + sys._lc_factor.U.nnz <= 27_000
 
 
+@pytest.mark.parametrize("case", ["parity torus", "one-block torus",
+                                  "3-d torus", "hermite shells"])
+def test_sparse_indices_are_superlus_int32(case, monkeypatch):
+    # SuperLU indexes with C int: every sparse array a system holds carries
+    # int32 indices from the stencil on, so none is upcast on its way and
+    # splu copies none of them; with numpy's default int64 a stored entry
+    # cost 16 bytes instead of 12
+    import scipy.sparse.linalg
+
+    handed = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(a, *args, **kwargs):
+        handed.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    if case == "parity torus":
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), 16)
+    elif case == "one-block torus":
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, _flux_drift(u, (1.0, np.sqrt(2.0))), 12)
+    elif case == "3-d torus":
+        u = torus_cosine(3, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(Q3_CHAIN, u), 8)
+    else:
+        q = np.diag(np.ones(4), 1)
+        sys = discretize_gaussian_linear(q - q.T, dim=5, degree=8)
+    blocks = sys._blocks
+    assert len(blocks) == {"parity torus": 2, "one-block torus": 1,
+                           "3-d torus": 2, "hermite shells": 8}[case]
+    f = np.random.default_rng(3).standard_normal(sys.n)
+    asymptotic_variances(sys, f)
+    # the grounded factor and its triangular F per block, then the LU of L - S
+    assert len(handed) == 2 * len(blocks) + 1
+    held = [sys.l_matrix, sys.s_matrix]
+    for block in blocks:
+        held += [block.l_matrix, block.s_matrix, block.grounded_energy()[1]]
+    for a in held + handed:
+        assert (a.indices.dtype, a.indptr.dtype) == (np.int32, np.int32)
+
+
 def test_scipy_modules_of_the_sparse_route():
     # discretize_torus and asymptotic_variances load no scipy module beyond
     # those that scipy.sparse, scipy.sparse.linalg and scipy.linalg load
@@ -1651,11 +1694,11 @@ def _traced_peak_bytes(run):
 def test_torus_build_allocates_no_n_by_n_array():
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
-    n = 40**2
     peak = _traced_peak_bytes(lambda: discretize_torus(u, c, 40))
     # one dense float64 (n, n) array is 20.5 MB; the dense construction
-    # peaked at 205 MB, the sparse one at 1.3 MB
-    assert peak < 8 * n * n
+    # peaked at 205 MB, the sparse one at 1.45 MB with int64 indices and at
+    # 1.10 MB with int32
+    assert peak <= 1.15e6
 
 
 def test_resolvent_route_memory_at_n_4096():
@@ -1663,7 +1706,8 @@ def test_resolvent_route_memory_at_n_4096():
     # build, the bordered LU of L - S and the grounded L D L^T of L at 7.7 MB
     # with the imports traced; with the imports outside the trace, the LU
     # on the whole state space and the parity blocks' factors of L at 3.83
-    # MB, and the LU in the blocks' coordinates at 3.77 MB
+    # MB, the LU in the blocks' coordinates at 3.77 MB, and with int32
+    # sparse indices throughout at 2.98 MB
     u = torus_cosine(2, 1.0)
     c = make_qgradu_drift(ROT, u)
     small = discretize_torus(u, c, 8)  # imports land outside the trace
@@ -1673,7 +1717,24 @@ def test_resolvent_route_memory_at_n_4096():
         sys = discretize_torus(u, c, 64)
         asymptotic_variances(sys, np.cos(sys.points[:, 0]))
 
-    assert _traced_peak_bytes(run) <= 3.95e6
+    assert _traced_peak_bytes(run) <= 3.1e6
+
+
+def test_sparse_routes_memory_on_a_3d_grid():
+    # m = 19, n = 6,859: the build and both sparse routes traced 14.32 MB
+    # with int64 sparse indices and 13.40 MB with int32; the peak is the
+    # grounded factor of L, whose U, with its 3-d fill, is copied out of
+    # SuperLU to be scaled into F
+    u = torus_cosine(3, 1.0)
+    c = make_qgradu_drift(Q3_CHAIN, u)
+    small = discretize_torus(u, c, 8)  # imports land outside the trace
+    asymptotic_variances(small, np.cos(small.points[:, 0]))
+
+    def run():
+        sys = discretize_torus(u, c, 19)
+        asymptotic_variances(sys, np.cos(sys.points[:, 0]))
+
+    assert _traced_peak_bytes(run) <= 14.0e6
 
 
 def test_l_spectrum_forms_only_the_lowest_cluster():
