@@ -12,26 +12,25 @@ The drift C carries its own scale: the paper's k Q grad U is the field
 is the continuous-time diffusion, and the discretization bias is controlled
 by step halving (see ``mc_variance.replicated_clt(check_bias=True)``).
 
-Two paths run the same scheme.  When U has a constant Hessian H (a
-Gaussian target) and the drift is Q grad U, the step is the affine map
+One driver runs the scheme on two paths.  When U has a constant Hessian H
+(a Gaussian target) and the drift is Q grad U, the step is the affine map
 x -> x A + sqrt(2 dt) xi with A = I - dt H + dt H Q^T (row vectors).
 If the spectral radius of A is below 1, d is at most ``AFFINE_MAX_DIM`` and
 the horizon has at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain,
-chains then run one at a time along the time axis, in chunks of the fixed
-``AFFINE_CHUNK_STEPS`` steps: a chunk's normals are drawn in place and
-its states come from a log-depth prefix scan over A, A^2, A^4, ...  Every
-other case (the torus, nonlinear U, custom drifts, an unstable A, many
-dimensions, many chains over a short horizon) runs on the loop: all chains
-in lock-step, one Python step at a time, each writing its states over its
-noise in place, in blocks of at most ``AFFINE_CHUNK_STEPS`` steps.  Both
-paths fold a chunk or block alike: f once on all its post-burn-in states,
-running sums added in step order.  They agree to rounding, and the loop
-gives the bits of a step-by-step loop.
+chains then run one at a time, and a block's states come from a log-depth
+prefix scan over A, A^2, A^4, ...  Every other case (the torus, nonlinear
+U, custom drifts, an unstable A, many dimensions, many chains over a short
+horizon) runs on the loop: all chains in lock-step, one Python step at a
+time.  Either way a block of at most ``AFFINE_CHUNK_STEPS`` steps has its
+scaled increments drawn at one site, is checked for finiteness once, and
+is folded alike: f once on all its post-burn-in states, running sums added
+in step order.  The paths agree to rounding, and the loop gives the bits
+of a step-by-step loop.
 
 RNG contract: every chain draws its Gaussian increments from a dedicated
 counter-based Philox stream keyed by its seed (``RNG_NAME`` in the CLI's
 reports); a chain's increments are its stream's standard normals in step
-order.  The simulator draws them in blocks or chunks to bound memory, but
+order.  The simulator draws them in blocks to bound memory, but
 neither their size, the path, nor the number of chains run together is
 part of the stream.  Chains with seeds s, s+1, ... are therefore
 statistically independent and each chain is bit-reproducible from its seed
@@ -40,6 +39,7 @@ alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,9 +53,9 @@ Array = np.ndarray
 ObservableFn = Callable[[Array], Array]
 
 RNG_NAME = "philox4x64"
-# bytes of a loop block's states and sums held at once; any value, same streams
+# bytes of a block's states, sums and draw held at once; any value, same streams
 NOISE_BLOCK_BYTES = 4 * 2**20
-# steps per affine chunk, and at most per loop block; any value, same streams
+# the most steps per block, a lone chain's block; any value, same streams
 AFFINE_CHUNK_STEPS = 4096
 # where the affine path is taken: its cost per chain-step grows like 12 dim^2
 # flops against the loop's 2 dim^2, and it pays a fixed cost per chain
@@ -77,6 +77,12 @@ class SimConfig:
     thin: int = 1  # store every thin-th state (quadrature still uses all steps)
 
     def __post_init__(self):
+        for name in ("n_steps", "burn_in_steps", "thin", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(
                 f"step_size must be positive and finite, got {self.step_size!r}")
@@ -86,6 +92,8 @@ class SimConfig:
             raise ValueError("burn_in_steps must satisfy 0 <= burn_in < n_steps")
         if self.thin < 1:
             raise ValueError("thin must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not np.all(np.isfinite(self.initial_point)):
             raise ValueError("initial_point must be finite, got "
                              f"{np.asarray(self.initial_point, dtype=float).tolist()}")
@@ -118,20 +126,20 @@ class Trajectory:
 
 
 def _em_step(u: Potential, c: DriftField, dt: float):
-    """The Euler-Maruyama map (state, noise) -> next state for fixed u, c, dt.
+    """The Euler-Maruyama map (state, increment) -> next state.
 
-    The map writes the next state, ``root * noise + (state + dt * drift)``,
-    over ``noise`` and returns it.  That is the step's one addition with its
-    operands swapped, so the bits are those of ``state + dt * drift + root *
-    noise``, and no array is made for the state.  A caller that keeps its
-    noise passes a copy.  A QGRADU drift is taken as Q grad U of this
-    potential, so grad U is evaluated once per step: the drift
+    The increment is the step's scaled noise, ``sqrt(2 dt) xi``.  The map
+    writes the next state, ``increment + (state + dt * drift)``, over
+    ``increment`` and returns it.  That is the step's one addition with its
+    operands swapped, so the bits are those of ``state + dt * drift +
+    increment``, and no array is made for the state.  A caller that keeps
+    its increment passes a copy.  A QGRADU drift is taken as Q grad U of
+    this potential, so grad U is evaluated once per step: the drift
     ``-grad U + Q grad U`` is ``grad U @ (Q^T - I)``, and ``-grad U`` alone
     when Q = 0.
     """
     on_torus = u.space_kind is SpaceKind.FLAT_TORUS
     grad = u.grad
-    root = np.sqrt(2.0 * dt)
     if c.kind is DriftKind.CUSTOM:
         ceval = c.eval
 
@@ -146,26 +154,26 @@ def _em_step(u: Potential, c: DriftField, dt: float):
         def drift(state):
             return grad(state) @ fused
 
-    def advance(state, noise):
-        noise *= root
-        noise += state + dt * drift(state)
+    def advance(state, increment):
+        increment += state + dt * drift(state)
         if on_torus:
-            np.mod(noise, TWO_PI, out=noise)
-        return noise
+            np.mod(increment, TWO_PI, out=increment)
+        return increment
 
     return advance
 
 
-def _block_steps(n_chains: int, dim: int) -> int:
-    """Steps per noise block of the loop, from 1 to ``AFFINE_CHUNK_STEPS``.
+def _block_steps(width: int, dim: int) -> int:
+    """Steps per block of ``width`` chains, from 1 to ``AFFINE_CHUNK_STEPS``.
 
-    The block's rows, the fold's running sums (``n_chains`` per step) and
-    one chain's draw, on its way into the block, fit in ``NOISE_BLOCK_BYTES``.
-    The chunk length caps a block of few chains, whose budget would cover a
-    whole horizon: a 2-d chain then holds 160 KB of rows, sums and draw,
-    not 4 MiB.
+    The block's rows (``width * dim`` per step), the fold's running sums
+    (``width`` per step) and a draw scratch (``dim`` per step) fit in
+    ``NOISE_BLOCK_BYTES``.  The cap bounds a block of few chains, whose
+    budget would cover a whole horizon: a lone chain of dim <= 8, the
+    affine path's group, gets 4096 steps, and in 2-d holds 96 KB of rows
+    and sums (it draws into its rows), not 4 MiB.
     """
-    budget = NOISE_BLOCK_BYTES // (8 * ((n_chains + 1) * dim + n_chains))
+    budget = NOISE_BLOCK_BYTES // (8 * ((width + 1) * dim + width))
     return max(1, min(AFFINE_CHUNK_STEPS, budget))
 
 
@@ -195,87 +203,77 @@ def _affine_powers(u: Potential, c: DriftField, dt: float) -> list[Array] | None
     return squares[:AFFINE_CHUNK_STEPS.bit_length()]
 
 
-def _loop_chains(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
-                 seeds: Sequence[int], *, dt: float, n_steps: int,
-                 burn_in: int, thin: int, path) -> Array:
-    """Advance the chains in lock-step, one step at a time; the general path.
+def _drive(u: Potential, c: DriftField, f: ObservableFn, x0: Array,
+           seeds: Sequence[int], powers: list[Array] | None, *, dt: float,
+           n_steps: int, burn_in: int, thin: int, path) -> Array:
+    """Run the chains in groups, a block of steps at a time.
 
     Returns each chain's sum of ``f`` over the post-burn-in left endpoints,
     and fills ``path`` (None or ``(states, times, running)``) with the first
-    chain's recorded states.  A noise block's rows are its entry state and
-    the states after each of its steps, all chains side by side: the streams
-    fill rows 1.. with normals, each step writes its states over its noise
-    in place, and :func:`_fold` folds the block.  A coordinate that is not
-    finite stays so at every later step, so the first row holding one
-    locates a divergence exactly: its step, the lowest-index chain there,
-    and that chain's state before it.
+    chain's recorded states.  On the loop (``powers`` None) the one group is
+    every chain in lock-step; on the affine path (``powers`` from
+    :func:`_affine_powers`) each chain is a group.  A block's rows are its
+    entry state and the states after each of its steps, the group's chains
+    side by side: (b + 1, width, dim).  Each stream draws its normals into
+    one scratch (a lone chain's own rows), and they enter rows 1.. scaled
+    by sqrt(2 dt).  The loop writes each step's states over its increments
+    in place; the affine path's Hillis-Steele scan adds
+    ``rows[:-2^j] @ A^(2^j)`` to ``rows[2^j:]`` for j = 0, 1, ..., after
+    which row t is ``x A^t + sum_s sqrt(2 dt) xi_s A^(t-1-s)``, the state
+    after t steps.  :func:`_fold` then folds the block.
+
+    On the loop a coordinate that is not finite stays so at every later
+    step, so the last row is checked, and the first row holding one locates
+    a divergence exactly: its step, the lowest-index chain there, and that
+    chain's state before it.  The scan gives no such guarantee, so all of
+    an affine block is checked, and a non-finite one reruns every chain on
+    the loop, which reports the divergence as above.
     """
-    rngs = [Generator(Philox(key=int(s))) for s in seeds]
-    advance = _em_step(u, c, dt)
-    steps = min(n_steps, _block_steps(len(seeds), len(x0)))
-    buf = np.empty((steps + 1, len(seeds), len(x0)))
-    sums = np.empty((steps + 1, len(seeds)))
-    buf[0] = x0
-    total = np.zeros(len(seeds))
-    for start in range(0, n_steps, steps):
-        rows = buf[:min(steps, n_steps - start) + 1]
-        for i, rng in enumerate(rngs):
-            rows[1:, i] = rng.standard_normal((len(rows) - 1, len(x0)))
-        for s in range(len(rows) - 1):
-            advance(rows[s], rows[s + 1])
-        if not np.all(np.isfinite(rows[-1])):
-            bad = ~np.all(np.isfinite(rows[1:]), axis=-1)
-            s, i = np.unravel_index(np.argmax(bad), bad.shape)
-            raise DivergenceError(step_index=start + int(s), seed=int(seeds[i]),
-                                  state=rows[s, i].copy())
-        total = _fold(f, rows, sums, total, start, path, dt=dt,
-                      n_steps=n_steps, burn_in=burn_in, thin=thin)
-        buf[0] = rows[-1]
-    return total
-
-
-def _affine_chains(powers: list[Array], u: Potential, c: DriftField,
-                   f: ObservableFn, x0: Array, seeds: Sequence[int], *,
-                   dt: float, n_steps: int, burn_in: int, thin: int,
-                   path) -> Array:
-    """The affine path: chains one at a time, ``AFFINE_CHUNK_STEPS`` at once.
-
-    Same contract as :func:`_loop_chains`.  A chunk's rows are its entry
-    state and the states after each of its steps.  They are made in place:
-    the chain's stream fills rows 1.. with its normals, scaled by
-    sqrt(2 dt), and a Hillis-Steele scan adds ``rows[:-2^j] @ A^(2^j)`` to
-    ``rows[2^j:]`` for j = 0, 1, ...  Row t is then
-    ``x A^t + sum_s sqrt(2 dt) xi_s A^(t-1-s)``, the state after t steps.
-    The chunk is then folded by :func:`_fold`.  When a chunk is not finite,
-    every chain is rerun on the loop, so a divergence is located and
-    reported exactly as the loop reports it: at the earliest step of any
-    chain, and at that step the lowest-index chain.
-    """
-    buf = np.empty((min(n_steps, AFFINE_CHUNK_STEPS) + 1, len(x0)))
-    sums = np.empty(len(buf))
+    dim = len(x0)
+    width = len(seeds) if powers is None else 1
+    steps = min(n_steps, _block_steps(width, dim))
+    buf = np.empty((steps + 1, width, dim))
+    sums = np.empty((steps + 1, width))
+    # a lone chain draws straight into its rows, since they are contiguous
+    draw = buf[1:, 0] if width == 1 else np.empty((steps, dim))
     root = np.sqrt(2.0 * dt)
+    advance = _em_step(u, c, dt)
     fsum = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = Generator(Philox(key=int(seed)))
+    for g in range(0, len(seeds), width):
+        rngs = [Generator(Philox(key=int(s))) for s in seeds[g:g + width]]
         buf[0] = x0
-        total = 0.0
-        for start in range(0, n_steps, AFFINE_CHUNK_STEPS):
-            chunk = buf[:min(AFFINE_CHUNK_STEPS, n_steps - start) + 1]
-            rng.standard_normal(out=chunk[1:])
-            chunk[1:] *= root
-            for j, power in enumerate(powers):
-                if 1 << j >= len(chunk):
-                    break
-                chunk[1 << j:] += chunk[:-(1 << j)] @ power
-            if not np.all(np.isfinite(chunk)):
-                return _loop_chains(u, c, f, x0, seeds, dt=dt,
-                                    n_steps=n_steps, burn_in=burn_in,
-                                    thin=thin, path=path)
-            total = _fold(f, chunk, sums, total, start,
-                          path if i == 0 else None, dt=dt, n_steps=n_steps,
+        total = np.zeros(width)
+        for start in range(0, n_steps, steps):
+            b = min(steps, n_steps - start)
+            rows = buf[:b + 1]
+            for i, rng in enumerate(rngs):
+                rng.standard_normal(out=draw[:b])
+                np.multiply(draw[:b], root, out=rows[1:, i])
+            if powers is None:
+                for s in range(b):
+                    advance(rows[s], rows[s + 1])
+            else:
+                flat = rows.reshape(-1, dim)  # row t, chain i at t * width + i
+                for j, power in enumerate(powers):
+                    lag = width << j
+                    if lag >= len(flat):
+                        break
+                    flat[lag:] += flat[:-lag] @ power
+            if not np.all(np.isfinite(rows[-1] if powers is None else rows)):
+                if powers is not None:
+                    return _drive(u, c, f, x0, seeds, None, dt=dt,
+                                  n_steps=n_steps, burn_in=burn_in,
+                                  thin=thin, path=path)
+                bad = ~np.all(np.isfinite(rows[1:]), axis=-1)
+                s, i = np.unravel_index(np.argmax(bad), bad.shape)
+                raise DivergenceError(step_index=start + int(s),
+                                      seed=int(seeds[g + i]),
+                                      state=rows[s, i].copy())
+            total = _fold(f, rows, sums, total, start,
+                          path if g == 0 else None, dt=dt, n_steps=n_steps,
                           burn_in=burn_in, thin=thin)
-            buf[0] = chunk[-1]
-        fsum[i] = total
+            buf[0] = rows[-1]
+        fsum[g:g + width] = total
     return fsum
 
 
@@ -283,13 +281,13 @@ def _fold(f: ObservableFn, rows: Array, sums: Array, total, start: int, path,
           *, dt: float, n_steps: int, burn_in: int, thin: int):
     """Add ``f`` over a block's post-burn-in left endpoints; return the total.
 
-    ``rows`` holds the states at steps ``start``, ``start + 1``, ... of one
-    chain, (b + 1, dim), or of all chains side by side, (b + 1, n_chains,
-    dim); ``total`` is each chain's sum so far.  ``f`` is evaluated once on
-    the block, and ``sums[m]``, in a buffer of b + 1 rows or more, becomes
-    the total over the endpoints before ``first + m``, added in step order.
-    Chain 0's recorded steps, and its last state when the block ends the
-    run, go to ``path``.
+    ``rows`` holds the states at steps ``start``, ``start + 1``, ... of a
+    group of chains side by side, (b + 1, width, dim); ``total`` is each
+    chain's sum so far.  ``f`` is evaluated once on the block, and
+    ``sums[m]``, in a buffer of b + 1 rows or more, becomes the total over
+    the endpoints before ``first + m``, added in step order.  Chain 0's
+    recorded steps, and its last state when the block ends the run, go to
+    ``path``.
     """
     b = len(rows) - 1
     first = max(start, burn_in)  # first post-burn-in left endpoint
@@ -300,16 +298,15 @@ def _fold(f: ObservableFn, rows: Array, sums: Array, total, start: int, path,
     sums[1:n + 1] = f(rows[first - start:b])
     np.cumsum(sums[:n + 1], axis=0, out=sums[:n + 1])
     if path is not None:
-        chain0 = (slice(None), 0) if rows.ndim == 3 else slice(None)
         stop = start + b + (start + b == n_steps)  # the last state, too
-        _record_chunk(path, rows[chain0], sums[chain0], start, first, stop,
+        _record_block(path, rows[:, 0], sums[:, 0], start, first, stop,
                       dt=dt, burn_in=burn_in, thin=thin)
     return sums[n].copy()
 
 
-def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
+def _record_block(path, block: Array, sums: Array, start: int, first: int,
                   stop: int, *, dt: float, burn_in: int, thin: int) -> None:
-    """Store the recorded steps among steps ``first..stop - 1`` of a chunk
+    """Store the recorded steps among steps ``first..stop - 1`` of a block
     whose rows start at step ``start``."""
     states, times, running = path
     j0 = -(-(first - burn_in) // thin)  # the first row recorded here
@@ -317,7 +314,7 @@ def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
     if s0 >= stop:
         return
     rows = slice(j0, j0 + (stop - 1 - s0) // thin + 1)
-    states[rows] = chunk[s0 - start:stop - start:thin]
+    states[rows] = block[s0 - start:stop - start:thin]
     np.multiply(np.arange(s0, stop, thin), dt, out=times[rows])
     done = np.arange(s0 - burn_in, stop - burn_in, thin)  # since burn-in
     np.divide(sums[s0 - first:stop - first:thin], np.maximum(done, 1),
@@ -328,8 +325,8 @@ def _record_chunk(path, chunk: Array, sums: Array, start: int, first: int,
 
 def _run_chains(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
                 seeds: Sequence[int], store: bool = False):
-    """Run the chains of ``cfg`` on the affine path or the loop; behind the
-    public API.
+    """Run the chains of ``cfg`` through :func:`_drive`, on the affine path
+    or the loop; behind the public API.
 
     The chains start at ``cfg.initial_point`` with the streams of ``seeds``.
     Rejects a drift or an initial point whose dimension is not the
@@ -344,14 +341,14 @@ def _run_chains(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
     at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain; outside these
     bounds the loop was timed faster.
 
-    Memory does not grow with the horizon.  On the loop, a noise block's
-    rows and the fold's running sums, allocated once per run and written
-    in place by the steps, hold at most ``AFFINE_CHUNK_STEPS`` steps in
-    ``NOISE_BLOCK_BYTES`` (or one step, if that is larger; see
-    :func:`_block_steps`), plus ``f``'s output and temporaries on one
-    block.  On the affine path one chunk of ``AFFINE_CHUNK_STEPS`` steps,
-    with its sums and product, takes at most 0.5 MB.  The stored path is
-    allocated up front at ``8 * (dim + 2)`` bytes per recorded state.
+    Memory does not grow with the horizon.  A block's rows, the fold's
+    running sums and the draw scratch (none for a lone chain), allocated
+    once per run and written in place, hold at most ``AFFINE_CHUNK_STEPS``
+    steps of one group in ``NOISE_BLOCK_BYTES`` (or one step, if that is
+    larger; see :func:`_block_steps`), plus ``f``'s output and temporaries
+    on one block: an affine chain of dim 8 peaks at 0.6 MB traced, the
+    scan's product included.  The stored path is allocated up front at
+    ``8 * (dim + 2)`` bytes per recorded state.
     """
     if c.dim != u.dim:
         raise ValueError(f"drift dim {c.dim} != potential dim {u.dim}")
@@ -362,17 +359,13 @@ def _run_chains(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
     rows = (n_steps - burn_in) // cfg.thin + 1
     path = ((np.empty((rows, u.dim)), np.empty(rows), np.empty(rows))
             if store else None)
-    kwargs = dict(dt=dt, n_steps=n_steps, burn_in=burn_in, thin=cfg.thin,
-                  path=path)
     affine = (u.dim <= AFFINE_MAX_DIM
               and n_steps >= AFFINE_MIN_STEPS_PER_CHAIN * len(seeds))
     powers = _affine_powers(u, c, dt) if affine else None
     with np.errstate(over="ignore", invalid="ignore"):
-        # overflow is detected per block or chunk and located on the loop's rows
-        if powers is None:
-            fsum = _loop_chains(u, c, f, x0, seeds, **kwargs)
-        else:
-            fsum = _affine_chains(powers, u, c, f, x0, seeds, **kwargs)
+        # overflow is detected per block and located on the loop's rows
+        fsum = _drive(u, c, f, x0, seeds, powers, dt=dt, n_steps=n_steps,
+                      burn_in=burn_in, thin=cfg.thin, path=path)
     return fsum / (n_steps - burn_in), (n_steps - burn_in) * dt, path
 
 

@@ -922,18 +922,6 @@ def _apply_panels(panels: list[tuple[int, Array]], c: Array,
     return c
 
 
-def _interleave_columns(a: Array, half: int) -> None:
-    """Columns c_0 ... c_{half - 1}, d_0, d_1, ... of ``a`` moved in place to
-    c_0, d_0, c_1, d_1, ..., along the cycles of that permutation."""
-    dest = np.concatenate([np.arange(0, a.shape[1], 2), np.arange(1, a.shape[1], 2)])
-    todo = dest != np.arange(a.shape[1])
-    for start in np.flatnonzero(todo):
-        carry, k = a[:, start].copy(), dest[start]
-        while todo[k]:
-            carry, a[:, k] = a[:, k].copy(), carry
-            todo[k], k = False, dest[k]
-
-
 def _skew_svd(m: Array) -> tuple[Array, tuple[Array, list], float]:
     """(s, (signs, panels), residual): the singular values of the (N, N)
     ``m``, ascending, the QR O^T = H diag(signs) of a right singular basis
@@ -941,8 +929,8 @@ def _skew_svd(m: Array) -> tuple[Array, tuple[Array, list], float]:
     m is made antisymmetric.  W holds U in its even rows and Vt^T in its odd
     ones (:func:`_bidiagonal_svd`).  Q's panels are packed before B's SVD,
     and m is freed then if it was handed over with no other reference; W^T
-    is filled even coordinates first, so U and Vt each touch half of it,
-    then multiplied by Q^T in place, which leaves O^T for ``dgeqrf``."""
+    is filled from U and Vt, then multiplied by Q^T in place, which leaves
+    O^T for ``dgeqrf``."""
     from scipy.linalg import lapack
 
     residual = _symmetrize(m, -1.0)
@@ -951,15 +939,14 @@ def _skew_svd(m: Array) -> tuple[Array, tuple[Array, list], float]:
     q = _wy_panels(h, tau[:len(h) - 2], 1)
     del h
     s, u, vt = _bidiagonal_svd(e)
-    half, order = len(u), np.argsort(s, kind="stable")
+    order = np.argsort(s, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(s))
     o_t = np.zeros((len(s), len(s)), order="F")
-    o_t[rank[0::2], :half] = u.T  # the even coordinates first: half of o_t
+    o_t[rank[0::2], 0::2] = u.T
     del u
-    o_t[rank[1::2], half:] = vt
+    o_t[rank[1::2], 1::2] = vt
     del vt
-    _interleave_columns(o_t, half)
     _apply_panels(q, o_t, right=True)
     del q
     o_t, tau, _, _ = lapack.dgeqrf(o_t, overwrite_a=1,

@@ -261,6 +261,9 @@ def test_divergence_exits_3(tmp_path, capsys):
      "dim must be a positive integer"),
     (["check-assumptions", "--potential", "torus_cosine", "--dim", "-1",
       "--drift", "none"], "dim must be a positive integer"),
+    # a seed Philox cannot key, refused by name
+    (["estimate-variance", "--n-steps", "2000", "--burn-in", "0", "--seed",
+      "-1"], "seed must be non-negative"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that

@@ -2,6 +2,7 @@
 sampler modules stay clear of the oracle's layers."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ SRC = Path(irrlangevin.__file__).parent
 # the oracle's layers and the front ends, none of which a sampler may load
 SAMPLER_FORBIDDEN = {"observables", "spectral_oracle", "analysis", "benchmark",
                      "cli"}
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _module_level_import_nodes(tree: ast.Module):
@@ -75,6 +77,43 @@ def test_every_module_level_import_is_read():
                    for name, line in _module_level_imports(tree)
                    if name not in read]
     assert not unused, f"imports nothing reads: {sorted(unused)}"
+
+
+def _module_level_constants(tree: ast.Module):
+    """(name, line) of the UPPER_CASE names assigned outside any function or
+    class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    yield name.id, node.lineno
+
+
+def test_every_module_level_constant_is_read():
+    # a constant nothing reads names a setting that no longer acts; a read is
+    # a load of the name, or of an attribute by that name, in any module
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    constants = [(name, f"{file}:{line} {name}")
+                 for file, tree in trees.items()
+                 for name, line in _module_level_constants(tree)]
+    assert constants
+    unread = [where for name, where in constants if name not in read]
+    assert not unread, f"constants nothing reads: {unread}"
 
 
 @pytest.mark.parametrize("name", ["sde_sim.py", "mc_variance.py"])

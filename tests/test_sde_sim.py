@@ -39,9 +39,10 @@ def coord1(x):
 
 
 def em_step(x, u, c, dt, noise):
-    """One step of the simulator's Euler-Maruyama map, on a copy of ``noise``."""
+    """One step of the simulator's Euler-Maruyama map, on ``noise`` scaled
+    into a new increment."""
     return sde_sim._em_step(u, c, dt)(np.asarray(x, dtype=float),
-                                      np.array(noise, dtype=float))
+                                      np.sqrt(2.0 * dt) * np.asarray(noise))
 
 
 def test_step_em_fixed_point():
@@ -80,6 +81,15 @@ def test_simconfig_validation():
                   burn_in_steps=10)
     with pytest.raises(ValueError):
         SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0], thin=0)
+    # a non-integer count or seed is refused up front, by name, not by a
+    # TypeError from inside the run or Philox's message on its key
+    for field, bad in (("n_steps", 100.0), ("thin", 2.5),
+                       ("burn_in_steps", 1.5), ("seed", 3.0), ("seed", "3")):
+        kwargs = {"n_steps": 10, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(step_size=0.1, initial_point=[0.0], **kwargs)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig(step_size=0.1, n_steps=10, initial_point=[0.0], seed=-1)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
             SimConfig(step_size=bad, n_steps=10, initial_point=[0.0])
@@ -415,15 +425,16 @@ def _loop_and_affine(monkeypatch, run):
 
 
 def _spy_affine(monkeypatch):
-    """A list that gets one entry each time the affine path runs."""
+    """A list that gets one entry each time the driver runs the affine path."""
     taken = []
-    run = sde_sim._affine_chains
+    run = sde_sim._drive
 
     def spy(*args, **kwargs):
-        taken.append(1)
+        if args[5] is not None:
+            taken.append(1)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(sde_sim, "_affine_chains", spy)
+    monkeypatch.setattr(sde_sim, "_drive", spy)
     return taken
 
 
@@ -627,12 +638,15 @@ def test_loop_evaluates_grad_once_per_step():
 # --- the loop's blocks against a step-by-step reference -----------------------
 
 
-def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, thin, path):
-    """The loop as it ran before its blocks were folded, kept as a reference:
-    ``f`` and the record on every step, and a diverged block replayed step by
-    step from a copy of its entry state.  ``advance`` writes its step over
-    the noise it is given, so the first pass hands it copies and the block
-    stays intact for the replay."""
+def _per_step_loop(u, c, f, x0, seeds, powers, *, dt, n_steps, burn_in, thin,
+                   path):
+    """The loop as it ran before its blocks were folded, kept as a reference
+    for the driver on the loop (``powers`` None): ``f`` and the record on
+    every step, and a diverged block replayed step by step from a copy of
+    its entry state.  ``advance`` writes its step over the increment it is
+    given, so the first pass hands it copies and the block stays intact for
+    the replay."""
+    assert powers is None
     x = np.tile(x0, (len(seeds), 1))
     advance = sde_sim._em_step(u, c, dt)
     fsum = np.zeros(len(seeds))
@@ -653,6 +667,7 @@ def _per_step_loop(u, c, f, x0, seeds, *, dt, n_steps, burn_in, thin, path):
     for start in range(0, n_steps, steps):
         b = min(steps, n_steps - start)
         block = np.stack([r.standard_normal((b, len(x0))) for r in rngs], axis=1)
+        block *= np.sqrt(2.0 * dt)
         x_entry = x.copy()
         for s in range(b):
             step = start + s
@@ -703,8 +718,8 @@ def test_loop_matches_the_per_step_loop(monkeypatch, case, thin):
     # burn-in ends inside the third 7-step block; 5 chains in lock-step
     u, drift, x0 = LOOP_CASES[case]
     runs = []
-    for loop in (sde_sim._loop_chains, _per_step_loop):
-        monkeypatch.setattr(sde_sim, "_loop_chains", loop)
+    for loop in (sde_sim._drive, _per_step_loop):
+        monkeypatch.setattr(sde_sim, "_drive", loop)
         for bytes_ in (sde_sim.NOISE_BLOCK_BYTES,
                        7 * 8 * (6 * 2 + 5), 7 * 8 * (2 * 2 + 1)):
             monkeypatch.setattr(sde_sim, "NOISE_BLOCK_BYTES", bytes_)
@@ -736,8 +751,8 @@ def test_loop_divergence_matches_the_per_step_loop(monkeypatch):
     cfg = SimConfig(step_size=0.05, n_steps=60, initial_point=[0.1, 6.0],
                     seed=70)
     errors = []
-    for loop in (sde_sim._loop_chains, _per_step_loop):
-        monkeypatch.setattr(sde_sim, "_loop_chains", loop)
+    for loop in (sde_sim._drive, _per_step_loop):
+        monkeypatch.setattr(sde_sim, "_drive", loop)
         with pytest.raises(DivergenceError) as err:
             chain_time_averages(u, make_qgradu_drift(ROT, u), coord1, cfg, 3)
         errors.append(err.value)

@@ -1966,7 +1966,8 @@ def test_package_import_loads_no_sparse_module():
 def test_sampler_loads_no_scipy_module():
     # a torus chain, its batch-means and OBM estimates and a replicated CLT
     # run on numpy alone: scipy.sparse would add 14 MB of RSS, and
-    # scipy.sparse.linalg 24 MB
+    # scipy.sparse.linalg 24 MB; so do a Gaussian chain and replicated CLT,
+    # which take the affine path
     import irrlangevin
 
     src = str(Path(irrlangevin.__file__).resolve().parents[1])
@@ -1980,6 +1981,10 @@ def test_sampler_loads_no_scipy_module():
         "initial_point=[0.5, 0.5], burn_in_steps=100, seed=3); "
         "traj = simulate(u, c, f, cfg); batch_means(traj, f); "
         "overlapping_batch_means(traj, f); replicated_clt(u, c, f, cfg, 4); "
+        "g = make_potential('gaussian', dim=2); "
+        "cg = make_qgradu_drift(np.array([[0.0, 1.0], [-1.0, 0.0]]), g); "
+        "fg = parse_observable('x1', 2).fn; "
+        "simulate(g, cg, fg, cfg); replicated_clt(g, cg, fg, cfg, 4); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe, src], check=True,
                          capture_output=True, text=True).stdout
