@@ -10,8 +10,9 @@ to a fixed seed bank, so the whole table is deterministic.
 ``run_benchmark`` executes the matrix (optionally a subset) and is what
 ``irrlangevin reproduce-benchmark`` calls.  Every gate reads its tolerance
 from ``TOLERANCES``; nothing on the command line can change one.  Each
-benchmark system is built once per process and cached under its drift
-scale k and its size.
+runner builds the systems it reads and drops them when it returns, so no
+criterion runs on top of another's systems; only the random-observable
+scan, which holds floats, is cached, for C3 to read C1's.
 """
 
 from __future__ import annotations
@@ -71,21 +72,14 @@ class CriterionRow:
     passed: bool
 
 
-# --- shared instances (built once per process) ------------------------------
+# --- benchmark systems (built by each runner that reads them) ---------------
 
 
 def torus_benchmark_system(k: float, points_per_axis: int = 32):
-    # one cache key per system, however the mesh is passed
-    return _torus_system(k, points_per_axis)
-
-
-@lru_cache(maxsize=None)
-def _torus_system(k: float, points_per_axis: int):
     u = torus_cosine(2, 1.0)
     return discretize_torus(u, make_qgradu_drift(k * ROT, u), points_per_axis)
 
 
-@lru_cache(maxsize=None)
 def torus_axis_system(points_per_axis: int = 32):
     # energy depending on x1 only: functions of the energy are drift
     # invariants of the grid operator exactly, not just in the limit
@@ -93,14 +87,14 @@ def torus_axis_system(points_per_axis: int = 32):
     return discretize_torus(u, make_qgradu_drift(ROT, u), points_per_axis)
 
 
-@lru_cache(maxsize=None)
 def gaussian_benchmark_system(k: float, degree: int = 6):
     return discretize_gaussian_linear(k * ROT, dim=2, degree=degree)
 
 
 def _backends():
-    return [("torus 32x32, U = cos x1 + cos x2", torus_benchmark_system(1.0)),
-            ("gaussian-linear dim 2 degree 6", gaussian_benchmark_system(1.0))]
+    # one unit-scale system per backend, built as the loop reaches it
+    yield "torus 32x32, U = cos x1 + cos x2", torus_benchmark_system(1.0)
+    yield "gaussian-linear dim 2 degree 6", gaussian_benchmark_system(1.0)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +225,10 @@ def run_c5(tol: Mapping[str, float]) -> list[CriterionRow]:
     return rows
 
 
-def _sweep_rows(tol, case, builder, f, ks,
+def _sweep_rows(tol, case, sys, build, f, ks,
                 ) -> tuple[list[CriterionRow], KSweepResult]:
-    res = sweep_k(builder, f, ks)
+    # sweep_k builds only the unit scale: hand it ``sys``, already built
+    res = sweep_k(lambda k: sys if k == 1.0 else build(k), f, ks)
     diffs = np.diff(res.sigma2_values)
     worst_increase = float(np.max(diffs)) if len(diffs) else 0.0
     rows = [CriterionRow(
@@ -258,15 +253,18 @@ def _sweep_rows(tol, case, builder, f, ks,
 
 def run_c6(tol: Mapping[str, float]) -> list[CriterionRow]:
     ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    f = observable_vector(gaussian_benchmark_system(1.0), parse_observable("x1", 2))
-    rows, res = _sweep_rows(tol, "gaussian f = x1", gaussian_benchmark_system, f, ks)
+    sys = gaussian_benchmark_system(1.0)
+    f = observable_vector(sys, parse_observable("x1", 2))
+    rows, res = _sweep_rows(tol, "gaussian f = x1", sys,
+                            gaussian_benchmark_system, f, ks)
     rows.append(CriterionRow(
         "C6", "gaussian limit is zero", "|limit_prediction| <= tol",
         abs(res.limit_prediction), tol["C6_limit"],
         abs(res.limit_prediction) <= tol["C6_limit"]))
-    f = np.cos(torus_benchmark_system(1.0).points[:, 0])
-    torus_rows, _ = _sweep_rows(tol, "torus f = cos x1", torus_benchmark_system,
-                                f, ks)
+    sys = torus_benchmark_system(1.0)
+    f = np.cos(sys.points[:, 0])
+    torus_rows, _ = _sweep_rows(tol, "torus f = cos x1", sys,
+                                torus_benchmark_system, f, ks)
     return rows + torus_rows
 
 
@@ -330,12 +328,14 @@ def run_c9(tol: Mapping[str, float]) -> list[CriterionRow]:
     return rows
 
 
+def _torus_variances(points_per_axis: int) -> tuple[float, float]:
+    # one grid at a time: this system is dropped before the next is built
+    sys = torus_benchmark_system(1.0, points_per_axis)
+    return asymptotic_variances(sys, np.cos(sys.points[:, 0]))
+
+
 def run_c10(tol: Mapping[str, float]) -> list[CriterionRow]:
-    values = {}
-    for m in (16, 32, 64):
-        sys = torus_benchmark_system(1.0, m)
-        f = np.cos(sys.points[:, 0])
-        values[m] = asymptotic_variances(sys, f)
+    values = {m: _torus_variances(m) for m in (16, 32, 64)}
     rows = []
     for route, label in ((0, "sigma2_rev"), (1, "sigma2_irr")):
         d1 = values[16][route] - values[32][route]
@@ -370,7 +370,8 @@ def run_benchmark(only: Sequence[str] | None = None,
     """Run the acceptance matrix, or the criteria in ``only``, at ``TOLERANCES``.
 
     Returns (rows, all_passed).  An empty ``only`` raises ``ValueError``,
-    since a gate that runs no criterion would pass having checked nothing.
+    since a gate that runs no criterion would pass having checked nothing;
+    so does a criterion named twice, whose rows would count twice.
     """
     tol = dict(TOLERANCES)
     names = list(CRITERIA) if only is None else list(only)
@@ -379,6 +380,9 @@ def run_benchmark(only: Sequence[str] | None = None,
     unknown = [n for n in names if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}; available {list(CRITERIA)}")
+    repeated = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+    if repeated:
+        raise ValueError(f"criteria named more than once: {repeated}")
     rows: list[CriterionRow] = []
     for name in names:
         _, runner = CRITERIA[name]

@@ -4,7 +4,9 @@ Each test runs its criterion from the shared benchmark matrix (the same
 code behind ``irrlangevin reproduce-benchmark``) and prints one pass/fail
 line; run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 Key closed-form anchors are asserted directly here as well, so a wrong
-expected value inside the matrix cannot self-certify.
+expected value inside the matrix cannot self-certify.  Each test also
+checks that every system its runner built is unreachable once the runner
+returns: a criterion's systems live only as long as the criterion.
 
 Criteria
 --------
@@ -21,7 +23,9 @@ C9   Monte Carlo replicated-CLT estimates match the oracle within 25%
 C10  torus oracle converges at second order (ratio in [3, 5])
 """
 
-import numpy as np
+import gc
+import weakref
+
 import pytest
 
 from irrlangevin import benchmark as bench
@@ -29,13 +33,30 @@ from irrlangevin.benchmark import (
     TOLERANCES,
     gaussian_benchmark_system,
     run_benchmark,
-    torus_benchmark_system,
 )
 from irrlangevin.observables import observable_vector, parse_observable
 from irrlangevin.spectral_oracle import variance_report
 
 
-def _run(criterion):
+@pytest.fixture
+def builds(monkeypatch):
+    """(builder name, weak reference) for each system the matrix builds."""
+    built = []
+    for name in ("discretize_torus", "discretize_gaussian_linear"):
+        def recording(*args, _real=getattr(bench, name), _name=name, **kwargs):
+            sys = _real(*args, **kwargs)
+            built.append((_name, weakref.ref(sys)))
+            return sys
+        monkeypatch.setattr(bench, name, recording)
+    return built
+
+
+def _alive(builds):
+    gc.collect()
+    return [name for name, ref in builds if ref() is not None]
+
+
+def _run(criterion, builds):
     rows, _ = run_benchmark(only=[criterion])
     for row in rows:
         verdict = "pass" if row.passed else "FAIL"
@@ -45,16 +66,20 @@ def _run(criterion):
     assert not failed, f"{criterion}: {len(failed)} checks failed: " + "; ".join(
         f"{r.case} observed={r.observed:.4e} tol={r.tolerance:.4e}"
         for r in failed)
+    if criterion not in ("C3", "C9"):  # C3 reads C1's scan; C9 simulates
+        assert builds, f"{criterion} built no system"
+    assert not _alive(builds), f"{criterion} kept a system alive"
     return rows
 
 
-def test_c01_main_inequality():
-    rows = _run("C1")
+def test_c01_main_inequality(builds):
+    bench._inequality_scan.cache_clear()  # build the scan's systems here
+    rows = _run("C1", builds)
     assert len(rows) == 2  # both backends scanned
 
 
-def test_c02_closed_form_rotation_benchmark():
-    _run("C2")
+def test_c02_closed_form_rotation_benchmark(builds):
+    _run("C2", builds)
     # anchor the matrix against the hand derivation, independently
     for k in (0.0, 1.0, 2.0, 4.0):
         sys = gaussian_benchmark_system(k)
@@ -63,68 +88,62 @@ def test_c02_closed_form_rotation_benchmark():
         assert rep.sigma2_irr == pytest.approx(2.0 / (1.0 + k**2), abs=1e-9)
 
 
-def test_c03_route_agreement():
-    _run("C3")
+def test_c03_route_agreement(builds):
+    _run("C3", builds)
 
 
-def test_c04_operator_structure():
-    rows = _run("C4")
+def test_c04_operator_structure(builds):
+    rows = _run("C4", builds)
     assert len(rows) == 14  # 7 structural checks on each backend
 
 
-def test_c05_equality_characterization():
-    rows = _run("C5")
+def test_c05_equality_characterization(builds):
+    rows = _run("C5", builds)
     gap_row = next(r for r in rows if "gaussian f = x1, q rotation" in r.case)
     assert gap_row.observed == pytest.approx(1.0, abs=1e-9)  # gap is 2 - 1
 
 
-def test_c06_growing_perturbation():
-    _run("C6")
+def test_c06_growing_perturbation(builds):
+    _run("C6", builds)
 
 
-def test_c06_sweeps_the_cached_systems(monkeypatch):
-    # C6 sweeps the unit-scale systems that C1-C5 and C7 use; it builds none
-    torus_benchmark_system(1.0)
-    gaussian_benchmark_system(1.0)
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("C6 built a system")
-
-    monkeypatch.setattr(bench, "discretize_torus", no_build)
-    monkeypatch.setattr(bench, "discretize_gaussian_linear", no_build)
+def test_c06_builds_each_unit_system_once(builds):
+    # one system per backend serves both its observable and its sweep
     assert all(row.passed for row in bench.run_c6(TOLERANCES))
+    assert sorted(name for name, _ in builds) == [
+        "discretize_gaussian_linear", "discretize_torus"]
 
 
-def test_c10_reuses_the_cached_m32_system(monkeypatch):
-    # the m = 32 row of C10 is the system C1, C4 and C6-C8 use
-    torus_benchmark_system(1.0)
-    real = bench.discretize_torus
-    meshes = []
-
-    def recording(*args):
-        meshes.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(bench, "discretize_torus", recording)
-    assert all(row.passed for row in bench.run_c10(TOLERANCES))
-    assert 32 not in meshes
+def test_c07_worst_case(builds):
+    _run("C7", builds)
 
 
-def test_c07_worst_case():
-    _run("C7")
+def test_c08_spectral_gap_not_reduced(builds):
+    _run("C8", builds)
 
 
-def test_c08_spectral_gap_not_reduced():
-    _run("C8")
-
-
-def test_c09_monte_carlo_consistency():
-    rows = _run("C9")
+def test_c09_monte_carlo_consistency(builds):
+    rows = _run("C9", builds)
     drop = next(r for r in rows if "reduction" in r.case)
     assert drop.observed > drop.tolerance  # k=1 beats k=0 beyond noise
 
 
-def test_c10_mesh_convergence():
-    rows = _run("C10")
+def test_c10_mesh_convergence(builds):
+    rows = _run("C10", builds)
     for row in rows:
         assert TOLERANCES["C10_low"] <= row.observed <= TOLERANCES["C10_high"]
+
+
+def test_c10_drops_each_grid_before_the_next(builds, monkeypatch):
+    # the n = 4,096 grid is built after the m = 16 and 32 grids are dropped
+    alive_at_64 = []
+    recording = bench.discretize_torus
+
+    def checked(u, drift, points_per_axis):
+        if points_per_axis == 64:
+            alive_at_64.append(_alive(builds))
+        return recording(u, drift, points_per_axis)
+
+    monkeypatch.setattr(bench, "discretize_torus", checked)
+    assert all(row.passed for row in bench.run_c10(TOLERANCES))
+    assert len(builds) == 3 and alive_at_64 == [[]]

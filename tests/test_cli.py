@@ -386,6 +386,18 @@ def test_benchmark_with_no_criterion_names_exits_2(only, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_benchmark_refuses_a_criterion_named_twice(tmp_path, capsys):
+    # "--only C2,C2" ran C2 twice and counted its 8 checks as 16
+    with pytest.raises(ValueError, match=r"more than once: \['C2'\]"):
+        bench.run_benchmark(only=["C2", "C4", "C2"])
+    out = tmp_path / "bench.csv"
+    code = run_command(["reproduce-benchmark", "--only", "C2,C2",
+                        "--output", str(out)])
+    assert code == 2
+    assert "more than once: ['C2']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_tolerances_not_settable_from_command_line(capsys):
     assert run_command(["reproduce-benchmark", "--only", "C2",
                         "--override-tolerance", "C2_value=1"]) == 2
