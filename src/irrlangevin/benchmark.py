@@ -225,10 +225,9 @@ def run_c5(tol: Mapping[str, float]) -> list[CriterionRow]:
     return rows
 
 
-def _sweep_rows(tol, case, sys, build, f, ks,
-                ) -> tuple[list[CriterionRow], KSweepResult]:
+def _sweep_rows(tol, case, sys, f, ks) -> tuple[list[CriterionRow], KSweepResult]:
     # sweep_k builds only the unit scale: hand it ``sys``, already built
-    res = sweep_k(lambda k: sys if k == 1.0 else build(k), f, ks)
+    res = sweep_k(lambda _: sys, f, ks)
     diffs = np.diff(res.sigma2_values)
     worst_increase = float(np.max(diffs)) if len(diffs) else 0.0
     rows = [CriterionRow(
@@ -255,16 +254,14 @@ def run_c6(tol: Mapping[str, float]) -> list[CriterionRow]:
     ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     sys = gaussian_benchmark_system(1.0)
     f = observable_vector(sys, parse_observable("x1", 2))
-    rows, res = _sweep_rows(tol, "gaussian f = x1", sys,
-                            gaussian_benchmark_system, f, ks)
+    rows, res = _sweep_rows(tol, "gaussian f = x1", sys, f, ks)
     rows.append(CriterionRow(
         "C6", "gaussian limit is zero", "|limit_prediction| <= tol",
         abs(res.limit_prediction), tol["C6_limit"],
         abs(res.limit_prediction) <= tol["C6_limit"]))
     sys = torus_benchmark_system(1.0)
     f = np.cos(sys.points[:, 0])
-    torus_rows, _ = _sweep_rows(tol, "torus f = cos x1", sys,
-                                torus_benchmark_system, f, ks)
+    torus_rows, _ = _sweep_rows(tol, "torus f = cos x1", sys, f, ks)
     return rows + torus_rows
 
 

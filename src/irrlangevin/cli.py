@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from functools import lru_cache
 
 import numpy as np
 
@@ -328,6 +327,10 @@ def write_atomic(path, text: str) -> None:
 
 
 def _cmd_check_assumptions(args, u: Potential) -> dict:
+    if args.n_probes < 1:
+        raise ValueError(f"--n-probes must be a positive integer, got {args.n_probes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     c = _drift_from_args(args, u, scale=args.k)
     rng = np.random.default_rng(args.seed)
     if u.space_kind is SpaceKind.FLAT_TORUS:
@@ -426,10 +429,9 @@ def _cmd_spectral_report(args, u: Potential) -> dict:
 def _cmd_sweep_k(args, u: Potential) -> str:
     k_values = _parse_float_list(args.k_values, "--k-values")
     # sweep_k builds only the unit scale, which also gives the observable vector
-    builder = lru_cache(maxsize=None)(
-        lambda scale: _system_from_args(args, u, scale=scale)[0])
-    f = observable_vector(builder(1.0), parse_observable(args.observable, u.dim))
-    result = sweep_k(builder, f, k_values)
+    system = _system_from_args(args, u, scale=1.0)[0]
+    f = observable_vector(system, parse_observable(args.observable, u.dim))
+    result = sweep_k(lambda _: system, f, k_values)
     lines = ["k,sigma2,limit_prediction"]
     limit = float(result.limit_prediction)
     for k, sigma2 in zip(result.k_values, result.sigma2_values):

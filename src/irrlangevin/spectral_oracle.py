@@ -53,23 +53,24 @@ and every sparse solve is a ``SuperLU.solve`` on a cached factor.  A is
 never formed densely.
 
 Every step works in the coordinates of the invariant blocks
-(``_blocks``), each a subspace that L and S map to themselves, with
-coordinates of its own (:class:`_Block`).  The Hermite degree shells are
-blocks as they stand.  On a torus grid whose pi, L and S commute with the
-inversion x -> -x (an even U with an odd drift, such as Q grad U), the
-blocks are the even and the odd functions, in the pi-orthonormal parity
-coordinates sqrt(pi_j) (f_j +- f_{-j}) / sqrt(2) of the mirror pairs, and
-sqrt(pi_j) f_j at the fixed nodes; ``discretize_torus`` makes the
-commutation exact where it holds to rounding.  Anything else is one block,
-the states themselves.  The mean-zero coordinates are the blocks' in
-turn; only the block that holds the constants drops one, by a Householder
-reflector applied in O(n).  So L, A, the factor of L and everything dense
-below are block-diagonal with structural zeros, and each block runs the
-chain alone: the cached atoms and eigenvalues are the union over the
-blocks, and a dense step holds one block's arrays at a time.  ``solve``
-takes one bordered LU (``_lc_factor``) of the blocks' L - S stacked on the
-diagonal, so it stays in the blocks' coordinates and its factors have no
-entry between two blocks.
+(``_blocks``), each a subspace that L and S map to themselves, spanned by
+the columns of a sparse basis B of its functions (:class:`_Block`): a
+block function is B x, x its coordinates.  The Hermite degree shells are
+blocks as they stand, B selecting each shell's states.  On a torus grid
+whose pi, L and S commute with the inversion x -> -x (an even U with an
+odd drift, such as Q grad U), the blocks are the even and the odd
+functions, each column 1 at a node and +-1 at its mirror, or 1 at a
+fixed node; ``discretize_torus`` makes the commutation exact where it
+holds to rounding.  Anything else is one block, B = I on the states
+themselves.  The mean-zero coordinates are the blocks' in turn; only the
+block that holds the constants drops one, by a Householder reflector
+applied in O(n).  So L, A, the factor of L and everything dense below are
+block-diagonal with structural zeros, and each block runs the chain alone:
+the cached atoms and eigenvalues are the union over the blocks, and a
+dense step holds one block's arrays at a time.  ``solve`` takes one
+bordered LU (``_lc_factor``) of the blocks' L - S stacked on the diagonal,
+so it stays in the blocks' coordinates and its factors have no entry
+between two blocks.
 
 Every solve with L grounds one coordinate g of the block with the
 constants, with (w c)_g != 0: E = P J projects that block's other unit
@@ -116,10 +117,13 @@ import numpy as np
 from .errors import DiscretizationDefectError
 from .model import DriftField, Potential, SpaceKind, antisymmetric_matrix
 
-# scipy.sparse and scipy.sparse.linalg (about 40 ms of import time) are
-# imported where sparse arrays are built, and scipy.linalg (about 0.2 s)
-# where dense matrices are decomposed, so simulation-only users of the
-# package never load them.
+# scipy.sparse and scipy.sparse.linalg are imported where sparse arrays are
+# built, and scipy.linalg where dense matrices are decomposed, so
+# simulation-only users of the package never load them.  After
+# ``import irrlangevin.cli`` on a 2-core Xeon, in fresh interpreters,
+# scipy.sparse took 115 to 195 ms and loaded 296 modules, then
+# scipy.sparse.linalg, which loads scipy.linalg too, 100 to 150 ms more;
+# scipy.linalg alone took 220 to 310 ms.
 if TYPE_CHECKING:
     import scipy.sparse
     import scipy.sparse.linalg
@@ -203,24 +207,22 @@ class _EnergyFactor:
 
 @dataclass
 class _Block:
-    """One invariant block: functions that L and S map to themselves, in
-    coordinates of their own.
+    """One invariant block: functions that L and S map to themselves, the
+    columns of a sparse basis.
 
-    Coordinate k stands for the function that is 1 at state ``rep[k]`` and
-    ``sign`` at ``mir[k]`` (one state where the two are equal, or when
-    ``mir`` is None), so x holds a block function's values at ``rep``.  In
-    them <x, y>_pi = sum_k w_k x_k y_k with w = ``weights``, pi at ``rep``
-    doubled where ``mir`` differs; ``l_matrix`` and ``s_matrix`` are L and S,
-    ``const`` the coordinates of the constant function if the block holds
-    it, else None, and ``order`` SuperLU's column order for the grounded
-    factor.  Mean-zero coordinates are sqrt(w) x, less their first after the
-    reflector sending e_1 to -sqrt(w) const where the block holds the
-    constants; they are the system's from ``offset`` on.
+    Column k of ``basis`` (n rows, int32 indices) is the function that is 1
+    at one state and +-1 at that state's mirror where the two differ, the
+    state first, so x holds a block function's values at the first state
+    of each column.  In these coordinates <x, y>_pi = sum_k w_k x_k y_k
+    with w = ``weights`` = (B o B)^T pi; ``l_matrix`` and ``s_matrix`` are
+    L and S, ``const`` the coordinates of the constant function if the
+    block holds it, else None, and ``order`` SuperLU's column order for the
+    grounded factor.  Mean-zero coordinates are sqrt(w) x, less their first
+    after the reflector sending e_1 to -sqrt(w) const where the block holds
+    the constants; they are the system's from ``offset`` on.
     """
 
-    rep: Array
-    mir: Array | None
-    sign: float
+    basis: scipy.sparse.csc_array
     weights: Array
     const: Array | None
     l_matrix: scipy.sparse.sparray
@@ -231,20 +233,16 @@ class _Block:
     @property
     def size(self) -> int:
         """The number of mean-zero coordinates."""
-        return len(self.rep) - (self.const is not None)
+        return len(self.weights) - (self.const is not None)
 
     def gather(self, f: Array) -> Array:
-        """Coordinates of the part in this block of the state vector(s) ``f``."""
-        if self.mir is None:
-            return f[self.rep]
-        return 0.5 * f[self.rep] + (0.5 * self.sign) * f[self.mir]
+        """Coordinates of the part in this block of the state vector(s) ``f``:
+        B^T f over each column's entry count."""
+        return ((self.basis.T @ f).T / np.diff(self.basis.indptr)).T
 
     def scatter_add(self, x: Array, out: Array) -> None:
-        """Add the state vector(s) with coordinates ``x`` to ``out``."""
-        out[self.rep] += x
-        if self.mir is not None:
-            moved = self.mir != self.rep
-            out[self.mir[moved]] += self.sign * x[moved]
+        """Add the state vector(s) B x with coordinates ``x`` to ``out``."""
+        out += self.basis @ x
 
     @cached_property
     def _householder(self) -> tuple[Array, Array | None, float]:
@@ -314,7 +312,7 @@ class _Block:
         """
         import scipy.sparse
 
-        keep = np.arange(len(self.rep))
+        keep = np.arange(len(self.weights))
         if self.const is not None:
             keep = np.delete(keep, np.argmax(self.weights * self.const**2))
         pi_l = scipy.sparse.diags_array(self.weights) @ self.l_matrix
@@ -413,21 +411,18 @@ def _cluster_tol(lowest: float) -> float:
     return 1e-8 * max(lowest, 1.0)
 
 
-def _fold(op, rep: Array, mir: Array | None, sign: float):
-    """The block operator of ``op`` (see :class:`_Block`): column k is ``op``
-    applied to block function k, read at ``rep``, one sparse product."""
+def _function_basis(n: int, rep: Array, mirror: Array, sign: float):
+    """The sparse n x len(rep) basis of a block (see :class:`_Block`): column
+    k is 1 at state ``rep[k]`` and ``sign`` at ``mirror[k]`` where the two
+    differ."""
     import scipy.sparse
 
-    n, size = op.shape[0], len(rep)
-    if mir is None:
-        return op if size == n else op.tocsr()[rep][:, rep]
-    moved = np.flatnonzero(mir != rep)
-    functions = scipy.sparse.csr_array(
-        (np.concatenate([np.ones(size), np.full(len(moved), sign)]),
-         (np.concatenate([rep, mir[moved]], dtype=np.int32),
-          np.concatenate([np.arange(size), moved], dtype=np.int32))),
-        shape=(n, size))
-    return (op @ functions).tocsr()[rep]
+    moved = np.flatnonzero(mirror != rep)
+    return scipy.sparse.csc_array(
+        (np.concatenate([np.ones(len(rep)), np.full(len(moved), sign)]),
+         (np.concatenate([rep, mirror[moved]], dtype=np.int32),
+          np.concatenate([np.arange(len(rep)), moved], dtype=np.int32))),
+        shape=(n, len(rep)))
 
 
 def _grid_mirror(dim: int, m: int) -> Array:
@@ -490,16 +485,21 @@ class DiscretizedSystem:
         and S commute exactly with the inversion x -> -x is cut into its
         even and odd functions: the even block holds each fixed node and
         one node of each mirror pair, the odd block one node of each pair.
-        Anything else is one block, the states themselves.
+        Anything else is one block, the states themselves.  Each block is
+        the columns of its sparse basis B (:class:`_Block`), whatever the
+        cut: L and S fold to (op B)[rep], rep the first state of each
+        column, the weights are (B o B)^T pi and the constants' coordinates
+        are gathered; only the block of all states keeps the system's L and
+        S themselves, uncopied.
         """
         index = np.arange(self.n)
-        groups = [(index, None, 1.0)]
+        groups = [(index, index, 1.0)]
         if self.multi_indices is not None:
             degree = np.array([sum(a) for a in self.multi_indices])
             if all(np.array_equal(degree[op.row], degree[op.col])
                    for op in (self.l_matrix.tocoo(), self.s_matrix.tocoo())):
-                groups = [(np.flatnonzero(degree == d), None, 1.0)
-                          for d in np.unique(degree)]
+                groups = [(shell, shell, 1.0) for shell in
+                          (np.flatnonzero(degree == d) for d in np.unique(degree))]
         elif self.points is not None:
             dim = self.points.shape[1]
             mirror = _grid_mirror(dim, round(self.n ** (1.0 / dim)))
@@ -513,16 +513,14 @@ class DiscretizedSystem:
                 groups = [(even, mirror[even], 1.0), (odd, mirror[odd], -1.0)]
         order = "NATURAL" if self.points is None else "MMD_AT_PLUS_A"
         blocks, offset = [], 0
-        for rep, mir, sign in groups:
-            if mir is None:
-                weights = self.pi_weights[rep]
-                const = self.const_vec[rep]
-            else:
-                weights = self.pi_weights[rep] * np.where(mir == rep, 1.0, 2.0)
-                const = 0.5 * self.const_vec[rep] + (0.5 * sign) * self.const_vec[mir]
-            block = _Block(rep, mir, sign, weights, const if np.any(const) else None,
-                           _fold(self.l_matrix, rep, mir, sign),
-                           _fold(self.s_matrix, rep, mir, sign), order, offset)
+        for rep, mirror, sign in groups:
+            basis = _function_basis(self.n, rep, mirror, sign)
+            folded = [op if len(rep) == self.n else (op @ basis).tocsr()[rep]
+                      for op in (self.l_matrix, self.s_matrix)]
+            block = _Block(basis, (basis * basis).T @ self.pi_weights, None,
+                           *folded, order, offset)
+            const = block.gather(self.const_vec)
+            block.const = const if np.any(const) else None
             if block.size:
                 blocks.append(block)
                 offset += block.size
@@ -615,7 +613,7 @@ class DiscretizedSystem:
         import scipy.sparse
         from scipy.sparse.linalg import splu
 
-        sizes = [len(block.rep) for block in self._blocks]
+        sizes = [len(block.weights) for block in self._blocks]
         n = sum(sizes)
         data, rows, cols = [], [], []
         for block, start in zip(self._blocks, np.cumsum([0] + sizes)):
@@ -624,7 +622,7 @@ class DiscretizedSystem:
             rows.append(coo.row + start)
             cols.append(coo.col + start)
             if block.const is not None:
-                border = start + np.arange(len(block.rep))
+                border = start + np.arange(len(block.weights))
                 data += [block.const, block.weights * block.const]
                 rows += [border, np.full(len(border), n)]
                 cols += [np.full(len(border), n), border]
@@ -678,7 +676,7 @@ class DiscretizedSystem:
                                   trans="T" if adjoint else "N")
         out = []
         for block, x in zip(self._blocks, np.split(
-                h, np.cumsum([len(block.rep) for block in self._blocks]))):
+                h, np.cumsum([len(block.weights) for block in self._blocks]))):
             if adjoint:
                 x = (x.T / block.weights).T
             if not np.all(np.isfinite(x)):
@@ -694,7 +692,7 @@ class DiscretizedSystem:
         non-finite x raises :class:`DiscretizationDefectError`."""
         h_parts, a_parts = [], []
         for block, factor in zip(self._blocks, self._energy_factors):
-            h = np.zeros(len(block.rep))
+            h = np.zeros(len(block.weights))
             f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
             b = (block.weights * f)[factor.keep, None]
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -771,7 +769,7 @@ class DiscretizedSystem:
 # --- dense helpers -------------------------------------------------------------
 
 
-def _blocks(size: int) -> list[tuple[int, int]]:
+def _column_blocks(size: int) -> list[tuple[int, int]]:
     """Bounds (j, k) of at most 16 consecutive blocks covering range(size)."""
     step = max(-(-size // 16), 1)
     return [(j, min(j + step, size)) for j in range(0, size, step)]
@@ -781,7 +779,7 @@ def _by_column_blocks(size: int, columns: Callable[[int, int], Array]) -> Array:
     """A Fortran-ordered (size, size) array whose columns j to k - 1 are
     ``columns(j, k)``, filled in at most 16 blocks."""
     out = np.empty((size, size), order="F")
-    for j, k in _blocks(size):
+    for j, k in _column_blocks(size):
         out[:, j:k] = columns(j, k)
     return out
 
@@ -791,7 +789,7 @@ def _symmetrize(a: Array, sign: float) -> float:
     from column j on, paired with columns j to k - 1 from row j on; returns
     max |a - sign a^T| of the input."""
     residual = 0.0
-    for j, k in _blocks(len(a)):
+    for j, k in _column_blocks(len(a)):
         rows, cols = a[j:k, j:], a[j:, j:k]
         residual = max(residual, float(np.max(np.abs(rows - sign * cols.T))))
         half = (rows + sign * cols.T) / 2.0

@@ -264,6 +264,11 @@ def test_divergence_exits_3(tmp_path, capsys):
     # a seed Philox cannot key, refused by name
     (["estimate-variance", "--n-steps", "2000", "--burn-in", "0", "--seed",
       "-1"], "seed must be non-negative"),
+    # an empty or negative probe count, and a seed numpy cannot take,
+    # refused by flag before any probe is drawn
+    (["check-assumptions", "--n-probes", "0"], "--n-probes"),
+    (["check-assumptions", "--n-probes", "-1"], "--n-probes"),
+    (["check-assumptions", "--seed", "-1"], "--seed"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that

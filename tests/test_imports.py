@@ -95,11 +95,13 @@ def _module_level_constants(tree: ast.Module):
                     yield name.id, node.lineno
 
 
-def test_every_module_level_constant_is_read():
-    # a constant nothing reads names a setting that no longer acts; a read is
-    # a load of the name, or of an attribute by that name, in any module
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_loads(trees: dict[str, ast.Module]) -> set[str]:
+    """Names loaded, and attributes loaded by name, in any of the modules."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -108,12 +110,49 @@ def test_every_module_level_constant_is_read():
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
+    return read
+
+
+def test_every_module_level_constant_is_read():
+    # a constant nothing reads names a setting that no longer acts; a read is
+    # a load of the name, or of an attribute by that name, in any module
+    trees = _package_trees()
+    read = _package_loads(trees)
     constants = [(name, f"{file}:{line} {name}")
                  for file, tree in trees.items()
                  for name, line in _module_level_constants(tree)]
     assert constants
     unread = [where for name, where in constants if name not in read]
     assert not unread, f"constants nothing reads: {unread}"
+
+
+def _defined_functions(tree: ast.Module):
+    """(name, line) of the private module-level functions and of the
+    methods that are not dunders."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def test_every_helper_and_method_is_referenced():
+    # a helper or method that nothing in the package names is dead code left
+    # behind by a change; a reference is a load of the name, or of an
+    # attribute by that name, in any module
+    trees = _package_trees()
+    read = _package_loads(trees)
+    defined = [(name.rsplit(".", 1)[-1], f"{file}:{line} {name}")
+               for file, tree in trees.items()
+               for name, line in _defined_functions(tree)]
+    assert defined
+    unreferenced = [where for name, where in defined if name not in read]
+    assert not unreferenced, f"functions nothing references: {unreferenced}"
 
 
 @pytest.mark.parametrize("name", ["sde_sim.py", "mc_variance.py"])

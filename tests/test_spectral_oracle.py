@@ -118,23 +118,16 @@ def _dense_a(sys):
 
 def _mean_zero_basis(sys):
     """Dense (n, n - 1) pi-orthonormal basis of the mean-zero subspace, block
-    by block: the state vectors of a block's coordinates (1 at ``rep``,
-    ``sign`` at a distinct ``mir``) times the columns of its Householder
-    map from the second on, where the block holds the constants, divided
-    row-wise by sqrt(w)."""
+    by block: the block's basis B of state vectors times the columns of its
+    Householder map from the second on, where the block holds the
+    constants, divided row-wise by sqrt(w)."""
     columns = []
     for block in sys._blocks:
         root, v, beta = block._householder
-        size = len(block.rep)
-        states = np.zeros((sys.n, size))
-        states[block.rep, np.arange(size)] = 1.0
-        if block.mir is not None:
-            moved = np.flatnonzero(block.mir != block.rep)
-            states[block.mir[moved], moved] = block.sign
-        coords = np.eye(size)
+        coords = np.eye(len(block.weights))
         if v is not None:
             coords = (coords - beta * np.outer(v, v))[:, 1:]
-        columns.append(states @ (coords / root[:, None]))
+        columns.append(block.basis.toarray() @ (coords / root[:, None]))
     return np.hstack(columns)
 
 
@@ -631,7 +624,7 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
         u = torus_cosine(2, 1.0)
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
     for block, factor in zip(sys._blocks, sys._energy_factors):
-        keep = np.arange(len(block.rep))
+        keep = np.arange(len(block.weights))
         if block.const is not None:
             keep = np.delete(keep, np.argmax(block.weights * block.const**2))
         assert np.array_equal(factor.keep, keep)
@@ -644,15 +637,15 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
         for block, factor in zip(sys._blocks, sys._energy_factors):
             assert block.const is None
             np.testing.assert_array_equal(
-                factor.triangular.U.toarray(), np.diag(np.sqrt(degree[block.rep])))
+                factor.triangular.U.toarray(), np.diag(np.sqrt(degree[block.basis.indices])))
     else:
         even, odd = sys._blocks
-        np.testing.assert_array_equal(even.const, np.ones(len(even.rep)))
+        np.testing.assert_array_equal(even.const, np.ones(len(even.weights)))
         assert odd.const is None
         grounded = np.argmax(even.weights)
         if case == "torus m25":
-            assert even.mir[grounded] != even.rep[grounded]
-            assert np.sum(even.mir == even.rep) == 1
+            entries = np.diff(even.basis.indptr)
+            assert entries[grounded] == 2 and np.sum(entries == 1) == 1
 
 
 def test_m_operator_rejects_indefinite_restriction():
@@ -805,7 +798,7 @@ def test_spectral_weight_matches_complex_eigh_across_panel_width(name, build):
     np.testing.assert_allclose(m.weights, weights, rtol=0,
                                atol=1e-12 * m.total_mass)
     if name == "hermite dim 3":  # the chain runs one degree shell at a time
-        assert [len(block.rep) for block in sys._blocks] == [3, 6, 10]
+        assert [block.basis.shape[1] for block in sys._blocks] == [3, 6, 10]
 
 
 def _dense_cholesky_atoms(sys, frs):
@@ -1206,7 +1199,7 @@ def test_triangular_factor_adds_no_fill(case, hermite_sys):
         if case == "hermite":
             assert np.array_equal(
                 triangular.U.diagonal(),
-                np.sqrt([sum(sys.multi_indices[i]) for i in block.rep]))
+                np.sqrt([sum(sys.multi_indices[i]) for i in block.basis.indices]))
 
 
 def test_non_finite_solution_is_a_defect():
@@ -1471,8 +1464,9 @@ def test_parity_blocks_match_the_dense_reference(dim, points):
     sys = discretize_torus(u, make_qgradu_drift(ROT if dim == 2 else Q3_CHAIN, u),
                            points)
     even, odd = sys._blocks
-    fixed = np.sum(even.mir == even.rep)
-    assert (even.sign, odd.sign) == (1.0, -1.0)
+    fixed = np.sum(np.diff(even.basis.indptr) == 1)
+    assert np.all(even.basis.data == 1.0)
+    assert np.array_equal(np.unique(odd.basis.data), [-1.0, 1.0])
     assert fixed == (2**dim if points % 2 == 0 else 1)
     assert (even.size, odd.size) == ((sys.n + fixed) // 2 - 1, (sys.n - fixed) // 2)
     rng = np.random.default_rng(OBSERVABLE_SEED)
@@ -1510,8 +1504,8 @@ def test_a_drift_that_is_not_odd_runs_as_one_block():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, _flux_drift(u, (1.0, np.sqrt(2.0))), 16)
     (block,) = sys._blocks
-    np.testing.assert_array_equal(block.rep, np.arange(sys.n))
-    assert block.mir is None and block.offset == 0
+    np.testing.assert_array_equal(block.basis.toarray(), np.eye(sys.n))
+    assert block.offset == 0
     assert block.l_matrix is sys.l_matrix and block.s_matrix is sys.s_matrix
     np.testing.assert_array_equal(block.weights, sys.pi_weights)
     f = np.cos(sys.points[:, 0])
@@ -1537,7 +1531,7 @@ def test_hermite_shells_are_the_blocks():
     for op in (sys.l_matrix, sys.s_matrix):
         dense = op.toarray()
         assert np.all(dense[degree[:, None] != degree[None, :]] == 0.0)
-    assert [block.rep.tolist() for block in sys._blocks] == [
+    assert [block.basis.indices.tolist() for block in sys._blocks] == [
         np.flatnonzero(degree == d).tolist() for d in range(1, 6)]
     whole = replace(sys, multi_indices=None)
     assert len(whole._blocks) == 1
@@ -1558,6 +1552,41 @@ def test_hermite_shells_are_the_blocks():
     assert got.kernel_intersection_dim == ref.kernel_intersection_dim
     assert got.sup_irr == pytest.approx(ref.sup_irr, rel=1e-12)
     assert got.sup_rev == ref.sup_rev
+
+
+@pytest.mark.parametrize("case", ["parity torus m12", "parity torus m13",
+                                  "3-d torus", "hermite shells",
+                                  "one-block torus"])
+def test_block_bases_are_pi_orthogonal_and_gather_inverts_scatter(case):
+    # the blocks' sparse bases, side by side, have a diagonal Gram matrix
+    # B^T diag(pi) B whose diagonal is each block's weights, exactly (the
+    # mirror pairs share their pi); gathering a scattered x returns x bit
+    # for bit, one vector or several
+    u = torus_cosine(2, 1.0)
+    if case.startswith("parity torus"):
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
+    elif case == "3-d torus":
+        u = torus_cosine(3, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(Q3_CHAIN, u), 8)
+    elif case == "hermite shells":
+        q = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.3], [0.5, -0.3, 0.0]])
+        sys = discretize_gaussian_linear(q, 3, 5)
+    else:
+        sys = discretize_torus(u, _flux_drift(u, (1.0, np.sqrt(2.0))), 12)
+    assert len(sys._blocks) == {"hermite shells": 5,
+                                "one-block torus": 1}.get(case, 2)
+    basis = np.hstack([block.basis.toarray() for block in sys._blocks])
+    gram = basis.T @ (sys.pi_weights[:, None] * basis)
+    np.testing.assert_array_equal(
+        gram, np.diag(np.concatenate([block.weights for block in sys._blocks])))
+    rng = np.random.default_rng(11)
+    for block in sys._blocks:
+        assert block.basis.indices.dtype == np.int32
+        for shape in ((len(block.weights),), (len(block.weights), 3)):
+            x = rng.standard_normal(shape)
+            out = np.zeros((sys.n,) + shape[1:])
+            block.scatter_add(x, out)
+            np.testing.assert_array_equal(block.gather(out), x)
 
 
 @pytest.mark.parametrize("case", ["one-block torus", "parity torus",
