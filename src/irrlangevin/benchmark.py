@@ -168,10 +168,10 @@ def _structure_residuals(sys) -> list[tuple[str, float]]:
     pi_s = pi[:, None] * sys.s_matrix
     a_const = sys.center(sys.s_matrix @ sys.center(const)[0])[0]
     ftf, scale = 0.0, 0.0
-    for block, fac in zip(sys._blocks, sys._energy_factors):
+    for block in sys._factored:
         energy = block.grounded_energy()[1]
-        inverse = np.argsort(fac.perm)
-        f = fac.triangular.U
+        inverse = np.argsort(block.factor.perm)
+        f = block.factor.triangular.U
         ftf = max(ftf, _max_abs(f.T @ f - energy[inverse][:, inverse]))
         scale = max(scale, _max_abs(energy))
     return [
@@ -180,7 +180,7 @@ def _structure_residuals(sys) -> list[tuple[str, float]]:
         ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
         ("A annihilates constants", _max_abs(a_const)),
         ("grounded L = F^T F", ftf / scale),
-        ("F^-T A F^-1 antisymmetric", max(w[2] for w in sys._weight_vectors)),
+        ("F^-T A F^-1 antisymmetric", max(b.chain[2] for b in sys._factored)),
     ]
 
 

@@ -23,7 +23,12 @@ import numpy as np
 from . import benchmark as bench
 from .analysis import sweep_k, worst_case
 from .errors import DiscretizationDefectError, DivergenceError
-from .mc_variance import batch_means, overlapping_batch_means, replicated_clt
+from .mc_variance import (
+    batch_means,
+    check_batches,
+    overlapping_batch_means,
+    replicated_clt,
+)
 from .model import (
     DriftField,
     Potential,
@@ -370,10 +375,16 @@ def _cmd_estimate_variance(args, u: Potential) -> dict:
     c = _drift_from_args(args, u, scale=args.k)
     obs = parse_observable(args.observable, u.dim)
     cfg = _sim_config_from_args(args, u)
+    # every refusal comes before a chain runs
     if args.method == "replicated-clt":
+        if cfg.thin != 1:
+            raise ValueError("--thin must be 1 for replicated-clt, which stores "
+                             f"no path; got {cfg.thin}")
         estimate = replicated_clt(u, c, obs.fn, cfg, n_chains=args.n_chains,
                                   check_bias=args.check_bias)
     else:
+        check_batches(cfg.n_steps - cfg.burn_in_steps, cfg.step_size,
+                      args.batch_length, cfg.thin, names=("--thin", "--batch-length"))
         traj = simulate(u, c, obs.fn, cfg)
         estimator = (batch_means if args.method == "batch-means"
                      else overlapping_batch_means)

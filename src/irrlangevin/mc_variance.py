@@ -59,32 +59,43 @@ class VarianceEstimate:
             raise ValueError("stderr must be finite")
 
 
-def _left_endpoint_values(traj: Trajectory, f: ObservableFn) -> Array:
-    if traj.thin != 1:
+def check_batches(n_values: int, step_size: float, batch_length: float | None,
+                  thin: int, names: tuple[str, str] = ("thin", "batch_length")
+                  ) -> tuple[float, int]:
+    """(horizon, steps per batch) of ``n_values`` left endpoints ``step_size``
+    apart, refused unless the path is unthinned (``thin`` 1), ``batch_length``
+    is positive and finite, and the horizon holds ``MIN_BATCHES`` batches;
+    ``batch_length`` defaults to sqrt(horizon).  The errors call ``thin`` and
+    ``batch_length`` by ``names``, so a front end can check its flags by this
+    rule before any chain runs."""
+    thin_name, length_name = names
+    if thin != 1:
         raise ValueError(
-            "batch estimators need an unthinned trajectory (thin == 1); "
-            f"got thin={traj.thin}"
+            f"batch estimators need an unthinned trajectory ({thin_name} 1); "
+            f"got {thin_name} {thin}"
         )
-    return np.asarray(f(traj.states[:-1]), dtype=float)
+    total = n_values * step_size
+    if batch_length is None:
+        batch_length = float(np.sqrt(total))
+    if not (np.isfinite(batch_length) and batch_length > 0):
+        raise ValueError(
+            f"{length_name} must be positive and finite, got {batch_length!r}")
+    if total < MIN_BATCHES * batch_length:
+        raise ValueError(
+            f"horizon {total:g} too short for {length_name} {batch_length:g}: "
+            f"need at least {MIN_BATCHES} batches, i.e. a horizon of "
+            f"{MIN_BATCHES * batch_length:g}"
+        )
+    return total, max(int(round(batch_length / step_size)), 1)
 
 
 def _batches(traj: Trajectory, f: ObservableFn,
              batch_length: float | None) -> tuple[Array, float, int]:
-    """(f's left-endpoint values, horizon, steps per batch), checked to hold
-    ``MIN_BATCHES`` batches; ``batch_length`` defaults to sqrt(horizon)."""
-    values = _left_endpoint_values(traj, f)
-    total = len(values) * traj.step_size
-    if batch_length is None:
-        batch_length = float(np.sqrt(total))
-    if not (np.isfinite(batch_length) and batch_length > 0):
-        raise ValueError(f"batch_length must be positive and finite, got {batch_length!r}")
-    if total < MIN_BATCHES * batch_length:
-        raise ValueError(
-            f"horizon {total:g} too short for batch length {batch_length:g}: "
-            f"need at least {MIN_BATCHES} batches, i.e. a horizon of "
-            f"{MIN_BATCHES * batch_length:g}"
-        )
-    return values, total, max(int(round(batch_length / traj.step_size)), 1)
+    """(f's left-endpoint values, horizon, steps per batch), checked by
+    :func:`check_batches`."""
+    total, steps = check_batches(len(traj.states) - 1, traj.step_size,
+                                 batch_length, traj.thin)
+    return np.asarray(f(traj.states[:-1]), dtype=float), total, steps
 
 
 def batch_means(traj: Trajectory, f: ObservableFn,

@@ -77,24 +77,24 @@ constants, with (w c)_g != 0: E = P J projects that block's other unit
 vectors onto the mean-zero subspace, so L_E = E^T pi L E = (w L)[keep, keep]
 (L annihilates constants) and A_E = E^T pi A E is the same restriction of
 w S plus two rank-one terms; every other block keeps all its
-coordinates.  SuperLU factors each L_E = P^T L D L^T P with diagonal
-pivots (``_energy_factors``); its U = D L^T becomes F = D^{1/2} L^T in
-place, and SuperLU's factor of the triangular F, whose L is the identity,
-makes the solves with F = D^{1/2} L^T P and F^T.  F is sparse, and the
-diagonal sqrt(degree) on the Hermite basis.  ``kernel_residual`` solves
-L h = f as h = E F^{-1} F^{-T} (w f)[keep], and a zero or negative pivot
-refuses it as it refuses the spectral chain.  The chain fills
-m = F^{-T} A_E F^{-1} a block of columns at a time by these solves,
-reduces it to a skew-tridiagonal T = Q^T m Q (``_skew_tridiagonal``),
+coordinates.  Each block's ``factor`` is SuperLU's L_E = P^T L D L^T P in
+minimum-degree order with diagonal pivots; its U = D L^T becomes
+F = D^{1/2} L^T in place, and SuperLU's factor of the triangular F, whose
+L is the identity, makes the solves with F = D^{1/2} L^T P and F^T.  F is
+sparse, and the diagonal sqrt(degree) on the Hermite basis.
+``kernel_residual`` solves L h = f as h = E F^{-1} F^{-T} (w f)[keep], and
+a zero or negative pivot refuses it as it refuses the spectral chain.  The
+chain fills m = F^{-T} A_E F^{-1} a block of columns at a time by these
+solves, reduces it to a skew-tridiagonal T = Q^T m Q (``_skew_tridiagonal``),
 keeps Q's reflectors as compact-WY panels in half an array while it takes
 the SVD of a bidiagonal matrix of half the size (``_bidiagonal_svd``),
 applies them to the singular vectors, and keeps the Householder QR of that
-basis O in panels of half an array (``_skew_svd``).  A system caches what
-each block's chain yields (``_weight_vectors``): the singular values,
-those panels, so the masses of the atoms are the squares of O^T F^{-T} b
-with b = (w f)[keep], and max |m + m^T| of m as the solves left it, which
-the acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
-formed.  It also caches the sparse factors and the O(n) eigenvalues of L.
+basis O in panels of half an array (``_skew_svd``).  Each block caches
+what its chain yields (``chain``): the singular values, those panels, so
+the masses of the atoms are the squares of O^T F^{-T} b with
+b = (w f)[keep], and max |m + m^T| of m as the solves left it, which the
+acceptance matrix reads as its antisymmetry check.  Neither Q nor O is
+formed.  A system caches the O(n) eigenvalues of L.
 The eigenvalues of L and ``generator_gaps`` fill each block's dense
 restriction, a block of columns at a time in O(n nnz) and without a dense
 basis; A is never restricted densely.  ``worst_case`` reads L's lowest
@@ -215,11 +215,11 @@ class _Block:
     state first, so x holds a block function's values at the first state
     of each column.  In these coordinates <x, y>_pi = sum_k w_k x_k y_k
     with w = ``weights`` = (B o B)^T pi; ``l_matrix`` and ``s_matrix`` are
-    L and S, ``const`` the coordinates of the constant function if the
-    block holds it, else None, and ``order`` SuperLU's column order for the
-    grounded factor.  Mean-zero coordinates are sqrt(w) x, less their first
-    after the reflector sending e_1 to -sqrt(w) const where the block holds
-    the constants; they are the system's from ``offset`` on.
+    L and S, and ``const`` the coordinates of the constant function if the
+    block holds it, else None.  Mean-zero coordinates are sqrt(w) x, less
+    their first after the reflector sending e_1 to -sqrt(w) const where the
+    block holds the constants; they are the system's from ``offset`` on.
+    The block caches its sparse factor of L and its spectral chain.
     """
 
     basis: scipy.sparse.csc_array
@@ -227,7 +227,6 @@ class _Block:
     const: Array | None
     l_matrix: scipy.sparse.sparray
     s_matrix: scipy.sparse.sparray
-    order: str
     offset: int
 
     @property
@@ -318,22 +317,25 @@ class _Block:
         pi_l = scipy.sparse.diags_array(self.weights) @ self.l_matrix
         return keep, pi_l.tocsr()[keep][:, keep]
 
-    def energy_factor(self) -> _EnergyFactor | None:
+    @cached_property
+    def factor(self) -> _EnergyFactor | None:
         """Sparse F = D^{1/2} L^T P of the grounded L_E, None on a zero,
         negative or off-diagonal pivot.
 
-        SuperLU takes its pivots on the diagonal (``SymmetricMode`` with
-        ``diag_pivot_thresh`` 0), so its row order is its column order and
-        U = D L^T; its rows are scaled by D^{-1/2} in place, the diagonal set
-        to sqrt(D) exactly, and the result factored again in its own order
-        with diagonal pivots, which adds no entry.
+        SuperLU orders by minimum degree and takes its pivots on the diagonal
+        (``SymmetricMode`` with ``diag_pivot_thresh`` 0), so its row order is
+        its column order and U = D L^T; its rows are scaled by D^{-1/2} in
+        place, the diagonal set to sqrt(D) exactly, and the result factored
+        again in its own order with diagonal pivots, which adds no entry.  A
+        Hermite shell's L_E is diagonal, so its solves give the same bits in
+        any order.
         """
         from scipy.sparse.linalg import splu
 
         keep, energy = self.grounded_energy()
         on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         try:
-            lu = splu(energy.tocsc(), permc_spec=self.order, **on_diagonal)
+            lu = splu(energy.tocsc(), permc_spec="MMD_AT_PLUS_A", **on_diagonal)
         except RuntimeError:  # how SuperLU reports a zero pivot
             return None
         f = lu.U
@@ -347,7 +349,15 @@ class _Block:
         f.setdiag(root)
         return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
 
-    def congruence(self, factor: _EnergyFactor) -> Array:
+    @cached_property
+    def chain(self) -> tuple[Array, tuple[Array, list], float]:
+        """:func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O, with O
+        pi-orthonormal: M's singular values, the panels of H with
+        O^T = H diag(signs), about half the block's array, and m's residual;
+        read once ``DiscretizedSystem._factored`` has checked ``factor``."""
+        return _skew_svd(self.congruence())
+
+    def congruence(self) -> Array:
         """m = F^{-T} A_E F^{-1} as the sparse solves leave it, filled a block
         of columns at a time.
 
@@ -359,7 +369,7 @@ class _Block:
         """
         import scipy.sparse
 
-        keep = factor.keep
+        keep = self.factor.keep
         pi_s = scipy.sparse.diags_array(self.weights) @ self.s_matrix
         pi_s = ((pi_s - pi_s.T) / 2.0).tocsr()
         k_mat = pi_s[keep][:, keep]
@@ -369,13 +379,13 @@ class _Block:
         size = self.size
 
         def columns(j: int, k: int) -> Array:
-            x = factor.solve(np.eye(size, k - j, -j))
+            x = self.factor.solve(np.eye(size, k - j, -j))
             y = k_mat @ x
             if self.const is not None:
                 y += np.outer(w, t @ x)
                 y -= np.outer(t, w @ x)
             del x
-            return factor.solve_t(y)
+            return self.factor.solve_t(y)
 
         return _by_column_blocks(size, columns)
 
@@ -454,7 +464,7 @@ class DiscretizedSystem:
     taken on that subspace, so the solves use S itself and A is never
     densified.
     A torus system carries its grid nodes ``points`` and a Hermite system
-    its ``multi_indices``; the nodes also tell the factorizations to order
+    its ``multi_indices``; the nodes also tell the LU of L - S to order
     the states by minimum degree.  The dense steps run one invariant block
     at a time (``_blocks``), and the sparse solves in the blocks'
     coordinates: the LU of L - S (``_lc_factor``) stacks the blocks'
@@ -511,14 +521,13 @@ class DiscretizedSystem:
                 even = np.flatnonzero(index <= mirror)
                 odd = np.flatnonzero(index < mirror)
                 groups = [(even, mirror[even], 1.0), (odd, mirror[odd], -1.0)]
-        order = "NATURAL" if self.points is None else "MMD_AT_PLUS_A"
         blocks, offset = [], 0
         for rep, mirror, sign in groups:
             basis = _function_basis(self.n, rep, mirror, sign)
             folded = [op if len(rep) == self.n else (op @ basis).tocsr()[rep]
                       for op in (self.l_matrix, self.s_matrix)]
             block = _Block(basis, (basis * basis).T @ self.pi_weights, None,
-                           *folded, order, offset)
+                           *folded, offset)
             const = block.gather(self.const_vec)
             block.const = const if np.any(const) else None
             if block.size:
@@ -561,29 +570,14 @@ class DiscretizedSystem:
         return w, vectors
 
     @cached_property
-    def _energy_factors(self) -> tuple[_EnergyFactor, ...]:
-        """Each block's sparse F = D^{1/2} L^T P of its grounded energy
-        matrix L_E (:meth:`_Block.energy_factor`).
-
-        The torus orders by minimum degree on the pattern, as the bordered LU
-        does; the Hermite L_E is diagonal and keeps its order, so there
-        F = sqrt(D).  A zero, negative or off-diagonal pivot raises
-        :class:`DiscretizationDefectError` with the smallest eigenvalue of
-        the restricted L.
-        """
-        factors = tuple(block.energy_factor() for block in self._blocks)
-        if any(factor is None for factor in factors):
+    def _factored(self) -> tuple[_Block, ...]:
+        """The blocks, once each has factored its grounded L_E
+        (:attr:`_Block.factor`); a zero, negative or off-diagonal pivot in
+        any raises :class:`DiscretizationDefectError` with the smallest
+        eigenvalue of the restricted L."""
+        if any(block.factor is None for block in self._blocks):
             raise _not_positive_definite(self._l_spectrum[0][0])
-        return factors
-
-    @cached_property
-    def _weight_vectors(self) -> tuple[tuple[Array, tuple[Array, list], float], ...]:
-        """Each block's :func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O,
-        with O pi-orthonormal: M's singular values, the panels of H with
-        O^T = H diag(signs), about half a block's array, and m's residual;
-        one block's chain runs at a time."""
-        return tuple(_skew_svd(block.congruence(factor))
-                     for block, factor in zip(self._blocks, self._energy_factors))
+        return self._blocks
 
     @cached_property
     def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
@@ -613,24 +607,15 @@ class DiscretizedSystem:
         import scipy.sparse
         from scipy.sparse.linalg import splu
 
-        sizes = [len(block.weights) for block in self._blocks]
-        n = sum(sizes)
-        data, rows, cols = [], [], []
-        for block, start in zip(self._blocks, np.cumsum([0] + sizes)):
-            coo = (block.l_matrix - block.s_matrix).tocoo()
-            data.append(coo.data)
-            rows.append(coo.row + start)
-            cols.append(coo.col + start)
-            if block.const is not None:
-                border = start + np.arange(len(block.weights))
-                data += [block.const, block.weights * block.const]
-                rows += [border, np.full(len(border), n)]
-                cols += [np.full(len(border), n), border]
-        size = n + self._border
-        bordered = scipy.sparse.csc_array(
-            (np.concatenate(data), (np.concatenate(rows, dtype=np.int32),
-                                    np.concatenate(cols, dtype=np.int32))),
-            shape=(size, size))
+        bordered = scipy.sparse.block_diag(
+            [block.l_matrix - block.s_matrix for block in self._blocks],
+            format="csc")
+        if self._border:
+            c = np.concatenate([block.gather(self.const_vec) for block in self._blocks])
+            w = np.concatenate([block.weights for block in self._blocks])
+            bordered = scipy.sparse.bmat(
+                [[bordered, scipy.sparse.csc_array(c[:, None])],
+                 [scipy.sparse.csc_array((w * c)[None]), None]], format="csc")
         order = "COLAMD" if self.points is None else "MMD_AT_PLUS_A"
         try:
             return splu(bordered, permc_spec=order)
@@ -691,7 +676,8 @@ class DiscretizedSystem:
         by two SuperLU solves with the grounded factor's triangular F; a
         non-finite x raises :class:`DiscretizationDefectError`."""
         h_parts, a_parts = [], []
-        for block, factor in zip(self._blocks, self._energy_factors):
+        for block in self._factored:
+            factor = block.factor
             h = np.zeros(len(block.weights))
             f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
             b = (block.weights * f)[factor.keep, None]
@@ -712,9 +698,9 @@ class DiscretizedSystem:
 
         In each block the masses are the squares of H (signs F^{-T} b), with
         b = (w f)[keep] the grounded coordinates of the block's part f of
-        ``fr``: one sparse solve, then the cached panels of
-        ``_weight_vectors``, so V itself is never formed.  The atoms are the
-        union over the blocks.
+        ``fr``: one sparse solve, then the panels that the block's chain
+        cached (:attr:`_Block.chain`), so V itself is never formed.  The
+        atoms are the union over the blocks.
 
         Singular values of M closer than ``EIGENVALUE_MERGE_TOL`` are pooled.
         A pooled cluster at s > tol has mass sum (v_i . g)^2 over its right
@@ -722,11 +708,11 @@ class DiscretizedSystem:
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
         values, masses = [], []
-        for block, factor, (s, (signs, panels), _) in zip(
-                self._blocks, self._energy_factors, self._weight_vectors):
+        for block in self._factored:
+            s, (signs, panels), _ = block.chain
             f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
-            b = (block.weights * f)[factor.keep]
-            x = _apply_panels(panels, (signs * factor.solve_t(b))[:, None])[:, 0]
+            b = (block.weights * f)[block.factor.keep]
+            x = _apply_panels(panels, (signs * block.factor.solve_t(b))[:, None])[:, 0]
             values.append(s)
             masses.append(x**2)
         values = np.concatenate(values)

@@ -223,6 +223,21 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+# (argv, the flag the error names) of what the estimators cannot use
+ESTIMATOR_REFUSALS = [
+    (["estimate-variance", "--n-steps", "2000", "--burn-in", "0", "--thin",
+      "2"], "--thin"),
+    (["estimate-variance", "--method", "overlapping-batch-means", "--n-steps",
+      "2000", "--burn-in", "0", "--batch-length", "-1"], "--batch-length"),
+    # a horizon of 20 holds 4 batches of length 5, not 20
+    (["estimate-variance", "--n-steps", "2000", "--burn-in", "0",
+      "--batch-length", "5"], "--batch-length"),
+    # the replicas store no path, so there is nothing to thin
+    (["estimate-variance", "--method", "replicated-clt", "--n-chains", "4",
+      "--n-steps", "2000", "--burn-in", "0", "--thin", "7"], "--thin"),
+]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["sweep-k", "--drift", "qgradu", "--q", "0,1,-1,0", "--backend",
       "hermite", "--degree", "2", "--k-values", "0,nan"], "k_values"),
@@ -237,7 +252,7 @@ def test_divergence_exits_3(tmp_path, capsys):
     (["spectral-report", "--potential", "torus_cosine", "--amplitude", "nan"],
      "amplitude"),
     (["estimate-variance", "--n-steps", "2000", "--burn-in", "0",
-      "--batch-length", "nan"], "batch_length"),
+      "--batch-length", "nan"], "--batch-length"),
     (["check-assumptions", "--drift", "none", "--k", "nan"], "--k"),
     (["worst-case", "--drift", "none", "--k", "inf"], "--k"),
     # --drift none has no Q to use, antisymmetric or not
@@ -269,6 +284,7 @@ def test_divergence_exits_3(tmp_path, capsys):
     (["check-assumptions", "--n-probes", "0"], "--n-probes"),
     (["check-assumptions", "--n-probes", "-1"], "--n-probes"),
     (["check-assumptions", "--seed", "-1"], "--seed"),
+    *ESTIMATOR_REFUSALS,
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that
@@ -277,6 +293,21 @@ def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     assert run_command([*argv, "--output", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", ESTIMATOR_REFUSALS)
+def test_estimate_variance_refuses_before_any_chain_runs(argv, named, tmp_path,
+                                                         monkeypatch):
+    # the estimators' own rule decides from the flags, so no chain is run
+    # only to be refused
+    import irrlangevin.cli as cli
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    for runner in ("simulate", "replicated_clt"):
+        monkeypatch.setattr(cli, runner, spy)
+    assert run_command([*argv, "--output", str(tmp_path / "out")]) == 2
 
 
 def test_hermite_backend_requires_standard_gaussian(capsys):

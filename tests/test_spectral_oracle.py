@@ -152,8 +152,8 @@ def _dense_factor(factor):
 def _raw_congruences(sys):
     """[(F, F^-T A_E F^-1)] for each block, the product as the sparse solves
     leave it, before it is made antisymmetric."""
-    return [(_dense_factor(factor), block.congruence(factor))
-            for block, factor in zip(sys._blocks, sys._energy_factors)]
+    return [(_dense_factor(block.factor), block.congruence())
+            for block in sys._factored]
 
 
 def _state_basis(sys):
@@ -551,9 +551,9 @@ def _reversible_mass(sys, fr):
 def test_m_operator_zero_drift():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    for (_, m), (s, _, residual) in zip(_raw_congruences(sys),
-                                        sys._weight_vectors):
-        assert np.max(np.abs(m)) == 0.0
+    for block in sys._factored:
+        s, _, residual = block.chain
+        assert np.max(np.abs(block.congruence())) == 0.0
         assert np.max(s) == 0.0
         assert residual == 0.0
 
@@ -561,7 +561,7 @@ def test_m_operator_zero_drift():
 def test_m_operator_ou_singular_values():
     a = 0.7
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    values = np.concatenate([s for s, _, _ in sys._weight_vectors])
+    values = np.concatenate([block.chain[0] for block in sys._factored])
     np.testing.assert_allclose(np.sort(values), [a, a], atol=1e-12)
 
 
@@ -573,14 +573,13 @@ def test_m_antisymmetric_and_vlv_identity(sysname, torus_sys, hermite_sys):
     # with the singular values of M = V A V
     sys = torus_sys if sysname == "torus" else hermite_sys
     values = []
-    for block, factor, (f, m) in zip(sys._blocks, sys._energy_factors,
-                                     _raw_congruences(sys)):
+    for block, (f, m) in zip(sys._blocks, _raw_congruences(sys)):
         assert m.dtype == np.float64
         assert np.max(np.abs(m + m.T)) <= 1e-14 * max(np.max(np.abs(m)), 1e-300)
         _symmetrize(m, -1.0)
         assert np.max(np.abs(m + m.T)) == 0.0
         f_inv = np.linalg.inv(f)
-        flf = f_inv.T @ _grounded_energy(block, factor.keep) @ f_inv
+        flf = f_inv.T @ _grounded_energy(block, block.factor.keep) @ f_inv
         np.testing.assert_allclose(flf, np.eye(block.size), atol=1e-10)
         values.append(np.linalg.svd(m, compute_uv=False))
     _, m_ref, _ = _v_and_m(sys)
@@ -602,7 +601,7 @@ def test_chain_records_raw_antisymmetry_residual(case, hermite_sys):
     from irrlangevin.benchmark import _structure_residuals
 
     residuals = [np.max(np.abs(m + m.T)) for _, m in _raw_congruences(sys)]
-    assert [w[2] for w in sys._weight_vectors] == residuals
+    assert [block.chain[2] for block in sys._factored] == residuals
     assert (dict(_structure_residuals(sys))["F^-T A F^-1 antisymmetric"]
             == max(residuals))
 
@@ -623,21 +622,22 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
     else:
         u = torus_cosine(2, 1.0)
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
-    for block, factor in zip(sys._blocks, sys._energy_factors):
+    for block in sys._factored:
         keep = np.arange(len(block.weights))
         if block.const is not None:
             keep = np.delete(keep, np.argmax(block.weights * block.const**2))
-        assert np.array_equal(factor.keep, keep)
-        energy = _grounded_energy(block, factor.keep)
-        f = _dense_factor(factor)
+        assert np.array_equal(block.factor.keep, keep)
+        energy = _grounded_energy(block, keep)
+        f = _dense_factor(block.factor)
         assert np.max(np.abs(f.T @ f - energy)) <= 1e-13 * np.max(np.abs(energy))
     assert dict(_structure_residuals(sys))["grounded L = F^T F"] <= 1e-13
     if case == "hermite":
         degree = np.array([sum(a) for a in sys.multi_indices])
-        for block, factor in zip(sys._blocks, sys._energy_factors):
+        for block in sys._factored:
             assert block.const is None
             np.testing.assert_array_equal(
-                factor.triangular.U.toarray(), np.diag(np.sqrt(degree[block.basis.indices])))
+                block.factor.triangular.U.toarray(),
+                np.diag(np.sqrt(degree[block.basis.indices])))
     else:
         even, odd = sys._blocks
         np.testing.assert_array_equal(even.const, np.ones(len(even.weights)))
@@ -659,7 +659,7 @@ def test_m_operator_rejects_indefinite_restriction():
         const_vec=np.ones(3),
     )
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
-        sys._weight_vectors
+        sys._factored
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
         sys.spectral_weight(np.ones(2))
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
@@ -1142,8 +1142,8 @@ def test_variance_report_factors_l_once(monkeypatch):
         [(size, order, order == "NATURAL") for size in sizes
          for order in ("MMD_AT_PLUS_A", "NATURAL")]
         + [(sys.n + 1, "MMD_AT_PLUS_A", False)])
-    for size, factor in zip(sizes, sys._energy_factors):
-        assert factor.triangular.L.nnz == size
+    for block in sys._blocks:
+        assert block.factor.triangular.L.nnz == block.size
 
 
 @pytest.mark.parametrize("case", ["torus", "hermite"])
@@ -1182,17 +1182,17 @@ def test_triangular_factor_adds_no_fill(case, hermite_sys):
     from scipy.sparse.linalg import splu
 
     if case == "hermite":
-        sys, order = hermite_sys, "NATURAL"
+        sys = hermite_sys
     else:
         u = torus_cosine(2, 1.0)
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
-        order = "MMD_AT_PLUS_A"
-    for block, factor in zip(sys._blocks, sys._energy_factors):
+    for block in sys._factored:
+        keep = block.factor.keep
         pi_l = scipy.sparse.diags_array(block.weights) @ block.l_matrix
-        energy = pi_l.tocsr()[factor.keep][:, factor.keep].tocsc()
-        u_ldl = splu(energy, permc_spec=order, diag_pivot_thresh=0.0,
+        energy = pi_l.tocsr()[keep][:, keep].tocsc()
+        u_ldl = splu(energy, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True}).U
-        triangular = factor.triangular
+        triangular = block.factor.triangular
         assert triangular.L.nnz == block.size
         assert triangular.U.nnz == u_ldl.nnz
         assert np.array_equal(triangular.U.diagonal(), np.sqrt(u_ldl.diagonal()))
@@ -1200,6 +1200,75 @@ def test_triangular_factor_adds_no_fill(case, hermite_sys):
             assert np.array_equal(
                 triangular.U.diagonal(),
                 np.sqrt([sum(sys.multi_indices[i]) for i in block.basis.indices]))
+
+
+@pytest.mark.parametrize("case", ["torus", "hermite"])
+def test_each_block_factors_and_runs_its_chain_once(case, monkeypatch):
+    # a block caches its grounded factor and its chain: two reports, a
+    # sweep, a certificate, the variances and C4's residuals make each block's
+    # L D L^T and triangular F once, and run its chain once
+    import scipy.sparse.linalg
+
+    from irrlangevin import spectral_oracle
+    from irrlangevin.benchmark import _structure_residuals
+
+    factored, chains = [], []
+    splu, skew_svd = scipy.sparse.linalg.splu, spectral_oracle._skew_svd
+
+    def splu_spy(a, *args, **kwargs):
+        factored.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    def chain_spy(m):
+        chains.append(len(m))
+        return skew_svd(m)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu_spy)
+    monkeypatch.setattr(spectral_oracle, "_skew_svd", chain_spy)
+    if case == "torus":
+        u = torus_cosine(2, 1.0)
+        sys = discretize_torus(u, make_qgradu_drift(ROT, u), 16)
+    else:
+        sys = discretize_gaussian_linear(Q3_CHAIN, dim=3, degree=5)
+    f = np.random.default_rng(5).standard_normal(sys.n)
+    variance_report(sys, f)
+    variance_report(sys, np.roll(f, 1))
+    sweep_k(lambda _: sys, f, [0.0, 1.0, 4.0])
+    equality_certificate(sys, f)
+    asymptotic_variances(sys, f)
+    _structure_residuals(sys)
+    sizes = [block.size for block in sys._blocks]
+    assert len(sizes) == {"torus": 2, "hermite": 5}[case]
+    assert sorted(chains) == sorted(sizes)
+    # the grounded L_E and F of each block, and the bordered LU of L - S
+    assert sorted(factored) == sorted(2 * sizes + [sys._lc_factor.shape[0]])
+
+
+def test_column_order_never_reaches_a_hermite_solve():
+    # a shell's grounded L_E is diagonal, so its factor in minimum-degree
+    # order solves with F and F^T to the same bits as one in its own order
+    import scipy.sparse.linalg
+
+    from irrlangevin.spectral_oracle import _EnergyFactor
+
+    q = np.diag(np.ones(4), 1)
+    sys = discretize_gaussian_linear(q - q.T, dim=5, degree=8)
+    on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    rng = np.random.default_rng(11)
+    assert len(sys._blocks) == 8
+    for block in sys._factored:
+        keep, energy = block.grounded_energy()
+        lu = scipy.sparse.linalg.splu(energy.tocsc(), permc_spec="NATURAL",
+                                      **on_diagonal)
+        f = lu.U
+        root = np.sqrt(f.diagonal())
+        f.data /= root[f.indices]
+        f.setdiag(root)
+        natural = _EnergyFactor(keep, lu.perm_c.copy(), scipy.sparse.linalg.splu(
+            f, permc_spec="NATURAL", **on_diagonal))
+        x = rng.standard_normal((len(keep), 3))
+        assert np.array_equal(block.factor.solve(x), natural.solve(x))
+        assert np.array_equal(block.factor.solve_t(x), natural.solve_t(x))
 
 
 def test_non_finite_solution_is_a_defect():
@@ -1967,7 +2036,7 @@ def test_dense_chain_caches_half_an_array():
     assert max(a.nbytes for a in held) < array
     assert sum(a.nbytes for a in held) <= 0.31 * array
     buffers = [{id(_buffer_owner(block)) for _, block in panels}
-               for _, (_, panels), _ in sys._weight_vectors]
+               for _, (_, panels), _ in (block.chain for block in sys._blocks)]
     largest = sorted(held, key=lambda a: a.nbytes)[-len(buffers):]
     assert [len(b) for b in buffers] == [1, 1]
     assert set.union(*buffers) == {id(a) for a in largest}
