@@ -20,8 +20,8 @@ part of that eigenspace that the drift annihilates by the equality
 certificate's own rule, through one thin SVD of A on the eigenspace's few
 columns (so the kernel of A is never computed), and takes the top
 eigenvalue of the symmetrized resolvent off that intersection by Lanczos,
-each product two solves with the cached bordered LU of L - S, so the
-resolvent is never formed.
+each product two solves with the invariant blocks' cached LUs of L - S,
+so the resolvent is never formed.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -296,15 +297,23 @@ def _config_from_args(args, output: str) -> dict:
 
 
 def _sim_config_from_args(args, u: Potential) -> SimConfig:
+    """The simulation flags as a SimConfig, whose refusals name the flags."""
     if args.initial is None:
         initial = np.zeros(u.dim)
     else:
         initial = np.asarray(_parse_float_list(args.initial, "--initial"))
         if initial.shape != (u.dim,):
             raise ValueError(f"--initial needs {u.dim} coordinates")
-    return SimConfig(step_size=args.dt, n_steps=args.n_steps,
-                     initial_point=initial, burn_in_steps=args.burn_in,
-                     seed=args.seed, thin=args.thin)
+    flags = {"step_size": "--dt", "n_steps": "--n-steps", "burn_in": "--burn-in",
+             "burn_in_steps": "--burn-in", "seed": "--seed",
+             "initial_point": "--initial", "thin": "--thin"}
+    try:
+        return SimConfig(step_size=args.dt, n_steps=args.n_steps,
+                         initial_point=initial, burn_in_steps=args.burn_in,
+                         seed=args.seed, thin=args.thin)
+    except ValueError as err:
+        raise ValueError(re.sub(r"\w+", lambda word: flags.get(word[0], word[0]),
+                                str(err))) from None
 
 
 # --- output helpers ------------------------------------------------------------

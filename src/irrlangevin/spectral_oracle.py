@@ -23,11 +23,10 @@ parts that P adds vanish in every quantity taken on that subspace.  On it,
 the asymptotic variance of a centered observable f is computed by two
 independent routes:
 
-* resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through one
-  sparse LU of L - S in the coordinates of the invariant blocks below,
-  bordered by the mean-zero constraint in the block that holds the
-  constants (O(n) memory), its columns ordered by minimum degree on a
-  system with grid nodes;
+* resolvent: solve (L - A) h = f and return 2 <f, h>_pi, through a
+  sparse LU of L - S in each invariant block below, bordered by the
+  mean-zero constraint in the block that holds the constants (O(n)
+  memory), its columns ordered by minimum degree;
 * spectral: with V = L^{-1/2} and the real antisymmetric M = V A V,
   expand g = V f in the singular vectors of M and return
   2 sum_j w_j / (1 + y_j^2), where the atoms (y_j, w_j) form the spectral
@@ -67,10 +66,9 @@ block that holds the constants drops one, by a Householder reflector
 applied in O(n).  So L, A, the factor of L and everything dense below are
 block-diagonal with structural zeros, and each block runs the chain alone:
 the cached atoms and eigenvalues are the union over the blocks, and a
-dense step holds one block's arrays at a time.  ``solve`` takes one
-bordered LU (``_lc_factor``) of the blocks' L - S stacked on the diagonal,
-so it stays in the blocks' coordinates and its factors have no entry
-between two blocks.
+dense step holds one block's arrays at a time.  ``solve`` takes each
+block's own bordered LU of its L - S (``resolvent``), so it stays in the
+blocks' coordinates and no factor has an entry between two blocks.
 
 Every solve with L grounds one coordinate g of the block with the
 constants, with (w c)_g != 0: E = P J projects that block's other unit
@@ -219,7 +217,8 @@ class _Block:
     block holds it, else None.  Mean-zero coordinates are sqrt(w) x, less
     their first after the reflector sending e_1 to -sqrt(w) const where the
     block holds the constants; they are the system's from ``offset`` on.
-    The block caches its sparse factor of L and its spectral chain.
+    The block caches its sparse factor of L, its spectral chain and its LU
+    of L - S.
     """
 
     basis: scipy.sparse.csc_array
@@ -350,6 +349,37 @@ class _Block:
         return _EnergyFactor(keep, perm, splu(f, permc_spec="NATURAL", **on_diagonal))
 
     @cached_property
+    def resolvent(self) -> scipy.sparse.linalg.SuperLU:
+        """Sparse LU of the block's L - S, bordered as [[L - S, c], [(w c)^T, 0]]
+        where the block holds the constants c.
+
+        Its solution for [f; 0], f centered, is the x with (w c)^T x = 0 and
+        (L - S) x - f a multiple of c, which is (L - A)^{-1} f on the
+        mean-zero subspace: there P S P and S differ only by a multiple of
+        c, which the border absorbs; a block without the constants is
+        mean-zero as it stands.  The columns are ordered by SuperLU's minimum
+        degree on the pattern of B^T + B (B the bordered matrix), as for
+        ``factor``.  No entry couples two blocks, so none is filled in
+        between: at torus m = 32, 40 and 64 in two parity blocks L + U hold
+        26,678, 45,996 and 141,344 entries against 40,390, 71,158 and 218,566
+        for the same LU on the whole state space.  An exactly singular factor
+        raises :class:`DiscretizationDefectError`.
+        """
+        import scipy.sparse
+        from scipy.sparse.linalg import splu
+
+        matrix = (self.l_matrix - self.s_matrix).tocsc()
+        if self.const is not None:
+            matrix = scipy.sparse.bmat(
+                [[matrix, scipy.sparse.csc_array(self.const[:, None])],
+                 [scipy.sparse.csc_array((self.weights * self.const)[None]), None]],
+                format="csc")
+        try:
+            return splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # how SuperLU reports a zero pivot
+            raise _perturbed_singular() from exc
+
+    @cached_property
     def chain(self) -> tuple[Array, tuple[Array, list], float]:
         """:func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O, with O
         pi-orthonormal: M's singular values, the panels of H with
@@ -458,18 +488,16 @@ class DiscretizedSystem:
     ``scipy.sparse`` arrays with int32 indices, SuperLU's own index type, as
     the discretizers build them: a stored entry costs 12 bytes, and the
     folded blocks, the grounded L_E and the bordered L - S keep the type, so
-    ``splu`` factors them without copying an index.  The drift operator is
-    A = P S P with P = I - c (pi c)^T, the pi-orthogonal projection onto the
-    mean-zero subspace; the rank-one parts of P S P vanish in every quantity
-    taken on that subspace, so the solves use S itself and A is never
-    densified.
+    ``splu`` factors them without copying an index, each in minimum-degree
+    order.  The drift operator is A = P S P with P = I - c (pi c)^T, the
+    pi-orthogonal projection onto the mean-zero subspace; the rank-one parts
+    of P S P vanish in every quantity taken on that subspace, so the solves
+    use S itself and A is never densified.
     A torus system carries its grid nodes ``points`` and a Hermite system
-    its ``multi_indices``; the nodes also tell the LU of L - S to order
-    the states by minimum degree.  The dense steps run one invariant block
-    at a time (``_blocks``), and the sparse solves in the blocks'
-    coordinates: the LU of L - S (``_lc_factor``) stacks the blocks'
-    folded L - S, so at torus m = 64 in two parity blocks its L + U hold
-    141,344 entries against 218,566 on the whole state space (-35 %).
+    its ``multi_indices``.  The dense steps run one invariant block at a
+    time (``_blocks``), and the sparse solves in the blocks' coordinates,
+    each block with its own LU of its folded L - S
+    (:attr:`_Block.resolvent`).
     Treat instances as immutable; derived factorizations are cached on
     first use and shared by all operations.
     """
@@ -579,55 +607,6 @@ class DiscretizedSystem:
             raise _not_positive_definite(self._l_spectrum[0][0])
         return self._blocks
 
-    @cached_property
-    def _lc_factor(self) -> scipy.sparse.linalg.SuperLU:
-        """Sparse LU of L - S in the blocks' coordinates, bordered by the
-        mean-zero constraint in the block that holds the constants.
-
-        The matrix stacks each block's l_matrix - s_matrix on the diagonal,
-        the blocks' coordinates one after another in block order; the block
-        with constant coordinates c adds the column c and the row (w c)^T.
-        Its solution for [f; 0], f centered, is in that block the x with
-        (w c)^T x = 0 and (L - S) x - f a multiple of c, which is
-        (L - A)^{-1} f on the mean-zero subspace: there P S P and S differ
-        only by a multiple of c, which the border absorbs; every other block
-        is mean-zero as it stands.  No entry couples two blocks, so none is
-        filled in between: at torus m = 32, 40 and 64 in two parity blocks
-        L + U hold 26,678, 45,996 and 141,344 entries against 40,390, 71,158
-        and 218,566 for the same LU on the whole state space, and the
-        Hermite shells, or a torus that is one block, factor as before.  An
-        exactly singular factor raises :class:`DiscretizationDefectError`.
-
-        On a torus grid the columns are ordered by SuperLU's minimum degree
-        on the pattern of B^T + B (B the bordered matrix), which cut the fill
-        by 34 to 47 % against COLAMD on the whole state space (m = 16 to 83);
-        the Hermite basis keeps COLAMD, since there minimum degree took 3 to
-        7 times as long.
-        """
-        import scipy.sparse
-        from scipy.sparse.linalg import splu
-
-        bordered = scipy.sparse.block_diag(
-            [block.l_matrix - block.s_matrix for block in self._blocks],
-            format="csc")
-        if self._border:
-            c = np.concatenate([block.gather(self.const_vec) for block in self._blocks])
-            w = np.concatenate([block.weights for block in self._blocks])
-            bordered = scipy.sparse.bmat(
-                [[bordered, scipy.sparse.csc_array(c[:, None])],
-                 [scipy.sparse.csc_array((w * c)[None]), None]], format="csc")
-        order = "COLAMD" if self.points is None else "MMD_AT_PLUS_A"
-        try:
-            return splu(bordered, permc_spec=order)
-        except RuntimeError as exc:  # how SuperLU reports a zero pivot
-            raise _perturbed_singular() from exc
-
-    @cached_property
-    def _border(self) -> int:
-        """1 when a block holds the constants, so ``_lc_factor`` is
-        bordered, else 0 (a Hermite basis drops its degree-0 shell)."""
-        return int(any(block.const is not None for block in self._blocks))
-
     # -- the solve path ----------------------------------------------------
 
     def reduce(self, f: Array) -> tuple[Array, float]:
@@ -646,27 +625,27 @@ class DiscretizedSystem:
         """(L - A)^{-1} rhs in mean-zero coordinates, or with ``adjoint`` its
         transpose (L + A)^{-1} rhs; ``rhs`` a vector or matrix.
 
-        One solve with the bordered LU in the blocks' coordinates
-        (``_lc_factor``), whose non-finite result is a defect: each block's
-        part of ``rhs`` in its coordinates, stacked, padded by the border's
-        zero.  In a block (L - S)^T = w (L + S) w^{-1}, so the adjoint is a
-        transposed solve for the parts times w, divided by w."""
+        Block by block, one solve with the block's bordered LU
+        (:attr:`_Block.resolvent`) for its part of ``rhs`` in its
+        coordinates, padded by the border's zero where it holds the
+        constants; a non-finite result is a defect.  In a block
+        (L - S)^T = w (L + S) w^{-1}, so the adjoint is a transposed solve
+        for the part times w, divided by w."""
         rhs = np.asarray(rhs)
-        parts = []
+        out = []
         for block in self._blocks:
             x = block.from_mean_zero(rhs[block.offset:block.offset + block.size])
-            parts.append((block.weights * x.T).T if adjoint else x)
-        parts.append(np.zeros((self._border,) + rhs.shape[1:]))
-        h = self._lc_factor.solve(np.concatenate(parts),
-                                  trans="T" if adjoint else "N")
-        out = []
-        for block, x in zip(self._blocks, np.split(
-                h, np.cumsum([len(block.weights) for block in self._blocks]))):
             if adjoint:
-                x = (x.T / block.weights).T
-            if not np.all(np.isfinite(x)):
+                x = (block.weights * x.T).T
+            if block.const is not None:
+                x = np.concatenate([x, np.zeros((1,) + rhs.shape[1:])])
+            h = block.resolvent.solve(x, trans="T" if adjoint else "N")
+            h = h[:len(block.weights)]
+            if adjoint:
+                h = (h.T / block.weights).T
+            if not np.all(np.isfinite(h)):
                 raise _perturbed_singular()
-            out.append(block.to_mean_zero(x))
+            out.append(block.to_mean_zero(h))
         return np.concatenate(out)
 
     def kernel_residual(self, fr: Array) -> tuple[Array, float]:
@@ -1167,22 +1146,22 @@ def variance_report(sys: DiscretizedSystem, f: Array) -> VarianceReport:
 
     ``f`` is given in state coordinates and is centered internally (the
     removed shift is recorded).  The resolvent route solves (L - A) h = f on
-    the mean-zero subspace by a sparse bordered LU in O(n) memory; the
+    the mean-zero subspace by each invariant block's sparse LU of L - S,
+    bordered where the block holds the constants, in O(n) memory; the
     spectral route integrates (1 + y^2)^{-1} against the spectral weight of
     g = V f, which needs a sparse factor of L and the SVD of M.  sigma2_rev
     is 2 <f, L^{-1} f>, solved by that same factor, as in
     :func:`asymptotic_variances`.
     """
     fr, shift = sys.reduce(f)
-    sigma2_irr = float(2.0 * fr @ sys.solve(fr))
-
     measure = sys.spectral_weight(fr)
     route_spectral = float(
         2.0 * np.sum(measure.weights / (1.0 + measure.locations**2))
     )
-
     h0, residual = sys.kernel_residual(fr)
     sigma2_rev = float(2.0 * fr @ h0)
+    # last, so the blocks' LUs of L - S take the heap the chain has freed
+    sigma2_irr = float(2.0 * fr @ sys.solve(fr))
     kernel_flag = residual <= KERNEL_FLAG_RTOL
 
     scale = max(abs(sigma2_irr), abs(route_spectral), 1e-300)

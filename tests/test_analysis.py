@@ -323,13 +323,14 @@ def test_adjoint_solve_is_the_transpose(case, torus_benchmark):
 
 
 def test_adjoint_solve_keeps_the_finiteness_check():
-    # the stub has only solve: solve sizes the border from the blocks
+    # the stub has only solve: solve sizes each block's border itself
     class NanFactor:
         def solve(self, b, trans="N"):
             return np.full_like(b, np.nan)
 
     sys = hermite_builder(1.0)
-    sys._lc_factor = NanFactor()
+    for block in sys._blocks:
+        block.resolvent = NanFactor()
     for adjoint in (False, True):
         with pytest.raises(DiscretizationDefectError,
                            match="perturbed operator is singular on the "

@@ -242,11 +242,11 @@ ESTIMATOR_REFUSALS = [
     (["sweep-k", "--drift", "qgradu", "--q", "0,1,-1,0", "--backend",
       "hermite", "--degree", "2", "--k-values", "0,nan"], "k_values"),
     (["sample", "--dt", "nan", "--n-steps", "10", "--burn-in", "0"],
-     "step_size"),
+     "--dt"),
     (["check-assumptions", "--potential", "gaussian", "--dim", "2", "--cov",
       "nan"], "cov"),
     (["sample", "--initial", "nan,0", "--n-steps", "10", "--burn-in", "0"],
-     "initial_point"),
+     "--initial"),
     (["spectral-report", "--drift", "qgradu", "--q", "0,1,-1,0", "--k", "nan"],
      "--k"),
     (["spectral-report", "--potential", "torus_cosine", "--amplitude", "nan"],
@@ -285,6 +285,10 @@ ESTIMATOR_REFUSALS = [
     (["check-assumptions", "--n-probes", "-1"], "--n-probes"),
     (["check-assumptions", "--seed", "-1"], "--seed"),
     *ESTIMATOR_REFUSALS,
+    # SimConfig's refusals, named by the flags that set its fields
+    (["sample", "--thin", "0", "--n-steps", "10", "--burn-in", "0"], "--thin"),
+    (["sample", "--n-steps", "0", "--burn-in", "0"], "--n-steps"),
+    (["sample", "--n-steps", "10", "--burn-in", "-1"], "--burn-in"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that

@@ -1116,11 +1116,11 @@ def test_negative_definite_energy_operator_is_a_defect(entry):
 
 
 def test_variance_report_factors_l_once(monkeypatch):
-    # one sparse LU of L - S for the resolvent, on both parity blocks'
-    # coordinates and the border together (n + 1 of them), and, in each of
-    # the two blocks, one L D L^T of the grounded L for every solve with L,
-    # the chain's included; the only other factorization is SuperLU's of
-    # each block's triangular F, in its own order
+    # in each of the two parity blocks, one sparse LU of L - S for the
+    # resolvent, on the block's coordinates and the border where the block
+    # holds the constants, and one L D L^T of the grounded L for every solve
+    # with L, the chain's included; the only other factorization is
+    # SuperLU's of each block's triangular F, in its own order
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -1141,7 +1141,8 @@ def test_variance_report_factors_l_once(monkeypatch):
     assert sorted(calls) == sorted(
         [(size, order, order == "NATURAL") for size in sizes
          for order in ("MMD_AT_PLUS_A", "NATURAL")]
-        + [(sys.n + 1, "MMD_AT_PLUS_A", False)])
+        + [(len(block.weights) + (block.const is not None), "MMD_AT_PLUS_A",
+            False) for block in sys._blocks])
     for block in sys._blocks:
         assert block.factor.triangular.L.nnz == block.size
 
@@ -1204,9 +1205,11 @@ def test_triangular_factor_adds_no_fill(case, hermite_sys):
 
 @pytest.mark.parametrize("case", ["torus", "hermite"])
 def test_each_block_factors_and_runs_its_chain_once(case, monkeypatch):
-    # a block caches its grounded factor and its chain: two reports, a
-    # sweep, a certificate, the variances and C4's residuals make each block's
-    # L D L^T and triangular F once, and run its chain once
+    # a block caches its grounded factor, its chain and its resolvent: two
+    # reports, a sweep, a certificate, the variances and C4's residuals make
+    # each block's L D L^T, triangular F and LU of L - S once, every one but
+    # F in minimum-degree order, run its chain once, and factor no system
+    # stacked from two blocks
     import scipy.sparse.linalg
 
     from irrlangevin import spectral_oracle
@@ -1215,9 +1218,9 @@ def test_each_block_factors_and_runs_its_chain_once(case, monkeypatch):
     factored, chains = [], []
     splu, skew_svd = scipy.sparse.linalg.splu, spectral_oracle._skew_svd
 
-    def splu_spy(a, *args, **kwargs):
-        factored.append(a.shape[0])
-        return splu(a, *args, **kwargs)
+    def splu_spy(a, permc_spec, **kwargs):
+        factored.append((a.shape[0], permc_spec))
+        return splu(a, permc_spec=permc_spec, **kwargs)
 
     def chain_spy(m):
         chains.append(len(m))
@@ -1240,8 +1243,13 @@ def test_each_block_factors_and_runs_its_chain_once(case, monkeypatch):
     sizes = [block.size for block in sys._blocks]
     assert len(sizes) == {"torus": 2, "hermite": 5}[case]
     assert sorted(chains) == sorted(sizes)
-    # the grounded L_E and F of each block, and the bordered LU of L - S
-    assert sorted(factored) == sorted(2 * sizes + [sys._lc_factor.shape[0]])
+    # the grounded L_E and F of each block, and its LU of L - S, bordered
+    # where it holds the constants
+    resolvents = [len(block.weights) + (block.const is not None)
+                  for block in sys._blocks]
+    assert sorted(factored) == sorted(
+        [(size, "MMD_AT_PLUS_A") for size in sizes + resolvents]
+        + [(size, "NATURAL") for size in sizes])
 
 
 def test_column_order_never_reaches_a_hermite_solve():
@@ -1661,11 +1669,11 @@ def test_block_bases_are_pi_orthogonal_and_gather_inverts_scatter(case):
 @pytest.mark.parametrize("case", ["one-block torus", "parity torus",
                                   "hermite shells"])
 def test_resolvent_solve_matches_the_dense_reference(case):
-    # the bordered LU in block coordinates solves (L - A) h = f and, with
-    # adjoint, (L - A)^T h = f on the mean-zero subspace: a torus whose
-    # drift is not odd is one block, an odd drift on an even U splits into
-    # parity blocks with the border in the even one, and the Hermite shells
-    # drop the degree-0 shell and with it the border
+    # the blocks' LUs solve (L - A) h = f and, with adjoint, (L - A)^T h = f
+    # on the mean-zero subspace: a torus whose drift is not odd is one
+    # block, an odd drift on an even U splits into parity blocks with the
+    # border in the even one, and the Hermite shells drop the degree-0
+    # shell and with it the border
     u = torus_cosine(2, 1.0)
     if case == "one-block torus":
         sys = discretize_torus(u, _flux_drift(u, (1.0, np.sqrt(2.0))), 12)
@@ -1677,8 +1685,11 @@ def test_resolvent_solve_matches_the_dense_reference(case):
     blocks = len(sys._blocks)
     assert blocks == {"one-block torus": 1, "parity torus": 2,
                       "hermite shells": 5}[case]
-    size = sys.n - 1 if case == "hermite shells" else sys.n + 1
-    assert sys._lc_factor.shape == (size, size)
+    border = [int(block.const is not None) for block in sys._blocks]
+    assert sum(border) == (case != "hermite shells")
+    for block, extra in zip(sys._blocks, border):
+        size = len(block.weights) + extra
+        assert block.resolvent.shape == (size, size)
     basis = _mean_zero_basis(sys)
     resolvent = basis.T @ (sys.pi_weights[:, None]
                            * ((sys.l_matrix - _dense_a(sys)) @ basis))
@@ -1693,13 +1704,132 @@ def test_resolvent_solve_matches_the_dense_reference(case):
 
 
 def test_resolvent_factor_fills_no_entry_between_blocks():
-    # at torus m = 32 in two parity blocks L + U of the bordered LU hold
-    # 26,678 entries; the same LU on the whole state space held 40,390
+    # at torus m = 32 the two parity blocks' LUs hold 26,678 entries in L + U
+    # together; the same LU on the whole state space held 40,390
     from irrlangevin.benchmark import torus_benchmark_system
 
     sys = torus_benchmark_system(1.0, 32)
-    assert len(sys._blocks) == 2 and sys._lc_factor.shape == (sys.n + 1,) * 2
-    assert sys._lc_factor.L.nnz + sys._lc_factor.U.nnz <= 27_000
+    assert len(sys._blocks) == 2
+    assert sum(block.resolvent.shape[0] for block in sys._blocks) == sys.n + 1
+    assert sum(block.resolvent.L.nnz + block.resolvent.U.nnz
+               for block in sys._blocks) <= 27_000
+
+
+def test_hermite_shells_fill_in_minimum_degree_order():
+    # on Hermite d=5 degree 8 with the chain rotation the eight shells' LUs
+    # of L - S hold 39,916 entries in minimum-degree order; in COLAMD order
+    # they held 60,094, and one LU of the shells stacked 60,088
+    q = np.diag(np.ones(4), 1)
+    sys = discretize_gaussian_linear(q - q.T, dim=5, degree=8)
+    assert len(sys._blocks) == 8
+    assert all(block.const is None for block in sys._blocks)
+    assert sum(block.resolvent.L.nnz + block.resolvent.U.nnz
+               for block in sys._blocks) == 39_916
+
+
+# (n, seed) of the random reversible generators, fixed before their first run
+RANDOM_GENERATORS = [(5, 1701), (5, 1702), (17, 1703), (17, 1704),
+                     (60, 1705), (60, 1706), (200, 1707), (200, 1708)]
+
+
+def _random_generator_system(n, seed):
+    """A pi-reversible generator plus a pi-preserving drift on n states.
+
+    pi is uniform on [0.2, 1], normalized; L = diag(pi)^{-1} (D - W) for the
+    random conductances W of a ring plus 2n random chords; S =
+    diag(pi)^{-1} J, with J a sum of n circulations of random strength
+    around random triangles, antisymmetric with zero row sums, so S kills
+    the constants and keeps pi.  Such a system is neither a grid nor a
+    Hermite basis: it is one block, B = I on the states themselves.
+    """
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.2, 1.0, n)
+    pi /= pi.sum()
+    chords = rng.integers(0, n, (2, 2 * n))
+    chords = chords[:, chords[0] != chords[1]]
+    heads = np.concatenate([np.arange(n), chords[0]])
+    tails = np.concatenate([(np.arange(n) + 1) % n, chords[1]])
+    w = np.zeros((n, n))
+    np.add.at(w, (heads, tails), rng.uniform(0.5, 2.0, len(heads)))
+    w += w.T
+    circulation = np.zeros((n, n))
+    for _ in range(n):
+        a, b, c = rng.choice(n, 3, replace=False)
+        strength = rng.uniform(0.5, 2.0)
+        for x, y in ((a, b), (b, c), (c, a)):
+            circulation[x, y] += strength
+            circulation[y, x] -= strength
+    return DiscretizedSystem(
+        n=n, pi_weights=pi,
+        l_matrix=csr_array((np.diag(w.sum(axis=1)) - w) / pi[:, None]),
+        s_matrix=csr_array(circulation / pi[:, None]), const_vec=np.ones(n))
+
+
+def _dense_bordered_reference(sys, fs):
+    """sigma2_rev and sigma2_irr of each centred column of ``fs``, from the
+    dense bordered systems [[op, 1], [pi^T, 0]]; then sup_rev, sup_irr,
+    the smallest mean-zero eigenvalue of L and min Re spec(L - A), in a
+    pi-orthonormal basis of the mean-zero subspace."""
+    import scipy.linalg
+
+    n, pi = sys.n, sys.pi_weights
+    l_dense, s_dense = sys.l_matrix.toarray(), sys.s_matrix.toarray()
+    fc = fs - pi @ fs
+    variances = []
+    for op in (l_dense, l_dense - s_dense):
+        bordered = np.block([[op, np.ones((n, 1))], [pi[None], np.zeros((1, 1))]])
+        h = np.linalg.solve(bordered, np.vstack([fc, np.zeros((1, fc.shape[1]))]))
+        variances.append(2.0 * np.sum(pi[:, None] * fc * h[:n], axis=0))
+    root = np.sqrt(pi)
+    basis = scipy.linalg.null_space(root[None]) / root[:, None]
+    l_r = basis.T @ (pi[:, None] * (l_dense @ basis))
+    lc_r = l_r - basis.T @ (pi[:, None] * (s_dense @ basis))
+    lam = np.linalg.eigvalsh((l_r + l_r.T) / 2.0)[0]
+    resolvent = np.linalg.inv(lc_r)
+    return (*variances, 2.0 / lam,
+            np.linalg.eigvalsh(resolvent + resolvent.T)[-1], lam,
+            np.linalg.eigvals(lc_r).real.min())
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_GENERATORS)
+def test_random_generator_matches_the_dense_bordered_reference(n, seed):
+    # one block whose basis is the states themselves: both variances by
+    # both routes, worst_case and generator_gaps agree with dense bordered
+    # solves and eigen-solves
+    sys = _random_generator_system(n, seed)
+    assert len(sys._blocks) == 1
+    block = sys._blocks[0]
+    assert block.l_matrix is sys.l_matrix and block.s_matrix is sys.s_matrix
+    for op in (sys.l_matrix, sys.s_matrix):
+        assert (op.indices.dtype, op.indptr.dtype) == (np.int32, np.int32)
+    fs = np.random.default_rng(seed).standard_normal((n, 3))
+    rev, irr, sup_rev, sup_irr, lam, min_real = _dense_bordered_reference(sys, fs)
+    for col in range(fs.shape[1]):
+        report = variance_report(sys, fs[:, col])
+        np.testing.assert_allclose(
+            [report.sigma2_rev, report.sigma2_irr, report.route_spectral,
+             *asymptotic_variances(sys, fs[:, col])],
+            [rev[col], irr[col], irr[col], rev[col], irr[col]], rtol=1e-12, atol=0)
+    result = worst_case(sys)
+    assert result.strict and result.kernel_intersection_dim == 0
+    np.testing.assert_allclose([result.sup_rev, result.sup_irr, result.lambda_min],
+                               [sup_rev, sup_irr, lam], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(generator_gaps(sys), [lam, min_real],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_GENERATORS)
+def test_random_generator_keeps_the_inequality(n, seed):
+    # C1 on a system that is neither a grid nor a shell: the drift never
+    # raises the variance, over as many observables as C1 scans
+    from irrlangevin.benchmark import SCAN_OBSERVABLES
+
+    sys = _random_generator_system(n, seed)
+    rng = np.random.default_rng(OBSERVABLE_SEED)
+    slack = max(report.sigma2_irr - report.sigma2_rev for report in (
+        variance_report(sys, rng.standard_normal(n))
+        for _ in range(SCAN_OBSERVABLES)))
+    assert slack <= TOLERANCES["C1_slack"]
 
 
 @pytest.mark.parametrize("case", ["parity torus", "one-block torus",
@@ -1736,8 +1866,8 @@ def test_sparse_indices_are_superlus_int32(case, monkeypatch):
                            "3-d torus": 2, "hermite shells": 8}[case]
     f = np.random.default_rng(3).standard_normal(sys.n)
     asymptotic_variances(sys, f)
-    # the grounded factor and its triangular F per block, then the LU of L - S
-    assert len(handed) == 2 * len(blocks) + 1
+    # the grounded factor, its triangular F and the LU of L - S per block
+    assert len(handed) == 3 * len(blocks)
     held = [sys.l_matrix, sys.s_matrix]
     for block in blocks:
         held += [block.l_matrix, block.s_matrix, block.grounded_energy()[1]]
@@ -1801,7 +1931,7 @@ def test_torus_build_allocates_no_n_by_n_array():
 
 def test_resolvent_route_memory_at_n_4096():
     # the dense construction peaked at 1343 MB traced here; the sparse
-    # build, the bordered LU of L - S and the grounded L D L^T of L at 7.7 MB
+    # build, the bordered LUs of L - S and the grounded L D L^T of L at 7.7 MB
     # with the imports traced; with the imports outside the trace, the LU
     # on the whole state space and the parity blocks' factors of L at 3.83
     # MB, the LU in the blocks' coordinates at 3.77 MB, and with int32
