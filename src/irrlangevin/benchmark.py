@@ -168,7 +168,7 @@ def _structure_residuals(sys) -> list[tuple[str, float]]:
     pi_s = pi[:, None] * sys.s_matrix
     a_const = sys.center(sys.s_matrix @ sys.center(const)[0])[0]
     ftf, scale = 0.0, 0.0
-    for block in sys._factored:
+    for block in sys._blocks:
         energy = block.grounded_energy()[1]
         inverse = np.argsort(block.factor.perm)
         f = block.factor.triangular.U
@@ -180,7 +180,7 @@ def _structure_residuals(sys) -> list[tuple[str, float]]:
         ("L annihilates constants", _max_abs(sys.l_matrix @ const)),
         ("A annihilates constants", _max_abs(a_const)),
         ("grounded L = F^T F", ftf / scale),
-        ("F^-T A F^-1 antisymmetric", max(b.chain[2] for b in sys._factored)),
+        ("F^-T A F^-1 antisymmetric", max(b.chain[2] for b in sys._blocks)),
     ]
 
 

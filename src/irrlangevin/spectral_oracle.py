@@ -80,8 +80,11 @@ minimum-degree order with diagonal pivots; its U = D L^T becomes
 F = D^{1/2} L^T in place, and SuperLU's factor of the triangular F, whose
 L is the identity, makes the solves with F = D^{1/2} L^T P and F^T.  F is
 sparse, and the diagonal sqrt(degree) on the Hermite basis.
-``kernel_residual`` solves L h = f as h = E F^{-1} F^{-T} (w f)[keep], and
-a zero or negative pivot refuses it as it refuses the spectral chain.  The
+``kernel_residual`` solves L h = f as h = E F^{-1} F^{-T} (w f)[keep].  A
+zero or negative pivot of D refuses both it and the spectral chain, named
+in O(n), with no eigenvalue solved: by Sylvester's law of inertia L_E is
+then not positive definite.  The dense routes refuse by the smallest
+eigenvalue of L, which they compute anyway.  The
 chain fills m = F^{-T} A_E F^{-1} a block of columns at a time by these
 solves, reduces it to a skew-tridiagonal T = Q^T m Q (``_skew_tridiagonal``),
 keeps Q's reflectors as compact-WY panels in half an array while it takes
@@ -143,6 +146,10 @@ _PANEL = 32  # reflectors per compact-WY panel of the cached singular basis
 # pi, L and S of a torus grid that commute with x -> -x to this relative
 # rounding are made to commute exactly (measured: 5e-16 on L at m = 24 to 40)
 _MIRROR_RTOL = 1e-12
+# a system's |<c, c>_pi - 1| and max |L c| / max |L| must not exceed this;
+# the discretizers read at most 4.4e-16 and 4.7e-16 (2-d torus m = 8 to 83,
+# 1-d and 3-d grids, Hermite d <= 5 to degree 8), three decades below
+_SYSTEM_RTOL = 1e-12
 
 
 @dataclass
@@ -317,9 +324,8 @@ class _Block:
         return keep, pi_l.tocsr()[keep][:, keep]
 
     @cached_property
-    def factor(self) -> _EnergyFactor | None:
-        """Sparse F = D^{1/2} L^T P of the grounded L_E, None on a zero,
-        negative or off-diagonal pivot.
+    def factor(self) -> _EnergyFactor:
+        """Sparse F = D^{1/2} L^T P of the grounded L_E.
 
         SuperLU orders by minimum degree and takes its pivots on the diagonal
         (``SymmetricMode`` with ``diag_pivot_thresh`` 0), so its row order is
@@ -327,7 +333,9 @@ class _Block:
         place, the diagonal set to sqrt(D) exactly, and the result factored
         again in its own order with diagonal pivots, which adds no entry.  A
         Hermite shell's L_E is diagonal, so its solves give the same bits in
-        any order.
+        any order.  A pivot of D that is not positive raises
+        :class:`DiscretizationDefectError` naming it: by Sylvester's law of
+        inertia L_E is then not positive definite, with no eigenvalue solved.
         """
         from scipy.sparse.linalg import splu
 
@@ -335,12 +343,16 @@ class _Block:
         on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         try:
             lu = splu(energy.tocsc(), permc_spec="MMD_AT_PLUS_A", **on_diagonal)
-        except RuntimeError:  # how SuperLU reports a zero pivot
-            return None
+        except RuntimeError as exc:  # how SuperLU reports a zero pivot
+            raise _not_positive_definite("a pivot of L D L^T is 0") from exc
         f = lu.U
         d = f.diagonal()
-        if not (np.all(d > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
-            return None
+        # step k, on column argsort(perm_c)[k], leaves the diagonal only at D_k = 0
+        d[lu.perm_r[np.argsort(lu.perm_c)] != np.arange(len(d))] = 0.0
+        if not np.all(d > 0.0):  # NaN too
+            k = int(np.argmin(d > 0.0))
+            raise _not_positive_definite(
+                f"pivot {k + 1} of {len(d)} of L D L^T is {d[k]:.6e}")
         perm = lu.perm_c.copy()  # perm_c is a view that keeps lu alive
         del lu  # SuperLU's factors of L_E go before those of F are made
         root = np.sqrt(d, out=d)
@@ -383,8 +395,8 @@ class _Block:
     def chain(self) -> tuple[Array, tuple[Array, list], float]:
         """:func:`_skew_svd` of m = F^{-T} A_E F^{-1} = O^T pi M O, with O
         pi-orthonormal: M's singular values, the panels of H with
-        O^T = H diag(signs), about half the block's array, and m's residual;
-        read once ``DiscretizedSystem._factored`` has checked ``factor``."""
+        O^T = H diag(signs), about half the block's array, and m's residual.
+        A ``factor`` that refuses L_E raises before any dense array exists."""
         return _skew_svd(self.congruence())
 
     def congruence(self) -> Array:
@@ -511,6 +523,31 @@ class DiscretizedSystem:
     multi_indices: tuple | None = None  # Hermite exponents per basis vector
     antisym_correction: float = 0.0  # size of the discarded symmetric part of A
 
+    def __post_init__(self) -> None:
+        """Refuse, by :class:`ValueError`, sizes that disagree, a pi that is
+        not finite and positive, and a ``const_vec`` that is not the
+        pi-normalized constant function that L annihilates, each of the last
+        two to ``_SYSTEM_RTOL``: the variances would be wrong, not refused."""
+        n, pi, c = self.n, self.pi_weights, self.const_vec
+        shapes = [np.shape(pi), np.shape(c), self.l_matrix.shape, self.s_matrix.shape]
+        if shapes != [(n,), (n,), (n, n), (n, n)]:
+            raise ValueError(f"system of n = {n} states has pi, constants, L and "
+                             f"S of shapes {shapes}")
+        if not (np.min(pi) > 0.0 and np.isfinite(np.max(pi))):  # NaN fails too
+            raise ValueError("pi_weights must be finite and positive")
+        norm = abs(float(np.einsum("i,i,i", pi, c, c)) - 1.0)
+        if not norm <= _SYSTEM_RTOL:
+            raise ValueError(f"the constants are not pi-normalized: "
+                             f"|<c, c>_pi - 1| = {norm:.3e}")
+        # max |L| by reductions, not abs(L): the arrays of that copy moved the
+        # heap under the later dense arrays, so LAPACK rounded them otherwise
+        data = self.l_matrix.data
+        scale = max(np.max(data, initial=0.0), -np.min(data, initial=0.0))
+        kill = float(np.max(np.abs(self.l_matrix @ c))) / max(float(scale), 1e-300)
+        if not kill <= _SYSTEM_RTOL:
+            raise ValueError(f"L does not annihilate const_vec: max |L c| / max |L| "
+                             f"= {kill:.3e}")
+
     # -- cached factorizations -------------------------------------------
 
     @cached_property
@@ -584,7 +621,7 @@ class DiscretizedSystem:
             lowest = min(lowest, parts[-1][0][0])
         w = np.sort(np.concatenate([part[0] for part in parts]))
         if w[0] <= 0.0:
-            raise _not_positive_definite(w[0])
+            raise _not_positive_definite(f"smallest eigenvalue {w[0]:.6e}")
         dims = [0 if y is None else
                 int(np.sum(np.abs(wb[:y.shape[1]] - w[0]) <= _cluster_tol(w[0])))
                 for wb, y in parts]
@@ -596,16 +633,6 @@ class DiscretizedSystem:
                         col:col + dim] = y[:, :dim]
                 col += dim
         return w, vectors
-
-    @cached_property
-    def _factored(self) -> tuple[_Block, ...]:
-        """The blocks, once each has factored its grounded L_E
-        (:attr:`_Block.factor`); a zero, negative or off-diagonal pivot in
-        any raises :class:`DiscretizationDefectError` with the smallest
-        eigenvalue of the restricted L."""
-        if any(block.factor is None for block in self._blocks):
-            raise _not_positive_definite(self._l_spectrum[0][0])
-        return self._blocks
 
     # -- the solve path ----------------------------------------------------
 
@@ -655,7 +682,7 @@ class DiscretizedSystem:
         by two SuperLU solves with the grounded factor's triangular F; a
         non-finite x raises :class:`DiscretizationDefectError`."""
         h_parts, a_parts = [], []
-        for block in self._factored:
+        for block in self._blocks:
             factor = block.factor
             h = np.zeros(len(block.weights))
             f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
@@ -687,7 +714,7 @@ class DiscretizedSystem:
         cluster at 0, if any, keeps its mass in one atom at 0.
         """
         values, masses = [], []
-        for block in self._factored:
+        for block in self._blocks:
             s, (signs, panels), _ = block.chain
             f = block.from_mean_zero(fr[block.offset:block.offset + block.size])
             b = (block.weights * f)[block.factor.keep]
@@ -768,10 +795,10 @@ def _perturbed_singular() -> DiscretizationDefectError:
         "perturbed operator is singular on the mean-zero subspace")
 
 
-def _not_positive_definite(smallest: float) -> DiscretizationDefectError:
+def _not_positive_definite(evidence: str) -> DiscretizationDefectError:
     return DiscretizationDefectError(
         "restricted energy operator is not positive definite (singular or "
-        f"indefinite): smallest eigenvalue {smallest:.6e}")
+        f"indefinite): {evidence}")
 
 
 def _skew_tridiagonal(m: Array) -> tuple[Array, Array, Array]:

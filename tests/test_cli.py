@@ -8,7 +8,10 @@ import pytest
 from irrlangevin import benchmark as bench
 from irrlangevin import cli
 from irrlangevin.cli import run_command
-from irrlangevin.model import POTENTIAL_CATALOG
+from irrlangevin.mc_variance import overlapping_batch_means
+from irrlangevin.model import POTENTIAL_CATALOG, make_potential, make_qgradu_drift
+from irrlangevin.observables import parse_observable
+from irrlangevin.sde_sim import SimConfig, simulate
 from irrlangevin.spectral_oracle import discretize_gaussian_linear
 
 pytestmark = pytest.mark.usefixtures("tmp_home")
@@ -129,6 +132,28 @@ def test_estimate_variance_batch_means(tmp_path):
     assert payload["method"] == "batch_means"
     assert payload["estimate"] > 0.0
     assert payload["n_chains"] == 1
+
+
+def test_estimate_variance_overlapping_batch_means(tmp_path):
+    # the report holds the estimator's own numbers on the same path, bit
+    # for bit
+    out = tmp_path / "obm.json"
+    assert run_command([
+        "estimate-variance", "--drift", "qgradu", "--q", "0,1,-1,0",
+        "--method", "overlapping-batch-means", "--dt", "0.01",
+        "--n-steps", "50000", "--burn-in", "1000", "--seed", "5",
+        "--output", str(out),
+    ]) == 0
+    u = make_potential("gaussian", dim=2, cov=None)
+    obs = parse_observable("x1", 2)
+    cfg = SimConfig(step_size=0.01, n_steps=50000, initial_point=np.zeros(2),
+                    burn_in_steps=1000, seed=5)
+    c = make_qgradu_drift(np.array([[0.0, 1.0], [-1.0, 0.0]]), u)
+    estimate = overlapping_batch_means(simulate(u, c, obs.fn, cfg), obs.fn)
+    payload = read_json(out)
+    assert payload["method"] == estimate.method.value == "overlapping_batch_means"
+    assert payload["estimate"].hex() == estimate.point_estimate.hex()
+    assert payload["stderr"].hex() == estimate.stderr.hex()
 
 
 def test_sample_writes_summary_and_trajectory(tmp_path):
@@ -289,6 +314,12 @@ ESTIMATOR_REFUSALS = [
     (["sample", "--thin", "0", "--n-steps", "10", "--burn-in", "0"], "--thin"),
     (["sample", "--n-steps", "0", "--burn-in", "0"], "--n-steps"),
     (["sample", "--n-steps", "10", "--burn-in", "-1"], "--burn-in"),
+    # a list flag with a token that is no real number
+    (["sweep-k", "--k-values", "0,x"], "cannot parse --k-values"),
+    (["sample", "--initial", "1,a", "--n-steps", "10", "--burn-in", "0"],
+     "cannot parse --initial"),
+    (["spectral-report", "--drift", "qgradu", "--q", "0,1,-1,x"],
+     "cannot parse --q"),
 ])
 def test_non_finite_input_exits_2(argv, named, tmp_path, capsys):
     # not a silent NaN row, not a divergence at step 0, not an input that
@@ -312,6 +343,25 @@ def test_estimate_variance_refuses_before_any_chain_runs(argv, named, tmp_path,
     for runner in ("simulate", "replicated_clt"):
         monkeypatch.setattr(cli, runner, spy)
     assert run_command([*argv, "--output", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(
+        fail, tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+    text = "new\n"
+    if fail == "write":
+        text = None  # the handle refuses it after the temporary file exists
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises((TypeError, OSError)):
+        cli.write_atomic(target, text)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_hermite_backend_requires_standard_gaussian(capsys):

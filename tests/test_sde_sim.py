@@ -185,6 +185,27 @@ def test_thinning_subsamples_states():
                                   full.observable_running_mean[::5])
 
 
+@pytest.mark.parametrize("case", ["gaussian affine", "torus loop"])
+def test_thinning_coarser_than_a_block(monkeypatch, case):
+    # thin = 5000 exceeds a lone chain's 4096-step block, so the block over
+    # steps 20480-24575 holds no recorded row (rows at 20000 and 25000)
+    if case == "gaussian affine":
+        u, x0 = gaussian_potential(2), [0.5, 0.0]
+    else:
+        u, x0 = torus_cosine(2, 1.0), [0.1, 6.0]
+    c = make_qgradu_drift(ROT, u)
+    cfg = SimConfig(step_size=0.01, n_steps=30000, initial_point=x0, seed=8)
+    taken = _spy_affine(monkeypatch)
+    full = simulate(u, c, coord1, cfg)
+    sub = simulate(u, c, coord1, replace(cfg, thin=5000))
+    assert len(taken) == (2 if case == "gaussian affine" else 0)
+    assert len(sub.states) == 7
+    np.testing.assert_array_equal(sub.states, full.states[::5000])
+    np.testing.assert_array_equal(sub.times, full.times[::5000])
+    np.testing.assert_array_equal(sub.observable_running_mean,
+                                  full.observable_running_mean[::5000])
+
+
 def test_block_boundary_continuity():
     # a horizon crossing the noise-block size must behave like any other;
     # 32 coordinates keep the default block short enough to cross quickly

@@ -153,7 +153,7 @@ def _raw_congruences(sys):
     """[(F, F^-T A_E F^-1)] for each block, the product as the sparse solves
     leave it, before it is made antisymmetric."""
     return [(_dense_factor(block.factor), block.congruence())
-            for block in sys._factored]
+            for block in sys._blocks]
 
 
 def _state_basis(sys):
@@ -551,7 +551,7 @@ def _reversible_mass(sys, fr):
 def test_m_operator_zero_drift():
     u = torus_cosine(2, 1.0)
     sys = discretize_torus(u, zero_drift(2), 12)
-    for block in sys._factored:
+    for block in sys._blocks:
         s, _, residual = block.chain
         assert np.max(np.abs(block.congruence())) == 0.0
         assert np.max(s) == 0.0
@@ -561,7 +561,7 @@ def test_m_operator_zero_drift():
 def test_m_operator_ou_singular_values():
     a = 0.7
     sys = discretize_gaussian_linear(a * ROT, dim=2, degree=1)
-    values = np.concatenate([block.chain[0] for block in sys._factored])
+    values = np.concatenate([block.chain[0] for block in sys._blocks])
     np.testing.assert_allclose(np.sort(values), [a, a], atol=1e-12)
 
 
@@ -601,7 +601,7 @@ def test_chain_records_raw_antisymmetry_residual(case, hermite_sys):
     from irrlangevin.benchmark import _structure_residuals
 
     residuals = [np.max(np.abs(m + m.T)) for _, m in _raw_congruences(sys)]
-    assert [block.chain[2] for block in sys._factored] == residuals
+    assert [block.chain[2] for block in sys._blocks] == residuals
     assert (dict(_structure_residuals(sys))["F^-T A F^-1 antisymmetric"]
             == max(residuals))
 
@@ -622,7 +622,7 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
     else:
         u = torus_cosine(2, 1.0)
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
-    for block in sys._factored:
+    for block in sys._blocks:
         keep = np.arange(len(block.weights))
         if block.const is not None:
             keep = np.delete(keep, np.argmax(block.weights * block.const**2))
@@ -633,7 +633,7 @@ def test_grounded_factor_reproduces_grounded_energy(case, hermite_sys):
     assert dict(_structure_residuals(sys))["grounded L = F^T F"] <= 1e-13
     if case == "hermite":
         degree = np.array([sum(a) for a in sys.multi_indices])
-        for block in sys._factored:
+        for block in sys._blocks:
             assert block.const is None
             np.testing.assert_array_equal(
                 block.factor.triangular.U.toarray(),
@@ -658,9 +658,10 @@ def test_m_operator_rejects_indefinite_restriction():
         s_matrix=csr_array((3, 3)),
         const_vec=np.ones(3),
     )
-    with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
-        sys._factored
-    with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
+    # the sparse route refuses by its factor's pivot, the dense routes by
+    # the smallest eigenvalue they compute anyway
+    with pytest.raises(DiscretizationDefectError,
+                       match="not positive definite.*pivot"):
         sys.spectral_weight(np.ones(2))
     with pytest.raises(DiscretizationDefectError, match="smallest eigenvalue"):
         generator_gaps(sys)
@@ -1115,6 +1116,44 @@ def test_negative_definite_energy_operator_is_a_defect(entry):
         entry(sys, np.array([1.0, -2.0, 1.0]))
 
 
+# fixed before the first run: an eighth of one parity block's dense
+# restriction of L at m = 64 (2048^2 doubles, 33.5 MB)
+REFUSAL_PEAK_BYTES = 4 * 2**20
+
+
+@pytest.mark.parametrize("case", ["parity torus", "one-block torus"])
+def test_sparse_route_refuses_a_negated_l_by_its_pivot(case, monkeypatch):
+    # -L is negative definite, so the grounded factor's first pivot is
+    # negative: every sparse entry point refuses by it, in O(n) memory, and
+    # never solves the dense restriction of L for an eigenvalue
+    from dataclasses import replace
+
+    import scipy.sparse.linalg  # noqa: F401  (imported before tracing)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the dense restriction of L was solved")
+
+    monkeypatch.setattr(_Block, "l_eigen", spy)
+    u = torus_cosine(2, 1.0)
+    drift = (make_qgradu_drift(ROT, u) if case == "parity torus"
+             else _flux_drift(u, (1.0, np.sqrt(2.0))))
+    sound = discretize_torus(u, drift, 64)
+    f = observable_vector(sound, parse_observable("cos1", 2))
+    for entry in (asymptotic_variances, equality_certificate, variance_report):
+        defective = replace(sound, l_matrix=-sound.l_matrix)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DiscretizationDefectError,
+                               match=r"not positive definite .*: pivot 1 of "
+                                     r"\d+ of L D L\^T is -"):
+                entry(defective, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= REFUSAL_PEAK_BYTES, (entry.__name__, peak)
+        assert len(defective._blocks) == (2 if case == "parity torus" else 1)
+
+
 def test_variance_report_factors_l_once(monkeypatch):
     # in each of the two parity blocks, one sparse LU of L - S for the
     # resolvent, on the block's coordinates and the border where the block
@@ -1187,7 +1226,7 @@ def test_triangular_factor_adds_no_fill(case, hermite_sys):
     else:
         u = torus_cosine(2, 1.0)
         sys = discretize_torus(u, make_qgradu_drift(ROT, u), int(case[-2:]))
-    for block in sys._factored:
+    for block in sys._blocks:
         keep = block.factor.keep
         pi_l = scipy.sparse.diags_array(block.weights) @ block.l_matrix
         energy = pi_l.tocsr()[keep][:, keep].tocsc()
@@ -1264,7 +1303,7 @@ def test_column_order_never_reaches_a_hermite_solve():
     on_diagonal = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     rng = np.random.default_rng(11)
     assert len(sys._blocks) == 8
-    for block in sys._factored:
+    for block in sys._blocks:
         keep, energy = block.grounded_energy()
         lu = scipy.sparse.linalg.splu(energy.tocsc(), permc_spec="NATURAL",
                                       **on_diagonal)
@@ -1277,6 +1316,51 @@ def test_column_order_never_reaches_a_hermite_solve():
         x = rng.standard_normal((len(keep), 3))
         assert np.array_equal(block.factor.solve(x), natural.solve(x))
         assert np.array_equal(block.factor.solve_t(x), natural.solve_t(x))
+
+
+TRIANGLE = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+CYCLE = 0.7 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("changes, named", [
+    # pi summing to 3 gave sigma2_rev 3.93 for the true 1.33
+    ({"pi_weights": np.ones(3)}, "pi-normalized"),
+    # (1, 1, 0) gave sigma2_irr 1.150 > sigma2_rev 0.858
+    ({"const_vec": np.array([1.0, 1.0, 0.0])}, "pi-normalized"),
+    ({"const_vec": np.sqrt(1.5) * np.array([1.0, 1.0, 0.0])}, "annihilate"),
+    ({"pi_weights": np.array([0.5, 0.5, 0.0])}, "finite and positive"),
+    ({"pi_weights": np.array([0.5, np.nan, 0.5])}, "finite and positive"),
+    ({"n": 4}, "shapes"),
+    ({"const_vec": np.ones(4)}, "shapes"),
+    ({"s_matrix": csr_array((2, 2))}, "shapes"),
+], ids=["pi-sums-to-3", "const-110", "const-110-normalized", "pi-zero",
+        "pi-nan", "n", "const-length", "s-shape"])
+def test_system_refuses_what_it_cannot_represent(changes, named):
+    # the triangle Laplacian and a 3-cycle circulation on uniform states
+    fields = {"n": 3, "pi_weights": np.full(3, 1.0 / 3.0),
+              "l_matrix": csr_array(TRIANGLE), "s_matrix": csr_array(CYCLE),
+              "const_vec": np.ones(3)}
+    DiscretizedSystem(**fields)
+    with pytest.raises(ValueError, match=named):
+        DiscretizedSystem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: discretize_torus(torus_cosine(2, 1.0),
+                             make_qgradu_drift(ROT, torus_cosine(2, 1.0)), 8),
+    lambda: discretize_torus(torus_cosine(2, 1.0),
+                             make_qgradu_drift(ROT, torus_cosine(2, 1.0)), 83),
+    lambda: discretize_torus(torus_cosine(3, 1.0),
+                             make_qgradu_drift(Q3_CHAIN, torus_cosine(3, 1.0)), 19),
+    lambda: discretize_gaussian_linear(np.diag(np.ones(4), 1)
+                                       - np.diag(np.ones(4), -1), 5, 8),
+], ids=["torus m8", "torus m83", "3-d m19", "hermite d5 deg8"])
+def test_every_discretizer_passes_the_system_checks(build):
+    # built, so accepted; the checks' quantities sit far below their bound
+    sys = build()
+    c = sys.const_vec
+    assert abs(np.sum(sys.pi_weights * c * c) - 1.0) <= 1e-15
+    assert np.max(np.abs(sys.l_matrix @ c)) <= 1e-15 * abs(sys.l_matrix).max()
 
 
 def test_non_finite_solution_is_a_defect():
