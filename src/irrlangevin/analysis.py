@@ -142,8 +142,7 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     """
     import scipy.linalg
 
-    w, l_space = sys._l_spectrum
-    lam = float(w[0])
+    lam, l_space = sys._l_spectrum
     sup_rev = 2.0 / lam
 
     a_l = sys.to_mean_zero(sys.s_matrix @ sys.from_mean_zero(l_space)) / lam
@@ -155,7 +154,7 @@ def worst_case(sys: DiscretizedSystem) -> WorstCaseResult:
     # exactly; Lanczos runs on the orthogonal complement, which R + R^T
     # maps to itself
     common = l_space @ vt[passing].T
-    size = len(w)
+    size = sys.n - 1
 
     def project(x: Array) -> Array:
         return x - common @ (common.T @ x)

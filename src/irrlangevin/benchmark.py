@@ -190,7 +190,7 @@ def run_c4(tol: Mapping[str, float]) -> list[CriterionRow]:
     for name, sys in _backends():
         rows += [CriterionRow("C4", f"{name}: {label}", "residual <= tol", x, t,
                               x <= t) for label, x in _structure_residuals(sys)]
-        lam_min = float(sys._l_spectrum[0][0])
+        lam_min = sys._l_spectrum[0]
         rows.append(CriterionRow(
             "C4", f"{name}: kernel of L is only the constants",
             "smallest mean-zero eigenvalue of L > 0", lam_min, 0.0,

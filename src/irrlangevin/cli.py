@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error (including unknown flags),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -31,6 +32,7 @@ from .mc_variance import (
     replicated_clt,
 )
 from .model import (
+    POTENTIAL_CATALOG,
     DriftField,
     Potential,
     SpaceKind,
@@ -55,14 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
-# The flags each catalog potential reads.  They give the --potential
-# choices, the factory's keyword arguments and the report's potential_spec.
-POTENTIAL_FLAGS = {
-    "gaussian": ("dim", "cov"),
-    "double_well_2d": ("barrier",),
-    "torus_cosine": ("dim", "amplitude"),
-}
-
 
 # --- flag parsing helpers ----------------------------------------------------
 
@@ -86,7 +80,7 @@ def _parse_q(text: str, dim: int) -> np.ndarray:
 
 def _add_potential_args(sp):
     sp.add_argument("--potential", default="gaussian",
-                    choices=list(POTENTIAL_FLAGS))
+                    choices=list(POTENTIAL_CATALOG))
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--cov", default=None,
                     help="gaussian covariance: scalar, diagonal, or row-major matrix")
@@ -163,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-chains", type=int, default=64)
     sp.add_argument("--batch-length", type=float, default=None)
     sp.add_argument("--check-bias", action="store_true",
-                    help="rerun at dt/2 and flag an estimate that moves > 1 stderr")
+                    help="rerun at dt/2 and flag an estimate that moves > 3 "
+                         "stderrs of the difference")
     _add_output_arg(sp, "variance.json")
 
     sp = sub.add_parser("spectral-report",
@@ -235,9 +230,14 @@ def _amplitude_param(args):
 _FLAG_PARAMS = {"cov": _cov_param, "amplitude": _amplitude_param}
 
 
+def _potential_flags(args):
+    """The flags the chosen catalog potential reads: its factory's keywords."""
+    return inspect.signature(POTENTIAL_CATALOG[args.potential]).parameters
+
+
 def _potential_from_args(args) -> Potential:
     params = {flag: _FLAG_PARAMS[flag](args) if flag in _FLAG_PARAMS
-              else getattr(args, flag) for flag in POTENTIAL_FLAGS[args.potential]}
+              else getattr(args, flag) for flag in _potential_flags(args)}
     return make_potential(args.potential, **params)
 
 
@@ -261,7 +261,8 @@ def _system_from_args(args, u: Potential, scale: float):
     if backend == "torus":
         if u.space_kind is not SpaceKind.FLAT_TORUS:
             raise ValueError("--backend torus requires a torus potential")
-    elif u.name != "gaussian" or u.params.get("cov") != np.eye(u.dim).tolist():
+    elif (u.constant_hessian is None
+          or not np.array_equal(u.constant_hessian, np.eye(u.dim))):
         raise ValueError(
             "--backend hermite requires the standard gaussian potential "
             "(identity covariance)")
@@ -278,7 +279,7 @@ def _config_from_args(args, output: str) -> dict:
         drift_spec["q"] = args.q
     potential_spec = {"name": args.potential}
     potential_spec.update((flag, getattr(args, flag))
-                          for flag in POTENTIAL_FLAGS[args.potential])
+                          for flag in _potential_flags(args))
     backend_spec = {}
     if hasattr(args, "backend"):
         backend_spec = {"backend": args.backend,

@@ -31,6 +31,9 @@ from .sde_sim import ObservableFn, SimConfig, Trajectory, chain_time_averages
 Array = np.ndarray
 
 MIN_BATCHES = 20  # batches the horizon must cover, for either batch estimator
+# the step-halving check flags a move beyond BIAS_Z standard errors of the
+# difference of its two runs, taken as independent: 0.27 % of unbiased runs
+BIAS_Z = 3.0
 
 
 class EstimatorMethod(Enum):
@@ -190,7 +193,9 @@ def replicated_clt(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
     centered at the cross-chain mean.  A diverging chain raises
     DivergenceError carrying its seed.  With ``check_bias`` the run is
     repeated at half the step size and the estimate is flagged when it moves
-    by more than one standard error.  It needs at least two chains.
+    by more than ``BIAS_Z`` standard errors of the difference, taken as
+    hypot(stderr, stderr at dt/2) since the rerun draws its own increments.
+    It needs at least two chains.
     """
     if n_chains < 2:
         raise ValueError(f"n_chains must be at least 2, got {n_chains}")
@@ -207,9 +212,11 @@ def replicated_clt(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
                        n_steps=cfg.n_steps * 2,
                        burn_in_steps=cfg.burn_in_steps * 2)
         averages_h, total_h = chain_time_averages(u, c, f, half, n_chains)
-        est_h, _, _, _ = _clt_reduce(averages_h, total_h)
-        out.bias_flagged = bool(abs(est_h - estimate) > max(stderr, 1e-300))
+        est_h, stderr_h, _, _ = _clt_reduce(averages_h, total_h)
+        out.bias_flagged = bool(abs(est_h - estimate)
+                                > BIAS_Z * np.hypot(stderr, stderr_h))
         out.diagnostics["estimate_half_dt"] = est_h
+        out.diagnostics["stderr_half_dt"] = stderr_h
     return out
 
 

@@ -20,7 +20,7 @@ share between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -70,7 +70,6 @@ class Potential:
     hess: Callable[[Array], Array]
     space_kind: SpaceKind
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     constant_hessian: Array | None = None
 
     def __post_init__(self):
@@ -295,7 +294,7 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
     """Gaussian energy U(x) = x . inv(cov) x / 2, so pi = N(0, cov)."""
     _check_dim(dim)
     if cov is None:
-        inv_cov = cov_arr = np.eye(dim)
+        inv_cov = np.eye(dim)
     else:
         cov_arr = np.asarray(cov, dtype=float)
         if not np.all(np.isfinite(cov_arr)):
@@ -331,7 +330,6 @@ def gaussian_potential(dim: int, cov: Array | float | None = None) -> Potential:
 
     return Potential(dim=dim, eval=_eval, grad=_grad, hess=_hess,
                      space_kind=SpaceKind.EUCLIDEAN, name="gaussian",
-                     params={"dim": dim, "cov": cov_arr.tolist()},
                      constant_hessian=inv_cov)
 
 
@@ -360,8 +358,7 @@ def double_well_2d(barrier: float = 1.0) -> Potential:
         return h
 
     return Potential(dim=2, eval=_eval, grad=_grad, hess=_hess,
-                     space_kind=SpaceKind.EUCLIDEAN, name="double_well_2d",
-                     params={"barrier": b})
+                     space_kind=SpaceKind.EUCLIDEAN, name="double_well_2d")
 
 
 def torus_cosine(dim: int, amplitude: float | Sequence[float] = 1.0) -> Potential:
@@ -393,8 +390,7 @@ def torus_cosine(dim: int, amplitude: float | Sequence[float] = 1.0) -> Potentia
         return h
 
     return Potential(dim=dim, eval=_eval, grad=_grad, hess=_hess,
-                     space_kind=SpaceKind.FLAT_TORUS, name="torus_cosine",
-                     params={"dim": dim, "amplitude": amp.tolist()})
+                     space_kind=SpaceKind.FLAT_TORUS, name="torus_cosine")
 
 
 POTENTIAL_CATALOG: Mapping[str, Callable[..., Potential]] = {

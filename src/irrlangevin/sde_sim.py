@@ -338,8 +338,12 @@ def _run_chains(u: Potential, c: DriftField, f: ObservableFn, cfg: SimConfig,
     (single-chain use), and then ``(states, times, running)``.
 
     The affine path is taken for at most ``AFFINE_MAX_DIM`` coordinates and
-    at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain; outside these
-    bounds the loop was timed faster.
+    at least ``AFFINE_MIN_STEPS_PER_CHAIN`` steps per chain.  Below the
+    steps bound the loop was timed faster (2-d, 64 chains, 4 steps each:
+    221 against 423 ns per chain-step).  The dimension bound is not where
+    the two paths cross: a lone chain was faster on the affine path at
+    every d timed, up to 128 (3,944 against 338 ns at d = 9), while 64
+    chains at d = 32 and 64 were 1.5-2.1 times faster on the loop.
 
     Memory does not grow with the horizon.  A block's rows, the fold's
     running sums and the draw scratch (none for a lone chain), allocated

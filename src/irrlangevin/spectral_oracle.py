@@ -432,10 +432,10 @@ class _Block:
         return _by_column_blocks(size, columns)
 
     def l_eigen(self, ceiling: float) -> tuple[Array, Array | None]:
-        """(w, y): the restricted L's eigenvalues, ascending, and orthonormal
-        eigenvectors of their lowest cluster, those within 1e-8 max(w[0], 1)
-        of w[0], in mean-zero coordinates; y is None when w[0] <= 0 or
-        w[0] > ``ceiling``, above which no vector is kept.
+        """(w, y): the restricted L's lowest eigenvalues, those within
+        1e-8 max(w[0], 1) of the smallest w[0], ascending, and orthonormal
+        eigenvectors of them in mean-zero coordinates; y is None when
+        w[0] <= 0 or w[0] > ``ceiling``, above which no vector is kept.
 
         ``dsytrd`` overwrites the restriction with T = Q^T L Q tridiagonal,
         keeping Q as reflectors where ``dgehrd`` keeps them; ``dsterf`` gives
@@ -450,11 +450,11 @@ class _Block:
             lwork=int(lapack.dsytrd_lwork(self.size, lower=1)[0]))
         w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
                                           lapack_driver="sterf")
+        w = w[np.abs(w - w[0]) <= _cluster_tol(w[0])]
         if not 0.0 < w[0] <= ceiling:
             return w, None
-        dim = int(np.sum(np.abs(w - w[0]) <= _cluster_tol(w[0])))
         _, y = scipy.linalg.eigh_tridiagonal(d, e, select="i",
-                                             select_range=(0, dim - 1))
+                                             select_range=(0, len(w) - 1))
         return w, _hessenberg_q_times(h, tau, y)
 
 
@@ -601,29 +601,27 @@ class DiscretizedSystem:
         return tuple(blocks)
 
     @cached_property
-    def _l_spectrum(self) -> tuple[Array, Array]:
-        """(w, vectors): the restricted L's eigenvalues, ascending and checked
-        positive, and orthonormal eigenvectors of its lowest cluster, those
-        within 1e-8 max(w[0], 1) of w[0], in mean-zero coordinates.
+    def _l_spectrum(self) -> tuple[float, Array]:
+        """(lam, vectors): the restricted L's smallest eigenvalue, checked
+        positive, and orthonormal eigenvectors of its cluster, those within
+        1e-8 max(lam, 1) of lam, in mean-zero coordinates.
 
-        Each block's ``dsytrd`` runs in turn (:meth:`_Block.l_eigen`); the
-        eigenvalues are their union, and the cluster's vectors those of the
-        blocks' own lowest clusters that fall within it.  A block forms its
-        cluster's vectors only if its lowest eigenvalue is within the
-        cluster's width of the lowest one so far, since no other can fall
-        within it (Hermite d=5 degree 8 forms the 5 of its first shell, not
-        the 1,286 of all eight).  A failed check raises on every access,
-        since nothing is cached then.
+        Each block's ``dsytrd`` runs in turn (:meth:`_Block.l_eigen`); lam is
+        the least of their smallest eigenvalues, and the cluster's vectors
+        those of the blocks' own lowest clusters that fall within it.  A
+        block forms its cluster's vectors only if its lowest eigenvalue is
+        within the cluster's width of the lowest one so far, since no other
+        can fall within it (Hermite d=5 degree 8 forms the 5 of its first
+        shell, not the 1,286 of all eight).  A failed check raises on every
+        access, since nothing is cached then.
         """
-        parts, lowest = [], np.inf
+        parts, lam = [], np.inf
         for block in self._blocks:
-            parts.append(block.l_eigen(lowest + _cluster_tol(lowest)))
-            lowest = min(lowest, parts[-1][0][0])
-        w = np.sort(np.concatenate([part[0] for part in parts]))
-        if w[0] <= 0.0:
-            raise _not_positive_definite(f"smallest eigenvalue {w[0]:.6e}")
-        dims = [0 if y is None else
-                int(np.sum(np.abs(wb[:y.shape[1]] - w[0]) <= _cluster_tol(w[0])))
+            parts.append(block.l_eigen(lam + _cluster_tol(lam)))
+            lam = min(lam, parts[-1][0][0])
+        if lam <= 0.0:
+            raise _not_positive_definite(f"smallest eigenvalue {lam:.6e}")
+        dims = [0 if y is None else int(np.sum(np.abs(wb - lam) <= _cluster_tol(lam)))
                 for wb, y in parts]
         vectors = np.zeros((self.n - 1, sum(dims)))
         col = 0
@@ -632,7 +630,7 @@ class DiscretizedSystem:
                 vectors[block.offset:block.offset + block.size,
                         col:col + dim] = y[:, :dim]
                 col += dim
-        return w, vectors
+        return float(lam), vectors
 
     # -- the solve path ----------------------------------------------------
 
@@ -1223,7 +1221,7 @@ def generator_gaps(sys: DiscretizedSystem) -> tuple[float, float]:
     """
     import scipy.linalg
 
-    lam = float(sys._l_spectrum[0][0])
+    lam = sys._l_spectrum[0]
     min_real = min(
         float(scipy.linalg.eigvals(block.restrict(block.l_matrix - block.s_matrix, 0.0),
                                    overwrite_a=True).real.min())

@@ -231,8 +231,8 @@ def test_worst_case_intersection_is_the_equality_certificate(case, request):
     sys = (_hermite_random_q(3, 5, 1) if case == "hermite_q"
            else request.getfixturevalue("torus_axis_sys"))
     res = worst_case(sys)
-    w, l_space = sys._l_spectrum
-    a_l = sys.to_mean_zero(sys.s_matrix @ sys.from_mean_zero(l_space)) / w[0]
+    lam, l_space = sys._l_spectrum
+    a_l = sys.to_mean_zero(sys.s_matrix @ sys.from_mean_zero(l_space)) / lam
     _, _, vt = np.linalg.svd(a_l, full_matrices=False)
     for v, residual in zip(vt, res.eigenspace_residuals[::-1]):
         cert = equality_certificate(sys, sys.from_mean_zero(l_space @ v))

@@ -1,6 +1,10 @@
 """Command-line interface: reports, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,13 +368,26 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_hermite_backend_requires_standard_gaussian(capsys):
-    code = run_command([
-        "spectral-report", "--potential", "gaussian", "--dim", "2",
-        "--cov", "2.0", "--drift", "none", "--backend", "hermite",
-    ])
-    assert code == 2
-    assert "standard gaussian" in capsys.readouterr().err
+@pytest.mark.parametrize("flags, admitted", [
+    ([], True),
+    (["--cov", "1"], True),
+    (["--cov", "1,1"], True),
+    (["--cov", "1,0,0,1"], True),
+    (["--cov", "2"], False),
+    (["--cov", "1,2"], False),
+    (["--cov", "1,0.5,0.5,1"], False),
+    (["--potential", "double_well_2d"], False),
+    (["--potential", "torus_cosine"], False),
+], ids=["no-cov", "scalar-1", "diag-1-1", "matrix-eye", "scalar-2", "diag-1-2",
+        "matrix-correlated", "double-well", "torus"])
+def test_hermite_backend_admits_exactly_the_identity_covariance(flags, admitted,
+                                                                capsys):
+    # the identity covariance however written, and nothing else
+    code = run_command(["spectral-report", "--drift", "none", "--backend",
+                        "hermite", "--degree", "2", *flags])
+    refused = ("error: --backend hermite requires the standard gaussian "
+               "potential (identity covariance)\n")
+    assert (code, capsys.readouterr().err) == ((0, "") if admitted else (2, refused))
 
 
 def test_memory_guard_exits_2(capsys):
@@ -629,3 +646,21 @@ def test_every_catalog_potential_is_a_cli_choice(name, tmp_path):
                         "--drift", "none", "--n-probes", "4",
                         "--output", str(out)]) == 0
     assert read_json(out)["config"]["potential_spec"]["name"] == name
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-assumptions", "--n-probes", "4"], 0),
+    (["check-assumptions", "--n-probes", "0"], 2),
+], ids=["ok", "config-error"])
+def test_main_exits_with_the_command_code(argv, code, monkeypatch):
+    # cli.main in this process, and the module run as a script in a fresh one
+    monkeypatch.setattr(sys, "argv", ["irrlangevin", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "irrlangevin.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr

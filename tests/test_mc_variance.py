@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from irrlangevin.mc_variance import (
+    BIAS_Z,
     EstimatorMethod,
     _clt_reduce,
     batch_means,
@@ -240,13 +241,38 @@ def test_bias_flag_fires_on_coarse_step():
 
 
 def test_bias_flag_matches_its_definition():
-    # flag is exactly (|estimate at dt/2 - estimate| > stderr)
+    # flag is exactly (|estimate at dt/2 - estimate| > BIAS_Z * the stderr
+    # of the difference of the two runs)
     u = gaussian_potential(2)
     cfg = SimConfig(step_size=0.05, n_steps=8_000, initial_point=[0.0, 0.0],
                     burn_in_steps=500, seed=42)
     est = replicated_clt(u, zero_drift(2), coord1, cfg, n_chains=48,
                          check_bias=True)
     moved = abs(est.diagnostics["estimate_half_dt"] - est.point_estimate)
-    assert est.bias_flagged == (moved > est.stderr)
+    combined = np.hypot(est.stderr, est.diagnostics["stderr_half_dt"])
+    assert est.bias_flagged == (moved > BIAS_Z * combined)
     unchecked = replicated_clt(u, zero_drift(2), coord1, cfg, n_chains=8)
     assert unchecked.bias_flagged is None
+
+
+# fixed before the first run; chains are seeded seed, seed + 1, ..., so the
+# seeds lie 1,000 apart, beyond the 64 chains of a run, and no two runs
+# share a chain
+BIAS_NULL_SEEDS = tuple(20_000 + 1_000 * i for i in range(40))
+
+
+def test_bias_flag_rarely_fires_without_bias():
+    # f = x1 under the rotation drift: the Euler-Maruyama chain's variance is
+    # 2 / (1 + k^2) at every dt, so halving the step moves nothing but noise.
+    # At BIAS_Z = 3 an unbiased run flags with probability about 0.27 %, so
+    # two flags in 40 runs would be a 0.5 % event; a rule of one stderr of
+    # the first run flags 14 of these 40
+    u = gaussian_potential(2)
+    c = make_qgradu_drift(ROT, u)
+    flags = 0
+    for seed in BIAS_NULL_SEEDS:
+        cfg = SimConfig(step_size=0.05, n_steps=4_000, initial_point=[0.0, 0.0],
+                        burn_in_steps=200, seed=seed)
+        est = replicated_clt(u, c, coord1, cfg, n_chains=64, check_bias=True)
+        flags += est.bias_flagged
+    assert flags <= 1
